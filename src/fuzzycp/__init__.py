@@ -51,7 +51,6 @@ from .kb import (
     build_knowledge_base,
     fuzzy_c_means,
     ingest_tabular,
-    membership_of,
 )
 from .query import (
     Term,

@@ -36,6 +36,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="fuzzycp", description=__doc__.splitlines()[0])
     top = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
@@ -78,7 +85,7 @@ def _build_parser() -> _ArgumentParser:
     run.add_argument("--kb", required=True)
     run.add_argument("--query", required=True, help="compiled query document")
     run.add_argument("--data", required=True)
-    run.add_argument("--top", type=int, default=None)
+    run.add_argument("--top", type=_positive_int, default=None)
     run.add_argument("--format", choices=("tsv", "json"), default="tsv")
     run.add_argument("--delimiter", default=",")
     run.add_argument("--no-header", action="store_true")
@@ -185,23 +192,18 @@ def cmd_eval(args) -> int:
 
 
 def _flags(result) -> str:
-    parts = [f"missing:{name}" for name in result.missing]
-    if result.error:
-        parts.append("error:" + result.error.replace("\t", " ").replace("\n", " "))
-    return ";".join(parts) if parts else "-"
+    return ";".join(f"missing:{name}" for name in result.missing) or "-"
 
 
 def _print_tsv(results, term_count) -> None:
     header = ["record_index", "eval"] + [f"s_{k + 1}" for k in range(term_count)] + ["flags"]
-    print("\t".join(header))
+    lines = ["\t".join(header)]
     for r in results:
-        if r.score is None:
-            cells = [str(r.record_index), "NA"] + ["NA"] * term_count
-        else:
-            cells = [str(r.record_index), f"{r.score:.6f}"]
-            cells += [f"{s:.6f}" for s in r.term_scores]
+        cells = [str(r.record_index), f"{r.score:.6f}"]
+        cells += [f"{s:.6f}" for s in r.term_scores]
         cells.append(_flags(r))
-        print("\t".join(cells))
+        lines.append("\t".join(cells))
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _print_json(results, term_count) -> None:
@@ -216,7 +218,6 @@ def _print_json(results, term_count) -> None:
                 "term_scores": list(r.term_scores),
                 "clipped": list(r.clipped),
                 "missing": list(r.missing),
-                "error": r.error,
             }
             for r in results
         ],

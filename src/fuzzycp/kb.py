@@ -341,6 +341,21 @@ class KnowledgeBase:
         """Membership vector of ``value`` under the attribute's cluster model."""
         return membership_vector(self.model(attribute), value)
 
+    def membership_grid(self, attribute: str, values) -> np.ndarray:
+        """Membership rows of a whole column under the attribute's model.
+
+        Row r equals ``membership_of(attribute, values[r])``; a missing or
+        non-finite value belongs to no cluster (a row of zeros).
+        """
+        model = self.model(attribute)
+        values = np.asarray(values, dtype=float)
+        grid = np.zeros((values.size, len(model.centroids)))
+        finite = np.isfinite(values)
+        grid[finite] = _membership_grid(
+            values[finite], np.asarray(model.centroids), model.fuzzifier
+        )
+        return grid
+
     def to_document(self) -> dict:
         attributes = []
         for name, entry in self.entries.items():
@@ -386,10 +401,6 @@ class KnowledgeBase:
     def load(cls, path) -> "KnowledgeBase":
         with open(path, encoding="utf-8") as f:
             return cls.from_document(json.load(f))
-
-
-def membership_of(kb: KnowledgeBase, attribute: str, value: float) -> np.ndarray:
-    return kb.membership_of(attribute, value)
 
 
 def build_knowledge_base(

@@ -7,23 +7,31 @@ scores weight those memberships by node importance,
 
     S_k = sum_i(mu_ki * G_i) / sum_i(G_i)
 
-and the final relevance is the fuzzy weighted disjunction
+summed left to right in variable declaration order, and the final
+relevance is the fuzzy weighted disjunction
 
     score = max over k of min(S_k, U_k)
 
 where U_k is the term's importance.  A record missing a bound attribute
-degrades (membership 0, flagged) instead of failing.
+(absent column, empty or non-finite cell) degrades (membership 0, flagged)
+instead of failing.
+
+``rank`` is columnar: it scores the whole dataset with one membership grid
+per query variable, accumulated into an n x T matrix of S_k.  ``project``
+and ``evaluate`` score one record with plain loops; they are the oracles
+``rank`` is tested against, bit for bit, not a second production path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .cpnet import node_importance
-from .errors import BindingError, DegenerateQueryError
+from .errors import BindingError, ConfigError, DegenerateQueryError
 from .kb import Dataset, KnowledgeBase
 from .query import WeightedQuery
 
@@ -50,10 +58,9 @@ class RankedResult:
     record_index: int
     term_scores: tuple[float, ...]
     clipped: tuple[float, ...]
-    score: float | None
+    score: float
     missing: tuple[str, ...]
-    error: str | None = None
-    position: int | None = None
+    position: int  # 1-based place in the full ranking
 
 
 def project(
@@ -104,16 +111,21 @@ def project(
 
 
 def aggregate_term_score(memberships, importances) -> float:
-    """Importance-weighted mean of one term's membership entries."""
-    memberships = np.asarray(memberships, dtype=float)
-    weights = np.asarray(importances, dtype=float)
-    if memberships.size == 0:
+    """Importance-weighted mean of one term's membership entries.
+
+    Sums left to right, the order ``rank`` accumulates in; ``np.dot`` would
+    sum in an order that depends on the BLAS build.
+    """
+    pairs = list(zip(memberships, importances, strict=True))
+    if not pairs:
         raise DegenerateQueryError("term has no variables to aggregate")
-    total = weights.sum()
+    weighted = total = 0.0
+    for membership, weight in pairs:
+        weighted += float(membership) * float(weight)
+        total += float(weight)
     if total <= 0:
         raise DegenerateQueryError("importance weights sum to zero")
-    score = float(np.dot(memberships, weights) / total)
-    return min(max(score, 0.0), 1.0)
+    return min(max(weighted / total, 0.0), 1.0)
 
 
 def evaluate(
@@ -141,47 +153,84 @@ def rank(
     dataset: Dataset,
     top_n: int | None = None,
 ) -> list[RankedResult]:
-    """Score every record and sort best-first.
+    """Score every record and sort best-first; ties keep the input order.
 
-    Ties keep the input order; a record that cannot be scored at all keeps
-    its error in the result instead of aborting the run.
+    The query is checked against the knowledge base before any record is
+    scored: a term label that is not a cluster of its bound attribute is a
+    BindingError.  ``top_n`` (at least 1) keeps the first ``top_n`` of the
+    full ranking, positions included.
     """
+    if top_n is not None and top_n < 1:
+        raise ConfigError(f"top_n must be at least 1, got {top_n}")
+    variables = tuple(v.name for v in query.net.nodes)
+    labels = _label_table(kb, query, variables)
     importance = node_importance(query.net)
-    columns = {a: i for i, a in enumerate(dataset.attributes)}
-    bound = set(query.bindings.values())
+    weights = [float(importance[name]) for name in variables]
 
-    results = []
-    for idx in range(dataset.record_count):
-        row = dataset.records[idx]
-        record = {a: float(row[columns[a]]) for a in bound if a in columns}
-        try:
-            projection = project(kb, query, record, record_index=idx)
-            outcome = evaluate(projection, query, importance)
-        except BindingError as exc:
-            results.append(
-                RankedResult(
-                    record_index=idx,
-                    term_scores=(),
-                    clipped=(),
-                    score=None,
-                    missing=(),
-                    error=str(exc),
-                )
-            )
-            continue
-        results.append(
-            RankedResult(
-                record_index=idx,
-                term_scores=outcome.term_scores,
-                clipped=outcome.clipped,
-                score=outcome.score,
-                missing=projection.missing,
-            )
+    # S_k, accumulated one variable at a time in declaration order
+    n = dataset.record_count
+    term_scores = np.zeros((n, len(query.terms)))
+    missing = np.empty((n, len(variables)), dtype=bool)
+    for i, (name, weight) in enumerate(zip(variables, weights)):
+        attribute = query.bindings[name]
+        if attribute in dataset.attributes:
+            column = dataset.column(attribute)
+        else:
+            column = np.full(n, np.nan)
+        missing[:, i] = ~np.isfinite(column)
+        grid = kb.membership_grid(attribute, column)
+        term_scores += grid[:, labels[:, i]] * weight
+    term_scores /= sum(weights)
+    np.clip(term_scores, 0.0, 1.0, out=term_scores)
+    clipped = np.minimum(term_scores, [t.importance for t in query.terms])
+    scores = clipped.max(axis=1)
+
+    order = np.lexsort((np.arange(n), -scores))[:top_n]
+    rows = zip(
+        order.tolist(),
+        term_scores[order].tolist(),
+        clipped[order].tolist(),
+        scores[order].tolist(),
+        missing[order].tolist(),
+    )
+    return [
+        RankedResult(
+            record_index=idx,
+            term_scores=tuple(row_scores),
+            clipped=tuple(row_clipped),
+            score=score,
+            missing=tuple(compress(variables, row_missing)),
+            position=position,
         )
+        for position, (idx, row_scores, row_clipped, score, row_missing) in enumerate(
+            rows, start=1
+        )
+    ]
 
-    results.sort(key=lambda r: (-(r.score if r.score is not None else -1.0), r.record_index))
-    for position, result in enumerate(results, start=1):
-        result.position = position
-    if top_n is not None:
-        results = results[:top_n]
-    return results
+
+def _label_table(kb: KnowledgeBase, query: WeightedQuery, variables) -> np.ndarray:
+    """Cluster index of the label term k picks for variable i, as a T x V table.
+
+    Raises when the query cannot be scored against ``kb`` at all.
+    """
+    if not query.terms:
+        raise DegenerateQueryError("query has no terms")
+    if not variables:
+        raise DegenerateQueryError("term has no variables to aggregate")
+    table = np.empty((len(query.terms), len(variables)), dtype=np.intp)
+    for i, name in enumerate(variables):
+        attribute = query.bindings.get(name)
+        if attribute not in kb.entries:
+            raise BindingError(
+                f"variable {name!r} is bound to {attribute!r}, "
+                "which the knowledge base does not cover"
+            )
+        labels = kb.model(attribute).labels
+        for k, term in enumerate(query.terms):
+            wanted = term.assignment[name]
+            if wanted not in labels:
+                raise BindingError(
+                    f"no cluster labeled {wanted!r} for attribute {attribute!r}"
+                )
+            table[k, i] = labels.index(wanted)
+    return table

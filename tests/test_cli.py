@@ -188,6 +188,33 @@ def test_eval_missing_value_is_flagged_not_fatal(tmp_path, built_kb, compiled_qu
     assert "missing:wear" in out
 
 
+def test_eval_edited_term_label_is_binding_error(tmp_path, built_kb, compiled_query, capsys):
+    doc = json.loads(compiled_query.read_text())
+    doc["terms"][-1]["assignment"]["wear"] = "scrapped"
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    code = main([
+        "eval", "--kb", str(built_kb), "--query", str(edited),
+        "--data", str(DATA_DIR / "cars.csv"),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "BindingError" in captured.err and "scrapped" in captured.err
+
+
+@pytest.mark.parametrize("top", ["0", "-1", "-1998"])
+def test_eval_top_below_one_is_usage_error(built_kb, compiled_query, capsys, top):
+    code = main([
+        "eval", "--kb", str(built_kb), "--query", str(compiled_query),
+        "--data", str(DATA_DIR / "cars.csv"), "--top", top,
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--top" in captured.err
+
+
 def test_eval_is_byte_deterministic(tmp_path, built_kb, compiled_query, capsys):
     args = [
         "eval", "--kb", str(built_kb), "--query", str(compiled_query),

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from fuzzycp import (
     BindingError,
+    ConfigError,
     Dataset,
     DegenerateQueryError,
     Term,
@@ -16,7 +18,7 @@ from fuzzycp import (
     project,
     rank,
 )
-from fuzzycp.scoring import DataProjection
+from fuzzycp.scoring import DataProjection, RankedResult
 from helpers import kb_for_net, random_weighted_query
 from test_cpnet import chain_abc, single_node
 
@@ -32,6 +34,20 @@ def query_with_importances(importances):
     )
     query = WeightedQuery(
         spec=None, net=net, ucp=ucp, bindings=bindings, terms=terms
+    )
+    return kb, query
+
+
+def bogus_label_query():
+    """A query whose only term wants a label the knowledge base lacks."""
+    net = single_node()
+    kb, bindings = kb_for_net(net)
+    query = WeightedQuery(
+        spec=None,
+        net=net,
+        ucp=assign_utilities(net),
+        bindings=bindings,
+        terms=(Term(assignment={"x": "zz"}, weights={"x": 1.0}, importance=1.0),),
     )
     return kb, query
 
@@ -98,16 +114,7 @@ def test_projection_missing_value_degrades():
 
 
 def test_projection_unknown_label_is_binding_error():
-    net = single_node()
-    kb, bindings = kb_for_net(net)
-    ucp = assign_utilities(net)
-    bogus = WeightedQuery(
-        spec=None,
-        net=net,
-        ucp=ucp,
-        bindings=bindings,
-        terms=(Term(assignment={"x": "zz"}, weights={"x": 1.0}, importance=1.0),),
-    )
+    kb, bogus = bogus_label_query()
     with pytest.raises(BindingError):
         project(kb, bogus, {"attr_x": 0.0})
 
@@ -130,6 +137,21 @@ def test_aggregate_all_ones():
 def test_aggregate_empty_is_degenerate():
     with pytest.raises(DegenerateQueryError):
         aggregate_term_score([], [])
+
+
+def test_aggregate_sums_left_to_right():
+    # the wide-net benchmark query's nine importances; a BLAS dot product
+    # sums such vectors in another order and differs in the last bit for
+    # a good share of them
+    importances = [7, 6, 6, 5, 5, 4, 3, 2, 1]
+    rng = random.Random(93)
+    for _ in range(500):
+        memberships = [rng.random() for _ in importances]
+        weighted = 0.0
+        for m, g in zip(memberships, importances):
+            weighted += m * g
+        expected = min(max(weighted / sum(importances), 0.0), 1.0)
+        assert aggregate_term_score(memberships, importances) == expected
 
 
 def test_aggregate_importance_symmetry():
@@ -271,18 +293,90 @@ def test_rank_flags_missing_attribute_column():
     assert all(r.score is not None for r in results)
 
 
-def test_rank_carries_per_record_errors():
-    net = single_node()
-    kb, bindings = kb_for_net(net)
-    ucp = assign_utilities(net)
-    bogus = WeightedQuery(
-        spec=None,
-        net=net,
-        ucp=ucp,
-        bindings=bindings,
-        terms=(Term(assignment={"x": "zz"}, weights={"x": 1.0}, importance=1.0),),
-    )
+def test_rank_rejects_unknown_term_label():
+    kb, bogus = bogus_label_query()
     ds = Dataset(["attr_x"], np.array([[0.0], [1.0]]))
-    results = rank(kb, bogus, ds)
-    assert all(r.error is not None for r in results)
-    assert all(r.score is None for r in results)
+    with pytest.raises(BindingError, match="zz"):
+        rank(kb, bogus, ds)
+    # checked before scoring, so even an empty dataset fails
+    with pytest.raises(BindingError):
+        rank(kb, bogus, Dataset(["attr_x"], np.empty((0, 1))))
+
+
+@pytest.mark.parametrize("top_n", [0, -1, -3])
+def test_rank_rejects_top_n_below_one(top_n):
+    _net, kb, query = ranked_fixture()
+    ds = Dataset(["attr_x"], np.array([[0.1], [0.2], [0.3]]))
+    with pytest.raises(ConfigError):
+        rank(kb, query, ds, top_n=top_n)
+
+
+# --- columnar rank against the scalar oracle ----------------------------------
+
+
+def random_dataset(rng, kb, query, draw, n):
+    """Records from ``draw`` plus the edge cases ``rank`` must get right.
+
+    Cells may be empty (NaN), infinite or exactly on a centroid, some rows
+    are duplicated, an unrelated column rides along, and sometimes one bound
+    attribute is absent from the table altogether.
+    """
+    attributes = list(kb.entries)
+    if rng.random() < 0.2:
+        attributes.remove(rng.choice(sorted(set(query.bindings.values()))))
+    rows = []
+    for _ in range(n):
+        record = draw()
+        row = []
+        for attribute in attributes:
+            roll = rng.random()
+            if roll < 0.05:
+                row.append(rng.choice([math.inf, -math.inf]))
+            elif roll < 0.15:
+                row.append(rng.choice(kb.model(attribute).centroids))
+            else:
+                row.append(record.get(attribute, math.nan))
+        rows.append(row + [rng.uniform(-1.0, 1.0)])
+    for _ in range(n // 4):
+        rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
+    records = np.array(rows, dtype=float).reshape(len(rows), len(attributes) + 1)
+    return Dataset(attributes + ["unrelated"], records)
+
+
+def oracle_ranking(kb, query, dataset):
+    """The full ranking from ``project`` and ``evaluate``, record by record."""
+    importance = node_importance(query.net)
+    scored = []
+    for idx, row in enumerate(dataset.records):
+        record = {a: float(v) for a, v in zip(dataset.attributes, row)}
+        projection = project(kb, query, record, record_index=idx)
+        scored.append((idx, evaluate(projection, query, importance), projection.missing))
+    scored.sort(key=lambda item: (-item[1].score, item[0]))
+    return [
+        RankedResult(
+            record_index=idx,
+            term_scores=outcome.term_scores,
+            clipped=outcome.clipped,
+            score=outcome.score,
+            missing=missing,
+            position=position,
+        )
+        for position, (idx, outcome, missing) in enumerate(scored, start=1)
+    ]
+
+
+def test_rank_matches_project_and_evaluate():
+    # exact equality, no tolerance: both sum in declaration order
+    rng = random.Random(94)
+    compared = 0
+    for trial in range(120):
+        kb, query, draw = random_weighted_query(rng, allow_missing=True)
+        n = 0 if trial % 20 == 0 else rng.randint(1, 40)
+        dataset = random_dataset(rng, kb, query, draw, n)
+        full = rank(kb, query, dataset)
+        assert full == oracle_ranking(kb, query, dataset)
+        top_n = rng.randint(1, len(full) + 2)
+        assert rank(kb, query, dataset, top_n=top_n) == full[:top_n]
+        compared += len(full)
+    assert compared > 2000
+

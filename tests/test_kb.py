@@ -17,7 +17,6 @@ from fuzzycp import (
     build_knowledge_base,
     fuzzy_c_means,
     ingest_tabular,
-    membership_of,
 )
 from helpers import reference_fcm
 
@@ -226,7 +225,7 @@ def test_document_round_trip():
 def test_membership_of_centroid_is_one():
     kb = _toy_kb()
     model = kb.model("size")
-    vec = membership_of(kb, "size", model.centroids[0])
+    vec = kb.membership_of("size", model.centroids[0])
     assert vec[0] == pytest.approx(1.0)
     assert vec[1] == pytest.approx(0.0)
 
@@ -235,7 +234,7 @@ def test_membership_of_midpoint_splits():
     kb = _toy_kb()
     model = kb.model("size")
     midpoint = sum(model.centroids) / 2
-    vec = membership_of(kb, "size", midpoint)
+    vec = kb.membership_of("size", midpoint)
     assert vec[0] == pytest.approx(0.5, abs=1e-9)
     assert vec[1] == pytest.approx(0.5, abs=1e-9)
 
@@ -254,19 +253,28 @@ def test_membership_formula_hand_value():
 def test_membership_of_unknown_attribute():
     kb = _toy_kb()
     with pytest.raises(ConfigError):
-        membership_of(kb, "weight", 1.0)
+        kb.membership_of("weight", 1.0)
 
 
 def test_membership_of_rejects_non_finite():
     kb = _toy_kb()
     with pytest.raises(ParseError):
-        membership_of(kb, "size", float("inf"))
+        kb.membership_of("size", float("inf"))
+
+
+def test_membership_grid_matches_membership_of():
+    kb = _toy_kb()
+    values = [-3.0, kb.model("size").centroids[1], 4.2, float("nan"), float("-inf")]
+    grid = kb.membership_grid("size", values)
+    for row, value in zip(grid[:3], values):
+        assert np.array_equal(row, kb.membership_of("size", value))
+    assert np.all(grid[3:] == 0.0)  # missing values belong to no cluster
 
 
 def test_membership_rows_sum_to_one_out_of_sample():
     kb = _toy_kb()
     rng = random.Random(4)
     for _ in range(100):
-        vec = membership_of(kb, "size", rng.uniform(-50, 50))
+        vec = kb.membership_of("size", rng.uniform(-50, 50))
         assert abs(vec.sum() - 1.0) < 1e-9
         assert np.all(vec >= 0) and np.all(vec <= 1)
