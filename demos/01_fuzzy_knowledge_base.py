@@ -26,16 +26,16 @@ config = KBConfig(
 )
 kb = build_knowledge_base(dataset, config, source=str(DATA))
 
-for name, entry in kb.entries.items():
+for name, model in kb.models.items():
     pairs = ", ".join(
-        f"{label}@{center:.1f}"
-        for label, center in zip(entry.model.labels, entry.model.centroids)
+        f"{label}@{center:.1f}" for label, center in zip(model.labels, model.centroids)
     )
     print(f"{name}: {pairs}")
 
-# every record belongs to every region to some degree, rows sum to 1
+# every record belongs to every region to some degree, rows sum to 1;
+# the degrees follow from the centroids, so the knowledge base stores none
 print("\nfirst three price membership rows (low, mid, high):")
-for row in kb.entries["price"].memberships.values[:3]:
+for row in kb.membership_grid("price", dataset.column("price")[:3]):
     print("  ", [round(float(v), 3) for v in row])
 
 # out-of-sample values are scored against the stored centroids

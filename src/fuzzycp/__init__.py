@@ -47,7 +47,6 @@ from .kb import (
     FcmResult,
     KBConfig,
     KnowledgeBase,
-    MembershipMatrix,
     build_knowledge_base,
     fuzzy_c_means,
     ingest_tabular,

@@ -20,7 +20,7 @@ import sys
 
 from . import kb as kbmod
 from . import query as qmod
-from .errors import FuzzycpError
+from .errors import ConfigError, FuzzycpError
 from .scoring import rank
 from .ucp import check_dominance
 
@@ -78,7 +78,6 @@ def _build_parser() -> _ArgumentParser:
     compile_.add_argument("--query", required=True, help="query text file")
     compile_.add_argument("--out", required=True)
     compile_.add_argument("--terms", type=int, default=None)
-    compile_.add_argument("--utilities", choices=("steps", "memberships"), default="steps")
     compile_.set_defaults(handler=cmd_query_compile)
 
     run = top.add_parser("eval", help="rank records against a compiled query")
@@ -128,7 +127,10 @@ def _parse_attr_overrides(specs) -> dict[str, kbmod.AttributeConfig]:
     for spec in specs:
         parts = spec.split(":", 2)
         name = parts[0]
-        clusters = int(parts[1]) if len(parts) > 1 and parts[1] else None
+        try:
+            clusters = int(parts[1]) if len(parts) > 1 and parts[1] else None
+        except ValueError:
+            raise ConfigError(f"--attr {spec!r}: cluster count is not an integer") from None
         labels = tuple(parts[2].split(",")) if len(parts) > 2 else None
         overrides[name] = kbmod.AttributeConfig(clusters=clusters, labels=labels)
     return overrides
@@ -151,8 +153,8 @@ def cmd_kb_build(args) -> int:
     kb = kbmod.build_knowledge_base(dataset, config, source=args.input)
     kb.save(args.out)
     iterations = kb.provenance.get("iterations", {})
-    for name, entry in kb.entries.items():
-        centroids = ", ".join(f"{c:.6f}" for c in entry.model.centroids)
+    for name, model in kb.models.items():
+        centroids = ", ".join(f"{c:.6f}" for c in model.centroids)
         print(
             f"{name}: centroids [{centroids}] after {iterations.get(name, '?')} iterations",
             file=sys.stderr,
@@ -164,9 +166,7 @@ def cmd_query_compile(args) -> int:
     kb = kbmod.KnowledgeBase.load(args.kb)
     with open(args.query, encoding="utf-8") as f:
         text = f.read()
-    compiled = qmod.compile_query(
-        text, kb, term_count=args.terms, utilities=args.utilities
-    )
+    compiled = qmod.compile_query(text, kb, term_count=args.terms)
     qmod.save_query(compiled, args.out)
     print(
         f"compiled {len(compiled.terms)} terms over "
@@ -242,12 +242,12 @@ def _inspect_kb(doc) -> None:
     kb = kbmod.KnowledgeBase.from_document(doc)
     prov = kb.provenance
     print(f"knowledge base (source: {prov.get('source')}, seed: {prov.get('seed')})")
-    for name, entry in kb.entries.items():
+    print(f"records: {prov.get('records', '?')}")
+    for name, model in kb.models.items():
         print(f"attribute {name}")
-        print(f"  labels:    {', '.join(entry.model.labels)}")
-        print(f"  centroids: {', '.join(f'{c:.6f}' for c in entry.model.centroids)}")
-        print(f"  fuzzifier: {entry.model.fuzzifier}")
-        print(f"  records:   {entry.memberships.values.shape[0]}")
+        print(f"  labels:    {', '.join(model.labels)}")
+        print(f"  centroids: {', '.join(f'{c:.6f}' for c in model.centroids)}")
+        print(f"  fuzzifier: {model.fuzzifier}")
 
 
 def _inspect_query(doc) -> None:

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ConfigError, ValidationError
 
 OUTCOME_CAP = 1_000_000
 
@@ -26,9 +26,9 @@ class PreferenceVariable:
     def __post_init__(self):
         object.__setattr__(self, "domain", tuple(self.domain))
         if not self.domain:
-            raise ValueError(f"variable {self.name!r} has an empty domain")
+            raise ConfigError(f"variable {self.name!r} has an empty domain")
         if len(set(self.domain)) != len(self.domain):
-            raise ValueError(f"variable {self.name!r} repeats a domain value")
+            raise ConfigError(f"variable {self.name!r} repeats a domain value")
 
 
 @dataclass(frozen=True)

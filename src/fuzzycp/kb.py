@@ -14,9 +14,9 @@ A point sitting exactly on a centroid gets membership 1 there and 0
 elsewhere.  Converged centroids are sorted ascending so linguistic labels
 ("low" < "high") always attach in a stable order.
 
-The resulting per-attribute membership matrices form the knowledge base
-consumed by query compilation and record scoring; out-of-sample values are
-scored against the stored centroids with the same membership formula.
+The knowledge base is the per-attribute cluster models (centroids, labels,
+fuzzifier).  Memberships are not stored: a value's degrees follow from the
+centroids by the membership formula, for training and unseen values alike.
 """
 
 from __future__ import annotations
@@ -163,23 +163,6 @@ class ClusterModel:
             ) from None
 
 
-@dataclass
-class MembershipMatrix:
-    """Per-record membership degrees to each cluster of one attribute."""
-
-    attribute: str
-    values: np.ndarray  # shape (record_count, cluster_count), rows sum to 1
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.size:
-            if self.values.min() < -1e-12 or self.values.max() > 1 + 1e-12:
-                raise ValueError(f"{self.attribute}: membership outside [0, 1]")
-            sums = self.values.sum(axis=1)
-            if np.max(np.abs(sums - 1.0)) > 1e-9:
-                raise ValueError(f"{self.attribute}: membership rows do not sum to 1")
-
-
 @dataclass(frozen=True)
 class FcmResult:
     """Converged fuzzy c-means run, with its per-iteration objective trace."""
@@ -209,11 +192,11 @@ def fuzzy_c_means(
     """
     x = np.asarray(values, dtype=float).ravel()
     if c < 2:
-        raise ValueError("cluster count must be at least 2")
+        raise ConfigError("cluster count must be at least 2")
     if m <= 1.0:
-        raise ValueError("fuzzifier must be > 1")
+        raise ConfigError("fuzzifier must be > 1")
     if tol <= 0.0:
-        raise ValueError("tol must be positive")
+        raise ConfigError("tol must be positive")
     if x.size and not np.all(np.isfinite(x)):
         raise ParseError("values contain non-finite entries")
     if len(np.unique(x)) < c:
@@ -224,7 +207,7 @@ def fuzzy_c_means(
     if init is not None:
         centroids = np.sort(np.asarray(init, dtype=float))
         if centroids.shape != (c,):
-            raise ValueError("init must supply one centroid per cluster")
+            raise ConfigError("init must supply one centroid per cluster")
     else:
         rng = np.random.default_rng(seed)
         quantiles = (np.arange(c) + 0.5) / c
@@ -319,21 +302,15 @@ class KBConfig:
 
 
 @dataclass
-class AttributeEntry:
-    model: ClusterModel
-    memberships: MembershipMatrix
-
-
-@dataclass
 class KnowledgeBase:
-    """One (ClusterModel, MembershipMatrix) pair per dataset attribute."""
+    """One ClusterModel per dataset attribute, plus how they were built."""
 
-    entries: dict[str, AttributeEntry]
+    models: dict[str, ClusterModel]
     provenance: dict
 
     def model(self, attribute: str) -> ClusterModel:
         try:
-            return self.entries[attribute].model
+            return self.models[attribute]
         except KeyError:
             raise ConfigError(f"unknown attribute {attribute!r}") from None
 
@@ -358,37 +335,36 @@ class KnowledgeBase:
 
     def to_document(self) -> dict:
         attributes = []
-        for name, entry in self.entries.items():
+        for name, model in self.models.items():
             attributes.append(
                 {
                     "name": name,
-                    "labels": list(entry.model.labels),
-                    "centroids": list(entry.model.centroids),
-                    "fuzzifier": entry.model.fuzzifier,
-                    "memberships": entry.memberships.values.tolist(),
+                    "labels": list(model.labels),
+                    "centroids": list(model.centroids),
+                    "fuzzifier": model.fuzzifier,
                 }
             )
         return {
-            "format_version": 1,
+            "format_version": 2,
             "attributes": attributes,
             "provenance": self.provenance,
         }
 
     @classmethod
     def from_document(cls, doc: dict) -> "KnowledgeBase":
-        if doc.get("format_version") != 1:
+        """Read a version 2 document, or a version 1 one, whose per-record
+        membership rows are ignored: the centroids determine them."""
+        if doc.get("format_version") not in (1, 2):
             raise ConfigError("unsupported knowledge-base document version")
-        entries = {}
+        models = {}
         for attr in doc["attributes"]:
-            model = ClusterModel(
+            models[attr["name"]] = ClusterModel(
                 attribute=attr["name"],
                 centroids=tuple(float(v) for v in attr["centroids"]),
                 labels=tuple(attr["labels"]),
                 fuzzifier=float(attr["fuzzifier"]),
             )
-            matrix = MembershipMatrix(attr["name"], np.asarray(attr["memberships"]))
-            entries[attr["name"]] = AttributeEntry(model, matrix)
-        return cls(entries=entries, provenance=dict(doc.get("provenance", {})))
+        return cls(models=models, provenance=dict(doc.get("provenance", {})))
 
     def dump(self) -> str:
         return json.dumps(self.to_document(), ensure_ascii=False, indent=2) + "\n"
@@ -416,7 +392,7 @@ def build_knowledge_base(
     if unknown:
         raise ConfigError(f"config references unknown attributes: {sorted(unknown)}")
 
-    entries: dict[str, AttributeEntry] = {}
+    models: dict[str, ClusterModel] = {}
     clusters_used: dict[str, int] = {}
     iterations: dict[str, int] = {}
     for idx, attribute in enumerate(dataset.attributes):
@@ -437,20 +413,18 @@ def build_knowledge_base(
             max_iter=config.max_iter,
             seed=np.random.SeedSequence(entropy=config.seed, spawn_key=(idx,)),
         )
-        model = ClusterModel(
+        models[attribute] = ClusterModel(
             attribute=attribute,
             centroids=tuple(float(v) for v in result.centroids),
             labels=labels,
             fuzzifier=config.fuzzifier,
-        )
-        entries[attribute] = AttributeEntry(
-            model, MembershipMatrix(attribute, result.memberships)
         )
         clusters_used[attribute] = c
         iterations[attribute] = result.iterations
 
     provenance = {
         "source": source,
+        "records": dataset.record_count,
         "clusters": clusters_used,
         "fuzzifier": config.fuzzifier,
         "tol": config.tol,
@@ -458,4 +432,4 @@ def build_knowledge_base(
         "seed": config.seed,
         "iterations": iterations,
     }
-    return KnowledgeBase(entries=entries, provenance=provenance)
+    return KnowledgeBase(models=models, provenance=provenance)

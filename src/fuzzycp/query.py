@@ -1,10 +1,10 @@
 """Compile parsed preference queries into weighted disjunctive form.
 
 A compiled query is a disjunction of conjunctive terms.  Each term is one
-complete outcome of the preference net (every variable paired with a value
-and a traceability weight), and terms are the top-T outcomes by additive
-utility, most important first.  A term's importance is its normalized
-utility, so the best outcome always opens the list with importance 1.
+complete outcome of the preference net (every variable paired with a
+value), and terms are the top-T outcomes by additive utility, most
+important first.  A term's importance is its normalized utility, so the
+best outcome always opens the list with importance 1.
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ def build_cpnet(spec: QuerySpec) -> CPNet:
 
 @dataclass(frozen=True)
 class Term:
-    """One conjunctive disjunct: a complete assignment with weights."""
+    """One conjunctive disjunct: a complete assignment and its importance."""
 
     assignment: dict[str, str]
-    weights: dict[str, float]
     importance: float
 
 
@@ -73,10 +72,10 @@ class WeightedQuery:
         names = {v.name for v in self.net.nodes}
         for term in self.terms:
             if set(term.assignment) != names:
-                raise ValueError("term does not assign every query variable")
+                raise ConfigError("term does not assign every query variable")
         importances = [t.importance for t in self.terms]
         if any(b > a for a, b in zip(importances, importances[1:])):
-            raise ValueError("terms must be ordered by non-increasing importance")
+            raise ConfigError("terms must be ordered by non-increasing importance")
 
 
 def rewrite_query(
@@ -87,7 +86,7 @@ def rewrite_query(
     term_count: int | None = None,
     spec: QuerySpec | None = None,
 ) -> WeightedQuery:
-    """Expand the net into its top-T outcomes, weighted and sorted.
+    """Expand the net into its top-T outcomes, sorted by importance.
 
     Every variable must be bound to a knowledge-base attribute whose labels
     include the variable's whole domain.  Ties in utility break
@@ -99,7 +98,7 @@ def rewrite_query(
     if term_count is None:
         term_count = min(5, len(outcomes))
     if term_count < 1:
-        raise ValueError("term count must be at least 1")
+        raise ConfigError("term count must be at least 1")
     if term_count > len(outcomes):
         raise CapacityError(
             f"asked for {term_count} terms but the net has only "
@@ -113,19 +112,9 @@ def rewrite_query(
     terms = []
     for utility, outcome in scored[:term_count]:
         assignment = {name: outcome[name] for name in declaration_order}
-        weights = {}
-        for name in declaration_order:
-            model = kb.model(bindings[name])
-            idx = model.label_index(assignment[name])
-            # Self-membership of the label's own centroid: 1.0 by the
-            # zero-distance rule, recomputed rather than assumed.
-            weights[name] = float(
-                kb.membership_of(bindings[name], model.centroids[idx])[idx]
-            )
         terms.append(
             Term(
                 assignment=assignment,
-                weights=weights,
                 importance=term_importance(ucp, outcome),
             )
         )
@@ -143,7 +132,7 @@ def _check_bindings(net: CPNet, kb: KnowledgeBase, bindings: dict[str, str]) -> 
         attribute = bindings.get(variable.name)
         if attribute is None:
             raise BindingError(f"variable {variable.name!r} is not bound to an attribute")
-        if attribute not in kb.entries:
+        if attribute not in kb.models:
             raise BindingError(
                 f"variable {variable.name!r} is bound to {attribute!r}, "
                 "which the knowledge base does not cover"
@@ -184,13 +173,12 @@ def compile_query(
     text: str,
     kb: KnowledgeBase,
     term_count: int | None = None,
-    utilities: str = "steps",
 ) -> WeightedQuery:
     """Parse, build, weight, and rewrite a query in one step."""
     spec = parse_query(text)
     net = build_cpnet(spec)
     bindings = {v.name: v.attribute for v in spec.variables}
-    ucp = assign_utilities(net, mode=utilities, kb=kb, bindings=bindings)
+    ucp = assign_utilities(net)
     requested = term_count if term_count is not None else spec.term_count
     return rewrite_query(net, ucp, kb, bindings, requested, spec=spec)
 
@@ -250,7 +238,6 @@ def query_to_document(query: WeightedQuery) -> dict:
         "terms": [
             {
                 "assignment": dict(t.assignment),
-                "weights": dict(t.weights),
                 "importance": t.importance,
             }
             for t in query.terms
@@ -279,7 +266,7 @@ def query_from_document(doc: dict) -> WeightedQuery:
     require_valid(net)
 
     tables: dict[str, UtilityRows] = {}
-    steps: dict[str, int | None] = {}
+    steps: dict[str, int] = {}
     spans: dict[str, tuple[float, float]] = {}
     for name, block in doc["utilities"].items():
         tables[name] = {
@@ -300,7 +287,6 @@ def query_from_document(doc: dict) -> WeightedQuery:
     terms = tuple(
         Term(
             assignment=dict(t["assignment"]),
-            weights={k: float(w) for k, w in t["weights"].items()},
             importance=float(t["importance"]),
         )
         for t in doc["terms"]

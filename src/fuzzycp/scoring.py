@@ -220,7 +220,7 @@ def _label_table(kb: KnowledgeBase, query: WeightedQuery, variables) -> np.ndarr
     table = np.empty((len(query.terms), len(variables)), dtype=np.intp)
     for i, name in enumerate(variables):
         attribute = query.bindings.get(name)
-        if attribute not in kb.entries:
+        if attribute not in kb.models:
             raise BindingError(
                 f"variable {name!r} is bound to {attribute!r}, "
                 "which the knowledge base does not cover"

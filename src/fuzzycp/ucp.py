@@ -37,14 +37,13 @@ class UCPNet:
     """A CPNet plus utility tables, spans, and the additive utility ceiling.
 
     ``tables`` maps node -> parent context -> value -> utility.
-    ``steps`` records the generation step per node (None for tables not
-    produced by the stepped scheme).  ``spans`` holds (minspan, maxspan)
-    per node.
+    ``steps`` records the generation step per node.  ``spans`` holds
+    (minspan, maxspan) per node.
     """
 
     net: CPNet
     tables: dict[str, UtilityRows]
-    steps: dict[str, int | None]
+    steps: dict[str, int]
     spans: dict[str, tuple[float, float]]
     max_total_utility: float
 
@@ -68,30 +67,15 @@ def spans(rows) -> tuple[float, float]:
     return (min(gaps) if gaps else 0, max(extremes) if extremes else 0)
 
 
-def assign_utilities(net: CPNet, mode: str = "steps", kb=None, bindings=None) -> UCPNet:
+def assign_utilities(net: CPNet) -> UCPNet:
     """Generate a UCPNet whose utilities respect every cpt row's order.
 
-    The default "steps" mode is the supported scheme described in the
-    module docstring.  Mode "memberships" is an experimental alternative
-    that reuses the fuzzy knowledge base directly: the utility of a value
-    is the mean membership of the data to its cluster (requires ``kb`` and
-    a variable->attribute ``bindings`` map).  Raw memberships respect
-    neither row order nor dominance in general; check_dominance reports
-    what actually holds.
+    Uses the stepped scheme described in the module docstring, so every
+    node's minspan covers its children's maxspans by construction.
     """
     require_valid(net)
-    if mode == "steps":
-        return _assign_stepped(net)
-    if mode == "memberships":
-        if kb is None or bindings is None:
-            raise ValueError("memberships mode needs kb and bindings")
-        return _assign_from_memberships(net, kb, bindings)
-    raise ValueError(f"unknown utility mode {mode!r}")
-
-
-def _assign_stepped(net: CPNet) -> UCPNet:
     tables: dict[str, UtilityRows] = {}
-    steps: dict[str, int | None] = {}
+    steps: dict[str, int] = {}
     node_spans: dict[str, tuple[float, float]] = {}
     for name in reversed(topological_order(net)):
         size = len(net.variable(name).domain)
@@ -106,41 +90,6 @@ def _assign_stepped(net: CPNet) -> UCPNet:
         tables[name] = rows
         steps[name] = step
         node_spans[name] = (step, (size - 1) * step)
-    max_total = sum(
-        max(max(row.values()) for row in tables[v.name].values()) for v in net.nodes
-    )
-    return UCPNet(
-        net=net,
-        tables=tables,
-        steps=steps,
-        spans=node_spans,
-        max_total_utility=max_total,
-    )
-
-
-def _assign_from_memberships(net: CPNet, kb, bindings) -> UCPNet:
-    tables: dict[str, UtilityRows] = {}
-    steps: dict[str, int | None] = {}
-    node_spans: dict[str, tuple[float, float]] = {}
-    for variable in net.nodes:
-        attribute = bindings[variable.name]
-        entry = kb.entries[attribute]
-        mass = entry.memberships.values.mean(axis=0)
-        utility_of = {
-            label: float(mass[entry.model.label_index(label)])
-            for label in variable.domain
-        }
-        rows = {
-            context: {value: utility_of[value] for value in order}
-            for context, order in net.cpt[variable.name].items()
-        }
-        tables[variable.name] = rows
-        steps[variable.name] = None
-        ordered = [
-            [rows[context][value] for value in reversed(order)]
-            for context, order in net.cpt[variable.name].items()
-        ]
-        node_spans[variable.name] = spans(ordered)
     max_total = sum(
         max(max(row.values()) for row in tables[v.name].values()) for v in net.nodes
     )

@@ -8,12 +8,31 @@ and row counting from scratch.
 
 import itertools
 import math
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 
+import fuzzycp
 from fuzzycp import CPNet, ClusterModel, KnowledgeBase, PreferenceVariable
-from fuzzycp.kb import AttributeEntry, MembershipMatrix
+
+# The directory this process imported fuzzycp from (``src`` in a checkout).
+IMPORT_ROOT = Path(fuzzycp.__file__).resolve().parent.parent
+
+
+def child_env() -> dict:
+    """Environment for a child ``python`` that imports this same fuzzycp.
+
+    Children may run from another working directory, where a relative
+    PYTHONPATH entry would no longer resolve: the absolute import root
+    goes first.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(IMPORT_ROOT), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 def reference_fcm(values, c, m, tol=1e-9, max_iter=500, init=None):
@@ -174,7 +193,7 @@ def kb_for_net(net: CPNet, rng: random.Random | None = None):
     cluster per domain value; centroids are ascending and, when an rng is
     given, randomly spaced.  Returns (kb, bindings).
     """
-    entries = {}
+    models = {}
     bindings = {}
     for v in net.nodes:
         attribute = f"attr_{v.name}"
@@ -189,13 +208,11 @@ def kb_for_net(net: CPNet, rng: random.Random | None = None):
                 acc += g
                 centroids.append(acc)
             centroids = tuple(centroids)
-        model = ClusterModel(
+        models[attribute] = ClusterModel(
             attribute=attribute, centroids=centroids, labels=v.domain, fuzzifier=2.0
         )
-        memberships = MembershipMatrix(attribute, np.full((1, k), 1.0 / k))
-        entries[attribute] = AttributeEntry(model, memberships)
         bindings[v.name] = attribute
-    return KnowledgeBase(entries=entries, provenance={}), bindings
+    return KnowledgeBase(models=models, provenance={}), bindings
 
 
 def random_weighted_query(rng: random.Random, allow_missing=False):
@@ -215,11 +232,11 @@ def random_weighted_query(rng: random.Random, allow_missing=False):
 
     def draw_record():
         record = {}
-        for attribute, entry in kb.entries.items():
+        for attribute, model in kb.models.items():
             if allow_missing and rng.random() < 0.15:
                 continue
-            lo = entry.model.centroids[0] - 2.0
-            hi = entry.model.centroids[-1] + 2.0
+            lo = model.centroids[0] - 2.0
+            hi = model.centroids[-1] + 2.0
             record[attribute] = rng.uniform(lo, hi)
         return record
 

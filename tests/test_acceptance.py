@@ -6,7 +6,6 @@ Randomized criteria use fixed seeds so the suite is reproducible.
 """
 
 import contextlib
-import os
 import random
 import subprocess
 import sys
@@ -18,6 +17,7 @@ import pytest
 import fuzzycp as F
 from helpers import (
     brute_force_top_terms,
+    child_env,
     kb_for_net,
     longest_path_importance,
     random_cpnet,
@@ -30,8 +30,6 @@ from test_dsl import INVALID_PROGRAMS, VALID_PROGRAMS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "demos" / "data"
-# The directory this process imported fuzzycp from (``src`` in a checkout).
-IMPORT_ROOT = Path(F.__file__).resolve().parent.parent
 
 
 @contextlib.contextmanager
@@ -208,12 +206,9 @@ def test_criterion_7_parser_corpus():
 
 def test_criterion_8_pipeline_determinism(tmp_path):
     with criterion(8, "end-to-end CLI determinism"):
-        # Children run from their own workdir, so a relative PYTHONPATH
-        # entry would no longer resolve: put the absolute import root first.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(IMPORT_ROOT), env.get("PYTHONPATH")])
-        )
+        # Children run from their own workdir, with the absolute import
+        # root first on PYTHONPATH.
+        env = child_env()
         outputs = []
         for run in range(3):
             workdir = tmp_path / f"run{run}"

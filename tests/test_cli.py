@@ -1,11 +1,24 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from fuzzycp import (
+    AttributeConfig,
+    KBConfig,
+    KnowledgeBase,
+    build_knowledge_base,
+    ingest_tabular,
+)
 from fuzzycp.cli import main
+from helpers import child_env
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
+# Written by the version 1 format with the README's ``kb build`` command
+# (the KB_ARGS below, run from the repository root).
+V1_KB = Path(__file__).resolve().parent / "data" / "cars_kb_v1.json"
 
 KB_ARGS = [
     "kb", "build",
@@ -43,8 +56,18 @@ def test_kb_build_writes_document(tmp_path, capsys):
     out = tmp_path / "kb.json"
     assert main(KB_ARGS + ["--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert [a["name"] for a in doc["attributes"]] == ["price", "km"]
+    assert all("memberships" not in a for a in doc["attributes"])
+    assert doc["provenance"]["records"] == 20
+    with open(DATA_DIR / "cars.csv", "rb") as f:
+        dataset = ingest_tabular(f)
+    config = KBConfig(seed=7, per_attribute={
+        "price": AttributeConfig(3, ("low", "mid", "high")),
+        "km": AttributeConfig(2, ("low", "high")),
+    })
+    built = build_knowledge_base(dataset, config)
+    assert KnowledgeBase.from_document(doc).models == built.models
     err = capsys.readouterr().err
     assert "price" in err and "centroids" in err and "iterations" in err
 
@@ -130,20 +153,6 @@ def test_compile_term_count_beyond_outcomes(tmp_path, built_kb, capsys):
     assert "CapacityError" in capsys.readouterr().err
 
 
-def test_compile_membership_utilities_mode(tmp_path, built_kb, capsys):
-    out = tmp_path / "q.json"
-    assert main([
-        "query", "compile", "--kb", str(built_kb),
-        "--query", str(DATA_DIR / "cars.pref"),
-        "--out", str(out),
-        "--utilities", "memberships",
-    ]) == 0
-    doc = json.loads(out.read_text())
-    assert all(block["step"] is None for block in doc["utilities"].values())
-    assert main(["inspect", str(out)]) == 0
-    assert "dominance:" in capsys.readouterr().out
-
-
 # --- eval --------------------------------------------------------------------
 
 
@@ -227,12 +236,113 @@ def test_eval_is_byte_deterministic(tmp_path, built_kb, compiled_query, capsys):
     assert outputs[0] == outputs[1]
 
 
+# --- knowledge-base document versions ----------------------------------------
+
+
+def test_v1_document_loads_to_same_models(built_kb):
+    assert KnowledgeBase.load(V1_KB).models == KnowledgeBase.load(built_kb).models
+
+
+def test_eval_same_tsv_with_v1_or_v2_kb(built_kb, compiled_query, capsys):
+    outputs = []
+    for kb in (V1_KB, built_kb):
+        assert main([
+            "eval", "--kb", str(kb), "--query", str(compiled_query),
+            "--data", str(DATA_DIR / "cars.csv"),
+        ]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_v1_memberships_are_ignored(tmp_path, built_kb, capsys):
+    doc = json.loads(V1_KB.read_text())
+    doc["attributes"][0]["memberships"][0][0] = 5.0
+    edited = tmp_path / "kb_v1.json"
+    edited.write_text(json.dumps(doc))
+    assert KnowledgeBase.load(edited).models == KnowledgeBase.load(built_kb).models
+    assert main(["inspect", str(edited)]) == 0
+
+
+def test_unknown_kb_version_is_data_error(tmp_path, built_kb, capsys):
+    doc = json.loads(built_kb.read_text())
+    doc["format_version"] = 3
+    edited = tmp_path / "kb_v3.json"
+    edited.write_text(json.dumps(doc))
+    code = main([
+        "query", "compile", "--kb", str(edited),
+        "--query", str(DATA_DIR / "cars.pref"),
+        "--out", str(tmp_path / "q.json"),
+    ])
+    assert code == 2
+    assert "ConfigError" in capsys.readouterr().err
+
+
+# --- bad input ---------------------------------------------------------------
+
+
+def _kb_build(*flags):
+    return lambda tmp_path, kb, query: [
+        "kb", "build", "--input", str(DATA_DIR / "cars.csv"),
+        "--out", str(tmp_path / "out.json"), *flags,
+    ]
+
+
+def _eval_edited(edit):
+    """Evaluate a copy of the compiled query, changed in place by ``edit``."""
+
+    def argv(tmp_path, kb, query):
+        doc = json.loads(query.read_text())
+        edit(doc)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        return [
+            "eval", "--kb", str(kb), "--query", str(edited),
+            "--data", str(DATA_DIR / "cars.csv"),
+        ]
+
+    return argv
+
+
+BAD_INPUTS = {
+    "terms-0": lambda tmp_path, kb, query: [
+        "query", "compile", "--kb", str(kb),
+        "--query", str(DATA_DIR / "cars.pref"),
+        "--out", str(tmp_path / "out.json"), "--terms", "0",
+    ],
+    "clusters-1": _kb_build("--clusters", "1"),
+    "fuzzifier-1": _kb_build("--fuzzifier", "1"),
+    "tol-0": _kb_build("--tol", "0"),
+    "attr-count-not-integer": _kb_build("--attr", "price:x"),
+    "terms-out-of-order": _eval_edited(lambda doc: doc["terms"].reverse()),
+    "empty-domain": _eval_edited(lambda doc: doc["cpnet"]["nodes"][0].update(domain=[])),
+    "term-missing-variable": _eval_edited(
+        lambda doc: doc["terms"][0]["assignment"].pop("wear")
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_2_without_traceback(tmp_path, built_kb, compiled_query, case):
+    argv = BAD_INPUTS[case](tmp_path, built_kb, compiled_query)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fuzzycp", *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=child_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("fuzzycp:")
+    assert "Traceback" not in proc.stderr
+
+
 # --- inspect -----------------------------------------------------------------
 
 
 def test_inspect_kb(built_kb, capsys):
     assert main(["inspect", str(built_kb)]) == 0
     out = capsys.readouterr().out
+    assert "records: 20" in out
     assert "attribute price" in out
     assert "attribute km" in out
 

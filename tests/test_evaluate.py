@@ -29,7 +29,7 @@ def query_with_importances(importances):
     kb, bindings = kb_for_net(net)
     ucp = assign_utilities(net)
     terms = tuple(
-        Term(assignment={"x": "a"}, weights={"x": 1.0}, importance=u)
+        Term(assignment={"x": "a"}, importance=u)
         for u in importances
     )
     query = WeightedQuery(
@@ -47,7 +47,7 @@ def bogus_label_query():
         net=net,
         ucp=assign_utilities(net),
         bindings=bindings,
-        terms=(Term(assignment={"x": "zz"}, weights={"x": 1.0}, importance=1.0),),
+        terms=(Term(assignment={"x": "zz"}, importance=1.0),),
     )
     return kb, query
 
@@ -321,7 +321,7 @@ def random_dataset(rng, kb, query, draw, n):
     are duplicated, an unrelated column rides along, and sometimes one bound
     attribute is absent from the table altogether.
     """
-    attributes = list(kb.entries)
+    attributes = list(kb.models)
     if rng.random() < 0.2:
         attributes.remove(rng.choice(sorted(set(query.bindings.values()))))
     rows = []

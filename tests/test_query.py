@@ -164,13 +164,6 @@ def test_unbound_variable_is_a_binding_error():
         rewrite_query(net, ucp, kb, {}, 2)
 
 
-def test_weights_are_self_memberships():
-    query = rewrite(chain_abc(), term_count=3)
-    for term in query.terms:
-        for weight in term.weights.values():
-            assert weight == 1.0
-
-
 def test_relabeling_keeps_term_structure():
     rng = random.Random(78)
     for _ in range(20):

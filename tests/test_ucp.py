@@ -244,24 +244,3 @@ def test_argmax_consistency_small_nets():
         assert outcome_utility(ucp, brute_best) == outcome_utility(
             ucp, best_assignment(net)
         )
-
-
-# --- experimental raw-membership utilities -----------------------------------
-
-
-def test_membership_mode_uses_cluster_mass():
-    from helpers import kb_for_net
-
-    net = chain_abc()
-    kb, bindings = kb_for_net(net)
-    ucp = assign_utilities(net, mode="memberships", kb=kb, bindings=bindings)
-    for v in net.nodes:
-        assert ucp.steps[v.name] is None
-        for row in ucp.tables[v.name].values():
-            for utility in row.values():
-                assert 0.0 <= utility <= 1.0
-
-
-def test_membership_mode_requires_kb():
-    with pytest.raises(ValueError):
-        assign_utilities(chain_abc(), mode="memberships")
