@@ -9,12 +9,14 @@ count 1, every internal node counts one more than its deepest child.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, ConfigError, ValidationError
 
+# the most outcomes enumerate_outcomes yields or rewrite_query returns as terms
 OUTCOME_CAP = 1_000_000
 
 
@@ -58,32 +60,41 @@ class CPNet:
     edges: tuple[tuple[str, str], ...]
     cpt: dict[str, dict[tuple[str, ...], tuple[str, ...]]]
     _by_name: dict[str, PreferenceVariable] = field(init=False, repr=False)
+    _parents: dict[str, tuple[str, ...]] = field(init=False, repr=False)
+    _children: dict[str, tuple[str, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.nodes = tuple(self.nodes)
-        self.edges = tuple((p, c) for p, c in self.edges)
         self.cpt = {
             node: {tuple(k): tuple(v) for k, v in rows.items()}
             for node, rows in self.cpt.items()
         }
         self._by_name = {v.name: v for v in self.nodes}
 
+    def __setattr__(self, name, value):
+        # the adjacency is derived from ``edges``; rebuild it on every
+        # assignment so it can never go stale
+        if name == "edges":
+            value = tuple((p, c) for p, c in value)
+            parents: dict[str, dict[str, None]] = {}
+            children: dict[str, dict[str, None]] = {}
+            for parent, child in value:
+                parents.setdefault(child, {})[parent] = None
+                children.setdefault(parent, {})[child] = None
+            super().__setattr__("_parents", {n: tuple(ps) for n, ps in parents.items()})
+            super().__setattr__("_children", {n: tuple(cs) for n, cs in children.items()})
+        super().__setattr__(name, value)
+
     def variable(self, name: str) -> PreferenceVariable:
         return self._by_name[name]
 
     def parent_names(self, name: str) -> tuple[str, ...]:
-        seen = []
-        for parent, child in self.edges:
-            if child == name and parent not in seen:
-                seen.append(parent)
-        return tuple(seen)
+        """Distinct parents in the order ``edges`` first names them."""
+        return self._parents.get(name, ())
 
     def child_names(self, name: str) -> tuple[str, ...]:
-        seen = []
-        for parent, child in self.edges:
-            if parent == name and child not in seen:
-                seen.append(child)
-        return tuple(seen)
+        """Distinct children in the order ``edges`` first names them."""
+        return self._children.get(name, ())
 
     def outcome_count(self) -> int:
         return math.prod(len(v.domain) for v in self.nodes)
@@ -185,24 +196,31 @@ def require_valid(net: CPNet) -> None:
 
 
 def topological_order(net: CPNet) -> tuple[str, ...]:
-    """Parents before children; ties resolved by declaration order."""
+    """Parents before children; ties resolved by declaration order.
+
+    Kahn's algorithm with the ready nodes in a heap of declaration
+    positions, so each step takes the first-declared node whose parents
+    are all placed.
+    """
     names = [v.name for v in net.nodes]
-    indegree = {n: 0 for n in names}
-    for parent, child in set(net.edges):
-        indegree[child] += 1
+    position = {n: i for i, n in enumerate(names)}
+    indegree = {n: len(net.parent_names(n)) for n in names}
+    ready = [position[n] for n in names if indegree[n] == 0]
+    heapq.heapify(ready)
     order = []
-    remaining = list(names)
-    while remaining:
-        ready = next((n for n in remaining if indegree[n] == 0), None)
-        if ready is None:
-            raise ValidationError(
-                [Violation("cycle", ",".join(remaining), "dependencies form a cycle")]
-            )
-        remaining.remove(ready)
-        order.append(ready)
-        for parent, child in set(net.edges):
-            if parent == ready:
-                indegree[child] -= 1
+    while ready:
+        name = names[heapq.heappop(ready)]
+        order.append(name)
+        for child in net.child_names(name):
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                heapq.heappush(ready, position[child])
+    if len(order) < len(names):
+        placed = set(order)
+        remaining = [n for n in names if n not in placed]
+        raise ValidationError(
+            [Violation("cycle", ",".join(remaining), "dependencies form a cycle")]
+        )
     return tuple(order)
 
 
@@ -227,7 +245,9 @@ def enumerate_outcomes(net: CPNet, cap: int = OUTCOME_CAP):
     """Yield every complete assignment exactly once.
 
     Order is lexicographic over (topologically sorted node, domain index),
-    so the first outcome assigns every node its first domain value.
+    so the first outcome assigns every node its first domain value.  This
+    is the reference the top-T search of ``query.rewrite_query`` is tested
+    against; the package itself never enumerates.
     """
     require_valid(net)
     count = net.outcome_count()

@@ -65,7 +65,12 @@ class ValidationError(FuzzycpError):
 
 
 class CapacityError(FuzzycpError):
-    """An enumeration would exceed its configured bound."""
+    """A request exceeds what the net holds or a fixed bound.
+
+    Raised for more terms than the net has outcomes, for more terms than
+    ``cpnet.OUTCOME_CAP``, and by ``enumerate_outcomes`` for an outcome
+    space above its cap.
+    """
 
 
 class AssignmentError(FuzzycpError):

@@ -9,20 +9,22 @@ best outcome always opens the list with importance 1.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 
 from .cpnet import (
+    OUTCOME_CAP,
     CPNet,
     PreferenceVariable,
-    enumerate_outcomes,
     node_importance,
     require_valid,
+    topological_order,
 )
 from .dsl import QuerySpec, format_query, parse_query
 from .errors import BindingError, CapacityError, ConfigError
 from .kb import KnowledgeBase
-from .ucp import UCPNet, UtilityRows, assign_utilities, outcome_utility, term_importance
+from .ucp import UCPNet, UtilityRows, assign_utilities, term_importance
 
 
 def build_cpnet(spec: QuerySpec) -> CPNet:
@@ -86,35 +88,36 @@ def rewrite_query(
     term_count: int | None = None,
     spec: QuerySpec | None = None,
 ) -> WeightedQuery:
-    """Expand the net into its top-T outcomes, sorted by importance.
+    """The net's top-T outcomes as terms, sorted by importance.
 
     Every variable must be bound to a knowledge-base attribute whose labels
     include the variable's whole domain.  Ties in utility break
     lexicographically (topological node order, then domain position), which
-    is exactly the enumeration order.
+    is exactly the enumeration order of ``enumerate_outcomes``.  T defaults
+    to min(5, outcome count); a T above the outcome count or above
+    ``OUTCOME_CAP`` raises ``CapacityError``.
     """
     _check_bindings(net, kb, bindings)
-    outcomes = list(enumerate_outcomes(net))
+    require_valid(net)
+    outcome_count = net.outcome_count()
     if term_count is None:
-        term_count = min(5, len(outcomes))
+        term_count = min(5, outcome_count)
     if term_count < 1:
         raise ConfigError("term count must be at least 1")
-    if term_count > len(outcomes):
+    if term_count > outcome_count:
         raise CapacityError(
             f"asked for {term_count} terms but the net has only "
-            f"{len(outcomes)} outcomes"
+            f"{outcome_count} outcomes"
         )
-
-    scored = [(outcome_utility(ucp, o), o) for o in outcomes]
-    scored.sort(key=lambda pair: -pair[0])
+    if term_count > OUTCOME_CAP:
+        raise CapacityError(f"asked for {term_count} terms, above the cap of {OUTCOME_CAP}")
 
     declaration_order = [v.name for v in net.nodes]
     terms = []
-    for utility, outcome in scored[:term_count]:
-        assignment = {name: outcome[name] for name in declaration_order}
+    for outcome in _top_outcomes(net, ucp, term_count):
         terms.append(
             Term(
-                assignment=assignment,
+                assignment={name: outcome[name] for name in declaration_order},
                 importance=term_importance(ucp, outcome),
             )
         )
@@ -125,6 +128,45 @@ def rewrite_query(
         bindings=dict(bindings),
         terms=tuple(terms),
     )
+
+
+def _top_outcomes(net: CPNet, ucp: UCPNet, count: int) -> list[dict[str, str]]:
+    """The ``count`` outcomes of highest utility, best first.
+
+    Best-first search over partial assignments in topological order, each
+    held as its prefix of domain indices; a pop assigns the next node every
+    value of its domain.  A prefix is keyed by its utility so far plus, for
+    every node it leaves unassigned, that node's largest row utility: an
+    upper bound on any completion, so complete outcomes leave the heap in
+    utility order.  Equal keys go to the lexicographically smaller prefix,
+    which never comes after any of its extensions; that reproduces the
+    enumeration order among equal utilities.  Sums are exact for integer
+    utilities, which ``assign_utilities`` produces.
+    """
+    order = topological_order(net)
+    position = {name: depth for depth, name in enumerate(order)}
+    domains = [net.variable(name).domain for name in order]
+    parents = [tuple(position[p] for p in net.parent_names(name)) for name in order]
+    tables = [ucp.tables[name] for name in order]
+    # rest[d]: the most the nodes from depth d on can add
+    rest = [0] * (len(order) + 1)
+    for depth in reversed(range(len(order))):
+        best = max(max(row.values()) for row in tables[depth].values())
+        rest[depth] = rest[depth + 1] + best
+
+    heap = [(-rest[0], (), 0)]  # (-bound, prefix, utility of prefix)
+    found = []
+    while len(found) < count:
+        _, prefix, utility = heapq.heappop(heap)
+        depth = len(prefix)
+        if depth == len(order):
+            found.append({order[d]: domains[d][i] for d, i in enumerate(prefix)})
+            continue
+        row = tables[depth][tuple(domains[p][prefix[p]] for p in parents[depth])]
+        for index, value in enumerate(domains[depth]):
+            total = utility + row[value]
+            heapq.heappush(heap, (-(total + rest[depth + 1]), prefix + (index,), total))
+    return found
 
 
 def _check_bindings(net: CPNet, kb: KnowledgeBase, bindings: dict[str, str]) -> None:

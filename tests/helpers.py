@@ -128,12 +128,13 @@ def brute_force_valid(net: CPNet) -> bool:
 
 
 def random_cpnet(rng: random.Random, max_nodes=8, max_domain=4, edge_prob=0.3,
-                 max_parents=3) -> CPNet:
-    """Random acyclic net with complete cpts; domains of size 2..max_domain."""
-    n = rng.randint(1, max_nodes)
+                 max_parents=3, min_nodes=1, min_domain=2) -> CPNet:
+    """Random acyclic net with complete cpts; domains of size
+    min_domain..max_domain."""
+    n = rng.randint(min_nodes, max_nodes)
     nodes = []
     for i in range(n):
-        size = rng.randint(2, max_domain)
+        size = rng.randint(min_domain, max_domain)
         nodes.append(PreferenceVariable(f"v{i}", tuple(f"v{i}_{j}" for j in range(size))))
     edges = []
     parent_count = {v.name: 0 for v in nodes}

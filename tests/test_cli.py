@@ -13,6 +13,7 @@ from fuzzycp import (
     ingest_tabular,
 )
 from fuzzycp.cli import main
+from fuzzycp.cpnet import OUTCOME_CAP
 from helpers import child_env
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -151,6 +152,50 @@ def test_compile_term_count_beyond_outcomes(tmp_path, built_kb, capsys):
     ])
     assert code == 2
     assert "CapacityError" in capsys.readouterr().err
+
+
+def _chain_query(variables: int, labels: tuple[str, ...]) -> str:
+    """``variables`` variables on ``price``, each depending on the one before."""
+    lines = [f"var v0: attr price {{ prefer {' > '.join(labels)} }}"]
+    for i in range(1, variables):
+        rows = "\n".join(
+            f"    when v{i - 1} = {value}: prefer {' > '.join(labels[::-1] if k % 2 else labels)}"
+            for k, value in enumerate(labels)
+        )
+        lines.append(f"var v{i}: attr price {{\n    depends v{i - 1}\n{rows}\n}}")
+    return "\n".join(lines) + "\n"
+
+
+def test_compile_net_beyond_enumeration_cap(tmp_path):
+    # 4^10 outcomes, more than OUTCOME_CAP: compiling used to enumerate
+    # them all and failed with CapacityError
+    labels = ("a", "b", "c", "d")
+    kb = tmp_path / "kb.json"
+    assert main([
+        "kb", "build", "--input", str(DATA_DIR / "cars.csv"), "--out", str(kb),
+        "--seed", "7", "--attr", f"price:4:{','.join(labels)}",
+    ]) == 0
+    query = tmp_path / "wide.pref"
+    query.write_text(_chain_query(10, labels))
+    out = tmp_path / "q.json"
+
+    def compile_(terms):
+        return subprocess.run(
+            [sys.executable, "-m", "fuzzycp", "query", "compile", "--kb", str(kb),
+             "--query", str(query), "--out", str(out), "--terms", str(terms)],
+            capture_output=True, text=True, cwd=tmp_path, env=child_env(), timeout=60,
+        )
+
+    proc = compile_(5)
+    assert proc.returncode == 0, proc.stderr
+    terms = json.loads(out.read_text())["terms"]
+    assert len(terms) == 5
+    assert terms[0]["importance"] == 1.0
+    # above the cap: refused before any search starts, so a child that
+    # tried to build a million terms would hit the timeout instead
+    proc = compile_(OUTCOME_CAP + 1)
+    assert proc.returncode == 2
+    assert "CapacityError" in proc.stderr and "Traceback" not in proc.stderr
 
 
 # --- eval --------------------------------------------------------------------

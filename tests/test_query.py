@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,8 @@ from fuzzycp import (
     query_from_document,
     query_to_document,
     rewrite_query,
+    term_importance,
+    topological_order,
 )
 from fuzzycp.query import dump_query
 from helpers import brute_force_top_terms, kb_for_net, random_cpnet
@@ -120,22 +123,51 @@ def test_chain_top_three():
 
 
 def test_terms_match_brute_force_on_random_nets():
+    # up to 6 nodes of up to 4 values (at most 4096 outcomes) and T up to
+    # the whole outcome space, so the search meets every tie the stepped
+    # utilities make
     rng = random.Random(77)
-    checked = 0
-    while checked < 80:
-        net = random_cpnet(rng, max_nodes=4, max_domain=3)
-        if net.outcome_count() > 12:
-            continue
-        checked += 1
-        term_count = rng.randint(1, net.outcome_count())
+    for _ in range(300):
+        net = random_cpnet(rng, max_nodes=6, max_domain=4)
+        count = net.outcome_count()
+        term_count = rng.choice([count, rng.randint(1, count)])
         query = rewrite(net, term_count, rng=rng)
         expected = brute_force_top_terms(query.ucp, term_count)
-        assert [t.assignment for t in query.terms] == [
-            {n: o[n] for n in t.assignment} for t, o in zip(query.terms, expected)
+        declared = [v.name for v in net.nodes]
+        assert [list(t.assignment.items()) for t in query.terms] == [
+            [(n, o[n]) for n in declared] for o in expected
+        ]
+        assert [t.importance for t in query.terms] == [
+            term_importance(query.ucp, o) for o in expected
         ]
         assert query.terms[0].importance == 1.0
-        importances = [t.importance for t in query.terms]
-        assert all(a >= b for a, b in zip(importances, importances[1:]))
+
+
+def test_top_terms_of_a_net_too_large_to_enumerate():
+    # 4^20 outcomes; the search touches a few hundred prefixes
+    rng = random.Random(79)
+    net = random_cpnet(rng, min_nodes=20, max_nodes=20, min_domain=4, max_domain=4,
+                       edge_prob=0.2)
+    assert net.outcome_count() == 4**20
+    names = [v.name for v in net.nodes]
+    kb, bindings = kb_for_net(net)
+    ucp = assign_utilities(net)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        query = rewrite_query(net, ucp, kb, bindings, 5)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.05
+    # the forward sweep gives every node its best value in its context
+    best = {}
+    for name in topological_order(net):
+        context = tuple(best[p] for p in net.parent_names(name))
+        best[name] = net.cpt[name][context][0]
+    assert query.terms[0].assignment == best
+    assert query.terms[0].importance == 1.0
+    importances = [t.importance for t in query.terms]
+    assert all(a >= b for a, b in zip(importances, importances[1:]))
+    assert [list(t.assignment) for t in query.terms] == [names] * 5
 
 
 def test_default_term_count():
