@@ -20,6 +20,7 @@ import sys
 
 from . import kb as kbmod
 from . import query as qmod
+from .cpnet import node_importance
 from .errors import ConfigError, FuzzycpError
 from .scoring import rank
 from .ucp import check_dominance
@@ -261,8 +262,7 @@ def _inspect_query(doc) -> None:
         print("edges: " + ", ".join(f"{p} -> {c}" for p, c in net.edges))
     else:
         print("edges: none")
-    importance = doc["importance"]
-    print("importance: " + ", ".join(f"{n}={g}" for n, g in importance.items()))
+    print("importance: " + ", ".join(f"{n}={g}" for n, g in node_importance(net).items()))
     for node in net.nodes:
         step = ucp.steps[node.name]
         minspan, maxspan = ucp.spans[node.name]

@@ -49,7 +49,11 @@ class DegenerateDataError(FuzzycpError):
 
 
 class ConfigError(FuzzycpError):
-    """A configuration entry references something that does not exist."""
+    """A setting or document entry is unknown, out of range or inconsistent.
+
+    Covers a knowledge-base value that is not a finite number, and a
+    compiled query whose stored blocks disagree with its net.
+    """
 
 
 class ValidationError(FuzzycpError):

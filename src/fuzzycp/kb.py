@@ -145,14 +145,16 @@ class ClusterModel:
                 f"{self.attribute}: {len(self.labels)} labels for "
                 f"{len(self.centroids)} centroids"
             )
+        if not all(map(math.isfinite, self.centroids)):
+            raise ConfigError(f"{self.attribute}: centroids must be finite")
         if any(b <= a for a, b in zip(self.centroids, self.centroids[1:])):
             raise DegenerateDataError(
                 f"{self.attribute}: centroids are not strictly ascending"
             )
         if len(set(self.labels)) != len(self.labels):
             raise ConfigError(f"{self.attribute}: duplicate labels")
-        if self.fuzzifier <= 1.0:
-            raise ConfigError("fuzzifier must be > 1")
+        if not 1.0 < self.fuzzifier < math.inf:
+            raise ConfigError(f"{self.attribute}: fuzzifier must be finite and > 1")
 
     def label_index(self, label: str) -> int:
         try:
@@ -217,7 +219,6 @@ def fuzzy_c_means(
 
     trace = []
     iterations = 0
-    memberships = _membership_grid(x, centroids, m)
     for iterations in range(1, max_iter + 1):
         memberships = _membership_grid(x, centroids, m)
         weights = memberships**m
@@ -358,11 +359,18 @@ class KnowledgeBase:
             raise ConfigError("unsupported knowledge-base document version")
         models = {}
         for attr in doc["attributes"]:
+            try:
+                centroids = tuple(float(v) for v in attr["centroids"])
+                fuzzifier = float(attr["fuzzifier"])
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{attr['name']}: centroids and fuzzifier must be numbers"
+                ) from None
             models[attr["name"]] = ClusterModel(
                 attribute=attr["name"],
-                centroids=tuple(float(v) for v in attr["centroids"]),
+                centroids=centroids,
                 labels=tuple(attr["labels"]),
-                fuzzifier=float(attr["fuzzifier"]),
+                fuzzifier=fuzzifier,
             )
         return cls(models=models, provenance=dict(doc.get("provenance", {})))
 

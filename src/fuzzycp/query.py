@@ -5,6 +5,9 @@ complete outcome of the preference net (every variable paired with a
 value), and terms are the top-T outcomes by additive utility, most
 important first.  A term's importance is its normalized utility, so the
 best outcome always opens the list with importance 1.
+
+The compiled-query document stores the net and, for readers, everything
+derived from it.  Loading decodes only the net and derives the rest again.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from .cpnet import (
     require_valid,
     topological_order,
 )
-from .dsl import QuerySpec, format_query, parse_query
+from .dsl import PrefRow, QuerySpec, VariableSpec, format_query, parse_query
 from .errors import BindingError, CapacityError, ConfigError
 from .kb import KnowledgeBase
-from .ucp import UCPNet, UtilityRows, assign_utilities, term_importance
+from .ucp import UCPNet, assign_utilities, term_importance
 
 
 def build_cpnet(spec: QuerySpec) -> CPNet:
@@ -98,6 +101,12 @@ def rewrite_query(
     ``OUTCOME_CAP`` raises ``CapacityError``.
     """
     _check_bindings(net, kb, bindings)
+    return _rewrite(net, ucp, bindings, term_count, spec)
+
+
+def _rewrite(net, ucp, bindings, term_count, spec) -> WeightedQuery:
+    """``rewrite_query`` after its knowledge-base check; loading a compiled
+    query, which has no knowledge base at hand, shares it."""
     require_valid(net)
     outcome_count = net.outcome_count()
     if term_count is None:
@@ -112,21 +121,16 @@ def rewrite_query(
     if term_count > OUTCOME_CAP:
         raise CapacityError(f"asked for {term_count} terms, above the cap of {OUTCOME_CAP}")
 
-    declaration_order = [v.name for v in net.nodes]
-    terms = []
-    for outcome in _top_outcomes(net, ucp, term_count):
-        terms.append(
-            Term(
-                assignment={name: outcome[name] for name in declaration_order},
-                importance=term_importance(ucp, outcome),
-            )
-        )
+    terms = tuple(
+        Term({v.name: outcome[v.name] for v in net.nodes}, term_importance(ucp, outcome))
+        for outcome in _top_outcomes(net, ucp, term_count)
+    )
     return WeightedQuery(
         spec=spec if spec is not None else _spec_from_net(net, bindings, term_count),
         net=net,
         ucp=ucp,
         bindings=dict(bindings),
-        terms=tuple(terms),
+        terms=terms,
     )
 
 
@@ -189,9 +193,7 @@ def _check_bindings(net: CPNet, kb: KnowledgeBase, bindings: dict[str, str]) -> 
 
 
 def _spec_from_net(net, bindings, term_count) -> QuerySpec:
-    """Fallback spec for nets assembled without the DSL (tests, library use)."""
-    from .dsl import PrefRow, VariableSpec
-
+    """The spec that spells out ``net``: its cpt rows in stored order."""
     variables = []
     for node in net.nodes:
         parents = net.parent_names(node.name)
@@ -288,13 +290,17 @@ def query_to_document(query: WeightedQuery) -> dict:
 
 
 def query_from_document(doc: dict) -> WeightedQuery:
+    """Rebuild a compiled query from its ``cpnet`` block alone.
+
+    The bindings are the nodes' attributes; the rest is derived by the code
+    that compiled it, with T = the number of stored terms.  A stored block
+    or query text that differs from its derivation is a ConfigError naming
+    every such block, so a document cannot say two different things.
+    """
     if doc.get("format_version") != 1:
         raise ConfigError("unsupported compiled-query document version")
-    spec = parse_query(doc["query"])
     net_doc = doc["cpnet"]
-    nodes = tuple(
-        PreferenceVariable(n["name"], tuple(n["domain"])) for n in net_doc["nodes"]
-    )
+    nodes = tuple(PreferenceVariable(n["name"], tuple(n["domain"])) for n in net_doc["nodes"])
     edges = tuple((p, c) for p, c in net_doc["edges"])
     parents = {n["name"]: tuple(n["parents"]) for n in net_doc["nodes"]}
     cpt = {
@@ -305,41 +311,21 @@ def query_from_document(doc: dict) -> WeightedQuery:
         for name, rows in net_doc["cpt"].items()
     }
     net = CPNet(nodes=nodes, edges=edges, cpt=cpt)
-    require_valid(net)
+    ucp = assign_utilities(net)  # validates the net first
+    bindings = {n["name"]: n["attribute"] for n in net_doc["nodes"]}
+    spec = _spec_from_net(net, bindings, parse_query(doc["query"]).term_count)
+    query = _rewrite(net, ucp, bindings, len(doc["terms"]), spec)
 
-    tables: dict[str, UtilityRows] = {}
-    steps: dict[str, int] = {}
-    spans: dict[str, tuple[float, float]] = {}
-    for name, block in doc["utilities"].items():
-        tables[name] = {
-            tuple(row["when"][p] for p in parents[name]): {
-                value: float(u) for value, u in row["values"].items()
-            }
-            for row in block["rows"]
-        }
-        steps[name] = block["step"]
-        spans[name] = (block["minspan"], block["maxspan"])
-    ucp = UCPNet(
-        net=net,
-        tables=tables,
-        steps=steps,
-        spans=spans,
-        max_total_utility=doc["max_total_utility"],
-    )
-    terms = tuple(
-        Term(
-            assignment=dict(t["assignment"]),
-            importance=float(t["importance"]),
-        )
-        for t in doc["terms"]
-    )
-    return WeightedQuery(
-        spec=spec,
-        net=net,
-        ucp=ucp,
-        bindings=dict(doc["bindings"]),
-        terms=terms,
-    )
+    derived = query_to_document(query)
+    blocks = ("query", "bindings", "cpnet", "utilities", "max_total_utility", "importance")
+    stale = [key for key in blocks if doc.get(key) != derived[key]]
+    if [(t["assignment"], t["importance"]) for t in doc["terms"]] != [
+        (t["assignment"], t["importance"]) for t in derived["terms"]
+    ]:
+        stale.append("terms")
+    if stale:
+        raise ConfigError(f"compiled query disagrees with its cpnet in: {', '.join(stale)}")
+    return query
 
 
 def dump_query(query: WeightedQuery) -> str:

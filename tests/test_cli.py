@@ -242,7 +242,10 @@ def test_eval_missing_value_is_flagged_not_fatal(tmp_path, built_kb, compiled_qu
     assert "missing:wear" in out
 
 
-def test_eval_edited_term_label_is_binding_error(tmp_path, built_kb, compiled_query, capsys):
+def test_eval_edited_term_label_is_stale_terms_error(tmp_path, built_kb, compiled_query,
+                                                     capsys):
+    # the terms follow from the cpnet block, so an edited term disagrees
+    # with it before any label meets the knowledge base
     doc = json.loads(compiled_query.read_text())
     doc["terms"][-1]["assignment"]["wear"] = "scrapped"
     edited = tmp_path / "edited.json"
@@ -254,7 +257,25 @@ def test_eval_edited_term_label_is_binding_error(tmp_path, built_kb, compiled_qu
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "BindingError" in captured.err and "scrapped" in captured.err
+    assert "ConfigError" in captured.err and "terms" in captured.err
+
+
+def test_eval_ignores_weights_of_older_documents(tmp_path, built_kb, compiled_query, capsys):
+    # compiled queries written before term weights were dropped carry an
+    # empty "weights" map on every term
+    doc = json.loads(compiled_query.read_text())
+    for term in doc["terms"]:
+        term["weights"] = {}
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(doc))
+    outputs = []
+    for query in (compiled_query, older):
+        assert main([
+            "eval", "--kb", str(built_kb), "--query", str(query),
+            "--data", str(DATA_DIR / "cars.csv"),
+        ]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("top", ["0", "-1", "-1998"])
@@ -332,20 +353,42 @@ def _kb_build(*flags):
     ]
 
 
-def _eval_edited(edit):
-    """Evaluate a copy of the compiled query, changed in place by ``edit``."""
+def _eval_edited(edit, document="query"):
+    """Evaluate with a copy of the compiled query (or of the knowledge base,
+    for ``document="kb"``), changed in place by ``edit``."""
 
     def argv(tmp_path, kb, query):
-        doc = json.loads(query.read_text())
+        paths = {"kb": kb, "query": query}
+        doc = json.loads(paths[document].read_text())
         edit(doc)
-        edited = tmp_path / "edited.json"
-        edited.write_text(json.dumps(doc))
+        paths[document] = tmp_path / "edited.json"
+        paths[document].write_text(json.dumps(doc))
         return [
-            "eval", "--kb", str(kb), "--query", str(edited),
+            "eval", "--kb", str(paths["kb"]), "--query", str(paths["query"]),
             "--data", str(DATA_DIR / "cars.csv"),
         ]
 
     return argv
+
+
+def _reverse_first_prefer(doc):
+    first = doc["query"].index("prefer ") + len("prefer ")
+    end = doc["query"].index("\n", first)
+    order = " > ".join(reversed(doc["query"][first:end].split(" > ")))
+    doc["query"] = doc["query"][:first] + order + doc["query"][end:]
+
+
+def _bump_utility(doc):
+    values = doc["utilities"]["cost"]["rows"][0]["values"]
+    values["mid"] += 1
+
+
+def _set_first_model(key, value):
+    def edit(doc):
+        model = doc["attributes"][0]
+        model[key] = [value, *model[key][1:]] if key == "centroids" else value
+
+    return _eval_edited(edit, document="kb")
 
 
 BAD_INPUTS = {
@@ -363,6 +406,14 @@ BAD_INPUTS = {
     "term-missing-variable": _eval_edited(
         lambda doc: doc["terms"][0]["assignment"].pop("wear")
     ),
+    "term-importance-not-a-number": _eval_edited(
+        lambda doc: doc["terms"][1].update(importance="abc")
+    ),
+    "query-text-disagrees-with-cpnet": _eval_edited(_reverse_first_prefer),
+    "utility-edited": _eval_edited(_bump_utility),
+    "kb-centroid-not-a-number": _set_first_model("centroids", "x"),
+    "kb-fuzzifier-not-a-number": _set_first_model("fuzzifier", "x"),
+    "kb-centroid-nan": _set_first_model("centroids", float("nan")),
 }
 
 

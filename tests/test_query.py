@@ -7,6 +7,7 @@ import pytest
 from fuzzycp import (
     BindingError,
     CapacityError,
+    ConfigError,
     CPNet,
     PreferenceVariable,
     ValidationError,
@@ -289,6 +290,26 @@ def test_document_round_trip(car_kb):
     assert back.ucp.tables == query.ucp.tables
     assert back.ucp.spans == query.ucp.spans
     assert back.net.edges == query.net.edges
+    assert query_to_document(back) == doc
+    # nets built in code, whose domain order the query text cannot always
+    # express (the text takes it from the first prefer row): loading
+    # derives from the stored net, so these documents reload to themselves
+    rng = random.Random(80)
+    for _ in range(300):
+        net = random_cpnet(rng, max_nodes=6, max_domain=4)
+        term_count = rng.randint(1, min(20, net.outcome_count()))
+        doc = json.loads(dump_query(rewrite(net, term_count, rng=rng)))
+        assert query_to_document(query_from_document(doc)) == doc
+
+
+def test_document_names_every_stale_block(car_kb):
+    doc = query_to_document(compile_query(QUERY_TEXT, car_kb))
+    doc["importance"]["cost"] += 1
+    doc["max_total_utility"] = 0
+    doc["terms"][0]["importance"] = 0.5
+    with pytest.raises(ConfigError) as err:
+        query_from_document(doc)
+    assert str(err.value).endswith("in: max_total_utility, importance, terms")
 
 
 def test_document_bytes_deterministic(car_kb):
