@@ -15,7 +15,7 @@ from .cpnet import (
     topological_order,
     validate_cpnet,
 )
-from .dsl import PrefRow, QuerySpec, VariableSpec, format_query, parse_query
+from .dsl import QuerySpec, format_query, parse_query
 from .errors import (
     AssignmentError,
     BindingError,
@@ -54,7 +54,6 @@ from .kb import (
 from .query import (
     Term,
     WeightedQuery,
-    build_cpnet,
     compile_query,
     load_query,
     query_from_document,

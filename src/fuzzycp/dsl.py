@@ -15,14 +15,20 @@ must reorder exactly those values.  Variables with a ``depends`` clause
 must qualify every row with a ``when`` covering all parents; variables
 without one must not use ``when`` at all.
 
+The result is the net itself: a validated CPNet whose nodes, edges and
+cpt rows keep declaration order, plus each variable's attribute binding
+and the optional term count.
+
 Syntax problems raise ParseError, meaning problems raise SemanticError;
-both carry 1-based line:column positions.
+both carry 1-based line:column positions.  A cyclic net, or one whose
+rows miss a parent context, raises ValidationError, which has no position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cpnet import CPNet, PreferenceVariable, require_valid
 from .errors import ParseError, SemanticError
 
 KEYWORDS = frozenset({"var", "attr", "depends", "when", "prefer", "terms"})
@@ -30,30 +36,12 @@ PUNCT = frozenset(":{},=>")
 
 
 @dataclass(frozen=True)
-class PrefRow:
-    context: tuple[tuple[str, str], ...]  # (parent, value), in depends order
-    order: tuple[str, ...]  # most preferred first
-
-
-@dataclass(frozen=True)
-class VariableSpec:
-    name: str
-    attribute: str
-    parents: tuple[str, ...]
-    domain: tuple[str, ...]
-    preferences: tuple[PrefRow, ...]
-
-
-@dataclass(frozen=True)
 class QuerySpec:
-    variables: tuple[VariableSpec, ...]
-    term_count: int | None = None
+    """A parsed query; ``term_count`` is None without a ``terms`` clause."""
 
-    def variable(self, name: str) -> VariableSpec:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(name)
+    net: CPNet
+    bindings: dict[str, str]  # variable -> dataset attribute
+    term_count: int | None = None
 
 
 @dataclass(frozen=True)
@@ -216,7 +204,7 @@ def _analyze(raw_vars, term_count) -> QuerySpec:
         _start, _conds, order = rows[0]
         domains[name_tok.text] = tuple(t.text for t in order)
 
-    variables = []
+    nodes, edges, cpt, bindings = [], [], {}, {}
     for name_tok, attr_tok, parent_toks, rows in raw_vars:
         name = name_tok.text
         parents = []
@@ -236,8 +224,7 @@ def _analyze(raw_vars, term_count) -> QuerySpec:
             parents.append(ptok.text)
 
         domain = domains[name]
-        pref_rows = []
-        seen_contexts = set()
+        table = {}
         for start, conds, order_toks in rows:
             seen_values = set()
             for tok in order_toks:
@@ -295,44 +282,47 @@ def _analyze(raw_vars, term_count) -> QuerySpec:
                     start.line,
                     start.column,
                 )
-            context = tuple((p, by_parent[p]) for p in parents)
-            if context in seen_contexts:
+            key = tuple(by_parent[p] for p in parents)
+            if key in table:
                 raise SemanticError(
-                    f"duplicate preference row for context {dict(context)!r}",
+                    f"duplicate preference row for context {dict(zip(parents, key))!r}",
                     start.line,
                     start.column,
                 )
-            seen_contexts.add(context)
-            pref_rows.append(PrefRow(context=context, order=order))
+            table[key] = order
 
-        variables.append(
-            VariableSpec(
-                name=name,
-                attribute=attr_tok.text,
-                parents=tuple(parents),
-                domain=domain,
-                preferences=tuple(pref_rows),
-            )
-        )
-    return QuerySpec(variables=tuple(variables), term_count=term_count)
+        nodes.append(PreferenceVariable(name, domain))
+        edges.extend((parent, name) for parent in parents)
+        cpt[name] = table
+        bindings[name] = attr_tok.text
+    net = CPNet(nodes=tuple(nodes), edges=tuple(edges), cpt=cpt)
+    require_valid(net)
+    return QuerySpec(net, bindings, term_count)
 
 
 def parse_query(text: str) -> QuerySpec:
-    """Parse query text into a QuerySpec, or raise with a precise location."""
+    """Parse query text into its validated net, or raise; syntax and
+    meaning errors carry a precise location."""
     return _Parser(_tokenize(text)).query()
 
 
 def format_query(spec: QuerySpec) -> str:
-    """Canonical pretty-print; parsing the output reproduces ``spec``."""
+    """Canonical pretty-print of the net's rows in stored order.
+
+    Parsing the output reproduces ``spec`` whenever every domain is in the
+    order of its first cpt row, the order the language fixes it in.
+    """
+    net = spec.net
     blocks = []
-    for v in spec.variables:
-        lines = [f"var {v.name}: attr {v.attribute} {{"]
-        if v.parents:
-            lines.append(f"    depends {', '.join(v.parents)}")
-        for row in v.preferences:
-            order = " > ".join(row.order)
-            if row.context:
-                conds = ", ".join(f"{p} = {val}" for p, val in row.context)
+    for node in net.nodes:
+        parents = net.parent_names(node.name)
+        lines = [f"var {node.name}: attr {spec.bindings[node.name]} {{"]
+        if parents:
+            lines.append(f"    depends {', '.join(parents)}")
+        for key, order in net.cpt[node.name].items():
+            order = " > ".join(order)
+            if parents:
+                conds = ", ".join(f"{p} = {val}" for p, val in zip(parents, key))
                 lines.append(f"    when {conds}: prefer {order}")
             else:
                 lines.append(f"    prefer {order}")

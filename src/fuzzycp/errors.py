@@ -51,8 +51,10 @@ class DegenerateDataError(FuzzycpError):
 class ConfigError(FuzzycpError):
     """A setting or document entry is unknown, out of range or inconsistent.
 
-    Covers a knowledge-base value that is not a finite number, and a
-    compiled query whose stored blocks disagree with its net.
+    Covers a knowledge-base document of the wrong shape (``attributes`` not
+    a list of objects, a label that is not a string, a value that is not a
+    finite number), and a compiled query whose stored blocks disagree with
+    its net.
     """
 
 

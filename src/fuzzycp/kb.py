@@ -170,7 +170,6 @@ class FcmResult:
     """Converged fuzzy c-means run, with its per-iteration objective trace."""
 
     centroids: np.ndarray
-    memberships: np.ndarray
     objective_trace: tuple[float, ...]
     iterations: int
 
@@ -182,15 +181,13 @@ def fuzzy_c_means(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     seed=0,
-    init=None,
 ) -> FcmResult:
     """Cluster 1-D values into ``c`` fuzzy regions.
 
     Centroids start at evenly spaced data quantiles perturbed by seeded
-    noise (reproducible for a fixed seed), unless ``init`` supplies
-    explicit starting centroids.  Iteration stops once the largest centroid
-    movement drops below ``tol`` or after ``max_iter`` rounds.  Returned
-    centroids are sorted ascending, memberships aligned to that order.
+    noise (reproducible for a fixed seed).  Iteration stops once the
+    largest centroid movement drops below ``tol`` or after ``max_iter``
+    rounds.  Returned centroids are sorted ascending.
     """
     x = np.asarray(values, dtype=float).ravel()
     if c < 2:
@@ -206,16 +203,11 @@ def fuzzy_c_means(
             f"need at least {c} distinct values, found {len(np.unique(x))}"
         )
 
-    if init is not None:
-        centroids = np.sort(np.asarray(init, dtype=float))
-        if centroids.shape != (c,):
-            raise ConfigError("init must supply one centroid per cluster")
-    else:
-        rng = np.random.default_rng(seed)
-        quantiles = (np.arange(c) + 0.5) / c
-        centroids = np.quantile(x, quantiles)
-        spread = x.max() - x.min()
-        centroids = np.sort(centroids + rng.normal(0.0, 1e-3 * spread, size=c))
+    rng = np.random.default_rng(seed)
+    quantiles = (np.arange(c) + 0.5) / c
+    centroids = np.quantile(x, quantiles)
+    spread = x.max() - x.min()
+    centroids = np.sort(centroids + rng.normal(0.0, 1e-3 * spread, size=c))
 
     trace = []
     iterations = 0
@@ -235,12 +227,10 @@ def fuzzy_c_means(
         if movement < tol:
             break
 
-    order = np.argsort(centroids, kind="stable")
-    centroids = centroids[order]
-    memberships = _membership_grid(x, centroids, m)
+    centroids = np.sort(centroids, kind="stable")
     if np.any(np.diff(centroids) <= 0.0):
         raise DegenerateDataError("clusters collapsed onto the same centroid")
-    return FcmResult(centroids, memberships, tuple(trace), iterations)
+    return FcmResult(centroids, tuple(trace), iterations)
 
 
 def _membership_grid(x: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:
@@ -259,16 +249,6 @@ def _membership_grid(x: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarr
         ratio = (dmin[off, None] / d[off]) ** (2.0 / (m - 1.0))
         out[off] = ratio / ratio.sum(axis=1, keepdims=True)
     return out
-
-
-def membership_vector(model: ClusterModel, value: float) -> np.ndarray:
-    """Membership of a single (possibly unseen) value to the model's clusters."""
-    if not math.isfinite(value):
-        raise ParseError(f"cannot compute memberships for non-finite value {value!r}")
-    grid = _membership_grid(
-        np.array([value], dtype=float), np.asarray(model.centroids), model.fuzzifier
-    )
-    return grid[0]
 
 
 @dataclass(frozen=True)
@@ -316,8 +296,14 @@ class KnowledgeBase:
             raise ConfigError(f"unknown attribute {attribute!r}") from None
 
     def membership_of(self, attribute: str, value: float) -> np.ndarray:
-        """Membership vector of ``value`` under the attribute's cluster model."""
-        return membership_vector(self.model(attribute), value)
+        """Membership vector of a single (possibly unseen) ``value`` under the
+        attribute's cluster model."""
+        model = self.model(attribute)
+        if not math.isfinite(value):
+            raise ParseError(f"cannot compute memberships for non-finite value {value!r}")
+        return _membership_grid(
+            np.array([value], dtype=float), np.asarray(model.centroids), model.fuzzifier
+        )[0]
 
     def membership_grid(self, attribute: str, values) -> np.ndarray:
         """Membership rows of a whole column under the attribute's model.
@@ -357,8 +343,14 @@ class KnowledgeBase:
         membership rows are ignored: the centroids determine them."""
         if doc.get("format_version") not in (1, 2):
             raise ConfigError("unsupported knowledge-base document version")
+        entries = doc.get("attributes")
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ConfigError("'attributes' must be a list of objects")
         models = {}
-        for attr in doc["attributes"]:
+        for attr in entries:
+            labels = attr["labels"]
+            if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
+                raise ConfigError(f"{attr['name']}: labels must be strings")
             try:
                 centroids = tuple(float(v) for v in attr["centroids"])
                 fuzzifier = float(attr["fuzzifier"])
@@ -369,7 +361,7 @@ class KnowledgeBase:
             models[attr["name"]] = ClusterModel(
                 attribute=attr["name"],
                 centroids=centroids,
-                labels=tuple(attr["labels"]),
+                labels=tuple(labels),
                 fuzzifier=fuzzifier,
             )
         return cls(models=models, provenance=dict(doc.get("provenance", {})))

@@ -1,4 +1,4 @@
-"""Compile parsed preference queries into weighted disjunctive form.
+"""Compile a parsed preference net into weighted disjunctive form.
 
 A compiled query is a disjunction of conjunctive terms.  Each term is one
 complete outcome of the preference net (every variable paired with a
@@ -7,13 +7,16 @@ important first.  A term's importance is its normalized utility, so the
 best outcome always opens the list with importance 1.
 
 The compiled-query document stores the net and, for readers, everything
-derived from it.  Loading decodes only the net and derives the rest again.
+derived from it, the query text included.  Loading decodes only the net,
+takes the term count of the text's closing ``terms N`` line, and derives
+the rest again; it never parses the text.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import re
 from dataclasses import dataclass
 
 from .cpnet import (
@@ -24,34 +27,10 @@ from .cpnet import (
     require_valid,
     topological_order,
 )
-from .dsl import PrefRow, QuerySpec, VariableSpec, format_query, parse_query
+from .dsl import QuerySpec, format_query, parse_query
 from .errors import BindingError, CapacityError, ConfigError
 from .kb import KnowledgeBase
 from .ucp import UCPNet, assign_utilities, term_importance
-
-
-def build_cpnet(spec: QuerySpec) -> CPNet:
-    """Transcribe a QuerySpec into a validated CPNet.
-
-    Raises ValidationError when the dependencies cycle or the preference
-    rows do not cover every parent context.
-    """
-    nodes = tuple(
-        PreferenceVariable(name=v.name, domain=v.domain) for v in spec.variables
-    )
-    edges = tuple(
-        (parent, v.name) for v in spec.variables for parent in v.parents
-    )
-    cpt = {
-        v.name: {
-            tuple(value for _parent, value in row.context): row.order
-            for row in v.preferences
-        }
-        for v in spec.variables
-    }
-    net = CPNet(nodes=nodes, edges=edges, cpt=cpt)
-    require_valid(net)
-    return net
 
 
 @dataclass(frozen=True)
@@ -67,9 +46,7 @@ class WeightedQuery:
     """Disjunction of weighted terms plus everything needed to score records."""
 
     spec: QuerySpec
-    net: CPNet
     ucp: UCPNet
-    bindings: dict[str, str]  # variable -> dataset attribute
     terms: tuple[Term, ...]
 
     def __post_init__(self):
@@ -82,6 +59,15 @@ class WeightedQuery:
         if any(b > a for a, b in zip(importances, importances[1:])):
             raise ConfigError("terms must be ordered by non-increasing importance")
 
+    @property
+    def net(self) -> CPNet:
+        return self.spec.net
+
+    @property
+    def bindings(self) -> dict[str, str]:
+        """Variable -> dataset attribute."""
+        return self.spec.bindings
+
 
 def rewrite_query(
     net: CPNet,
@@ -89,7 +75,6 @@ def rewrite_query(
     kb: KnowledgeBase,
     bindings: dict[str, str],
     term_count: int | None = None,
-    spec: QuerySpec | None = None,
 ) -> WeightedQuery:
     """The net's top-T outcomes as terms, sorted by importance.
 
@@ -98,15 +83,18 @@ def rewrite_query(
     lexicographically (topological node order, then domain position), which
     is exactly the enumeration order of ``enumerate_outcomes``.  T defaults
     to min(5, outcome count); a T above the outcome count or above
-    ``OUTCOME_CAP`` raises ``CapacityError``.
+    ``OUTCOME_CAP`` raises ``CapacityError``.  The query's text closes with
+    ``terms T``.
     """
     _check_bindings(net, kb, bindings)
-    return _rewrite(net, ucp, bindings, term_count, spec)
+    terms = _rewrite(net, ucp, term_count)
+    return WeightedQuery(QuerySpec(net, dict(bindings), len(terms)), ucp, terms)
 
 
-def _rewrite(net, ucp, bindings, term_count, spec) -> WeightedQuery:
-    """``rewrite_query`` after its knowledge-base check; loading a compiled
-    query, which has no knowledge base at hand, shares it."""
+def _rewrite(net, ucp, term_count) -> tuple[Term, ...]:
+    """The terms of ``rewrite_query`` after its knowledge-base check;
+    loading a compiled query, which has no knowledge base at hand, shares
+    it."""
     require_valid(net)
     outcome_count = net.outcome_count()
     if term_count is None:
@@ -120,17 +108,9 @@ def _rewrite(net, ucp, bindings, term_count, spec) -> WeightedQuery:
         )
     if term_count > OUTCOME_CAP:
         raise CapacityError(f"asked for {term_count} terms, above the cap of {OUTCOME_CAP}")
-
-    terms = tuple(
+    return tuple(
         Term({v.name: outcome[v.name] for v in net.nodes}, term_importance(ucp, outcome))
         for outcome in _top_outcomes(net, ucp, term_count)
-    )
-    return WeightedQuery(
-        spec=spec if spec is not None else _spec_from_net(net, bindings, term_count),
-        net=net,
-        ucp=ucp,
-        bindings=dict(bindings),
-        terms=terms,
     )
 
 
@@ -192,39 +172,21 @@ def _check_bindings(net: CPNet, kb: KnowledgeBase, bindings: dict[str, str]) -> 
             )
 
 
-def _spec_from_net(net, bindings, term_count) -> QuerySpec:
-    """The spec that spells out ``net``: its cpt rows in stored order."""
-    variables = []
-    for node in net.nodes:
-        parents = net.parent_names(node.name)
-        rows = tuple(
-            PrefRow(context=tuple(zip(parents, key)), order=order)
-            for key, order in net.cpt[node.name].items()
-        )
-        variables.append(
-            VariableSpec(
-                name=node.name,
-                attribute=bindings[node.name],
-                parents=parents,
-                domain=node.domain,
-                preferences=rows,
-            )
-        )
-    return QuerySpec(variables=tuple(variables), term_count=term_count)
-
-
 def compile_query(
     text: str,
     kb: KnowledgeBase,
     term_count: int | None = None,
 ) -> WeightedQuery:
-    """Parse, build, weight, and rewrite a query in one step."""
+    """Parse, weight, and rewrite a query in one step.
+
+    The compiled query keeps the parsed text's own term count, which
+    ``term_count`` overrides for the rewriting only.
+    """
     spec = parse_query(text)
-    net = build_cpnet(spec)
-    bindings = {v.name: v.attribute for v in spec.variables}
-    ucp = assign_utilities(net)
+    ucp = assign_utilities(spec.net)
     requested = term_count if term_count is not None else spec.term_count
-    return rewrite_query(net, ucp, kb, bindings, requested, spec=spec)
+    query = rewrite_query(spec.net, ucp, kb, spec.bindings, requested)
+    return WeightedQuery(spec, ucp, query.terms)
 
 
 # --- compiled-query document ------------------------------------------------
@@ -313,8 +275,8 @@ def query_from_document(doc: dict) -> WeightedQuery:
     net = CPNet(nodes=nodes, edges=edges, cpt=cpt)
     ucp = assign_utilities(net)  # validates the net first
     bindings = {n["name"]: n["attribute"] for n in net_doc["nodes"]}
-    spec = _spec_from_net(net, bindings, parse_query(doc["query"]).term_count)
-    query = _rewrite(net, ucp, bindings, len(doc["terms"]), spec)
+    spec = QuerySpec(net, bindings, _stored_term_count(doc.get("query")))
+    query = WeightedQuery(spec, ucp, _rewrite(net, ucp, len(doc["terms"])))
 
     derived = query_to_document(query)
     blocks = ("query", "bindings", "cpnet", "utilities", "max_total_utility", "importance")
@@ -326,6 +288,13 @@ def query_from_document(doc: dict) -> WeightedQuery:
     if stale:
         raise ConfigError(f"compiled query disagrees with its cpnet in: {', '.join(stale)}")
     return query
+
+
+def _stored_term_count(text) -> int | None:
+    """N of the text's closing ``terms N`` line, the one count the net
+    cannot supply; None when there is none."""
+    match = isinstance(text, str) and re.search(r"^terms ([1-9][0-9]*)\n\Z", text, re.M)
+    return int(match.group(1)) if match else None
 
 
 def dump_query(query: WeightedQuery) -> str:

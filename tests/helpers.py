@@ -76,6 +76,14 @@ def reference_fcm(values, c, m, tol=1e-9, max_iter=500, init=None):
     return cents, u, trace
 
 
+def fcm_memberships(result, values, m=2.0):
+    """Membership grid of ``values`` at a fuzzy c-means result's centroids,
+    as the package computes it; rows follow ``values``."""
+    from fuzzycp.kb import _membership_grid
+
+    return _membership_grid(np.asarray(values, dtype=float).ravel(), result.centroids, m)
+
+
 def longest_path_importance(nodes, edges):
     """1 + longest downward path to a leaf, by naive recursion."""
     children = {n: [] for n in nodes}

@@ -383,12 +383,29 @@ def _bump_utility(doc):
     values["mid"] += 1
 
 
+def _break_query_text(doc):
+    doc["query"] = doc["query"].replace("prefer", "prefers", 1)
+
+
 def _set_first_model(key, value):
     def edit(doc):
         model = doc["attributes"][0]
         model[key] = [value, *model[key][1:]] if key == "centroids" else value
 
     return _eval_edited(edit, document="kb")
+
+
+def _string_labels_to_numbers(doc):
+    model = doc["attributes"][0]
+    model["labels"] = list(range(len(model["labels"])))
+
+
+def _inspect_edited_kb(edit):
+    def argv(tmp_path, kb, query):
+        edited_kb = _eval_edited(edit, document="kb")(tmp_path, kb, query)[2]
+        return ["inspect", edited_kb]
+
+    return argv
 
 
 BAD_INPUTS = {
@@ -414,6 +431,20 @@ BAD_INPUTS = {
     "kb-centroid-not-a-number": _set_first_model("centroids", "x"),
     "kb-fuzzifier-not-a-number": _set_first_model("fuzzifier", "x"),
     "kb-centroid-nan": _set_first_model("centroids", float("nan")),
+    "query-text-unparseable": _eval_edited(_break_query_text),
+    "kb-attributes-not-a-list": _eval_edited(
+        lambda doc: doc.update(attributes=5), document="kb"
+    ),
+    "kb-labels-not-strings": _eval_edited(_string_labels_to_numbers, document="kb"),
+    "kb-labels-not-strings-inspect": _inspect_edited_kb(_string_labels_to_numbers),
+}
+
+# what stderr must say, where exit 2 alone does not tell the cases apart
+BAD_INPUT_MESSAGES = {
+    "query-text-unparseable": "ConfigError: compiled query disagrees with its cpnet in: query",
+    "kb-attributes-not-a-list": "ConfigError: 'attributes' must be a list of objects",
+    "kb-labels-not-strings": "ConfigError: price: labels must be strings",
+    "kb-labels-not-strings-inspect": "ConfigError: price: labels must be strings",
 }
 
 
@@ -430,6 +461,8 @@ def test_bad_input_exits_2_without_traceback(tmp_path, built_kb, compiled_query,
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("fuzzycp:")
     assert "Traceback" not in proc.stderr
+    assert BAD_INPUT_MESSAGES.get(case, "") in proc.stderr
+    assert proc.stdout == ""
 
 
 # --- inspect -----------------------------------------------------------------

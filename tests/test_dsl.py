@@ -1,6 +1,17 @@
+import random
+
 import pytest
 
-from fuzzycp import ParseError, SemanticError, format_query, parse_query
+from fuzzycp import (
+    CPNet,
+    ParseError,
+    PreferenceVariable,
+    QuerySpec,
+    SemanticError,
+    format_query,
+    parse_query,
+)
+from helpers import random_cpnet
 
 # Valid corpus: every program must survive parse -> pretty-print -> parse
 # unchanged (the pretty-printed form is the canonical fixpoint).
@@ -237,6 +248,24 @@ def test_round_trip_fixpoint(text):
     assert format_query(parse_query(printed)) == printed
 
 
+def test_round_trip_on_random_nets():
+    # the language fixes a domain's order by its first prefer row, so each
+    # net takes its domains from its first cpt rows
+    rng = random.Random(81)
+    for _ in range(300):
+        drawn = random_cpnet(rng, max_nodes=6, max_domain=4)
+        nodes = tuple(
+            PreferenceVariable(v.name, next(iter(drawn.cpt[v.name].values())))
+            for v in drawn.nodes
+        )
+        net = CPNet(nodes=nodes, edges=drawn.edges, cpt=drawn.cpt)
+        bindings = {v.name: f"attr_{rng.randint(0, 9)}" for v in nodes}
+        spec = QuerySpec(net, bindings, rng.choice([None, rng.randint(1, 50)]))
+        text = format_query(spec)
+        assert parse_query(text) == spec
+        assert format_query(parse_query(text)) == text
+
+
 @pytest.mark.parametrize("case", INVALID_PROGRAMS)
 def test_invalid_programs_report_positions(case):
     text, exc_type, line, column, fragment = case
@@ -255,15 +284,15 @@ def test_corpus_sizes():
 
 def test_minimal_program_structure():
     spec = parse_query("var color: attr c { prefer red > green }")
-    assert len(spec.variables) == 1
-    v = spec.variables[0]
+    net = spec.net
+    assert len(net.nodes) == 1
+    v = net.nodes[0]
     assert v.name == "color"
-    assert v.attribute == "c"
+    assert spec.bindings == {"color": "c"}
     assert v.domain == ("red", "green")
-    assert v.parents == ()
-    assert len(v.preferences) == 1
-    assert v.preferences[0].context == ()
-    assert v.preferences[0].order == ("red", "green")
+    assert net.parent_names("color") == ()
+    assert net.edges == ()
+    assert net.cpt == {"color": {(): ("red", "green")}}
     assert spec.term_count is None
 
 
@@ -281,8 +310,14 @@ def test_when_conditions_normalize_to_depends_order():
         }
         """
     )
-    contexts = [row.context for row in spec.variable("c").preferences]
-    assert all(tuple(p for p, _ in ctx) == ("a", "b") for ctx in contexts)
+    # cpt keys hold parent values in depends order: (a, b)
+    assert spec.net.parent_names("c") == ("a", "b")
+    assert spec.net.cpt["c"] == {
+        ("a1", "b1"): ("c1", "c2"),
+        ("a1", "b2"): ("c2", "c1"),
+        ("a2", "b1"): ("c1", "c2"),
+        ("a2", "b2"): ("c2", "c1"),
+    }
 
 
 def test_terms_clause_parsed():

@@ -9,6 +9,7 @@ from fuzzycp import (
     ConfigError,
     Dataset,
     DegenerateQueryError,
+    QuerySpec,
     Term,
     WeightedQuery,
     aggregate_term_score,
@@ -32,9 +33,7 @@ def query_with_importances(importances):
         Term(assignment={"x": "a"}, importance=u)
         for u in importances
     )
-    query = WeightedQuery(
-        spec=None, net=net, ucp=ucp, bindings=bindings, terms=terms
-    )
+    query = WeightedQuery(spec=QuerySpec(net, bindings), ucp=ucp, terms=terms)
     return kb, query
 
 
@@ -43,10 +42,8 @@ def bogus_label_query():
     net = single_node()
     kb, bindings = kb_for_net(net)
     query = WeightedQuery(
-        spec=None,
-        net=net,
+        spec=QuerySpec(net, bindings),
         ucp=assign_utilities(net),
-        bindings=bindings,
         terms=(Term(assignment={"x": "zz"}, importance=1.0),),
     )
     return kb, query

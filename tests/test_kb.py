@@ -18,7 +18,7 @@ from fuzzycp import (
     fuzzy_c_means,
     ingest_tabular,
 )
-from helpers import reference_fcm
+from helpers import fcm_memberships, reference_fcm
 
 
 # --- ingestion ---------------------------------------------------------------
@@ -88,36 +88,40 @@ def test_ingest_rejects_duplicate_header_names():
 def test_fcm_two_well_separated_groups():
     # oracle run (textbook reference): centroids converge onto {0, 10} and
     # every 0-valued point belongs to the low cluster almost entirely
-    result = fuzzy_c_means([0, 0, 0, 10, 10, 10], c=2, m=2.0, seed=3)
+    values = [0, 0, 0, 10, 10, 10]
+    result = fuzzy_c_means(values, c=2, m=2.0, seed=3)
+    memberships = fcm_memberships(result, values)
     assert result.centroids[0] == pytest.approx(0.0, abs=1e-3)
     assert result.centroids[1] == pytest.approx(10.0, abs=1e-3)
-    assert result.memberships[0, 0] >= 0.99
-    assert result.memberships[3, 1] >= 0.99
+    assert memberships[0, 0] >= 0.99
+    assert memberships[3, 1] >= 0.99
 
-    cents, u, _ = reference_fcm([0, 0, 0, 10, 10, 10], c=2, m=2.0)
+    cents, u, _ = reference_fcm(values, c=2, m=2.0)
     assert np.allclose(result.centroids, cents, atol=1e-3)
-    assert np.allclose(result.memberships, np.asarray(u), atol=1e-3)
+    assert np.allclose(memberships, np.asarray(u), atol=1e-3)
 
 
 def test_fcm_midway_point_splits_evenly():
     values = [0.0] * 10 + [10.0] * 10 + [5.0]
     result = fuzzy_c_means(values, c=2, m=2.0, seed=1)
-    mid = result.memberships[-1]
+    mid = fcm_memberships(result, values)[-1]
     assert mid[0] == pytest.approx(mid[1], abs=1e-6)
 
 
 def test_fcm_point_on_centroid_is_one_hot():
-    result = fuzzy_c_means([0, 0, 0, 0, 10, 10, 10, 10], c=2, m=2.0, seed=0)
+    values = [0, 0, 0, 0, 10, 10, 10, 10]
+    result = fuzzy_c_means(values, c=2, m=2.0, seed=0)
+    memberships = fcm_memberships(result, values)
     # converged centroids sit on the data modes, so those points saturate
-    assert result.memberships[0, 0] == pytest.approx(1.0, abs=1e-9)
-    assert result.memberships[-1, 1] == pytest.approx(1.0, abs=1e-9)
+    assert memberships[0, 0] == pytest.approx(1.0, abs=1e-9)
+    assert memberships[-1, 1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fcm_rows_sum_to_one():
     rng = np.random.default_rng(11)
     values = rng.normal(size=200) * 4 + np.repeat([0, 20], 100)
     result = fuzzy_c_means(values, c=3, m=2.0, seed=5)
-    sums = result.memberships.sum(axis=1)
+    sums = fcm_memberships(result, values).sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) < 1e-9
 
 
@@ -136,7 +140,7 @@ def test_fcm_deterministic_for_fixed_seed():
     a = fuzzy_c_means(values, c=3, seed=9)
     b = fuzzy_c_means(values, c=3, seed=9)
     assert np.array_equal(a.centroids, b.centroids)
-    assert np.array_equal(a.memberships, b.memberships)
+    assert np.array_equal(fcm_memberships(a, values), fcm_memberships(b, values))
 
 
 def test_fcm_too_few_distinct_values():
@@ -241,10 +245,10 @@ def test_membership_of_midpoint_splits():
 def test_membership_formula_hand_value():
     # centroids {0, 10}, m=2, value 2.5: distances (2.5, 7.5), so the
     # weights are 1/2.5^2 : 1/7.5^2 = 9 : 1, giving exactly (0.9, 0.1)
-    from fuzzycp.kb import ClusterModel, membership_vector
+    from fuzzycp.kb import ClusterModel
 
     model = ClusterModel("x", (0.0, 10.0), ("low", "high"), 2.0)
-    vec = membership_vector(model, 2.5)
+    vec = KnowledgeBase(models={"x": model}, provenance={}).membership_of("x", 2.5)
     assert vec[0] == pytest.approx(0.9, abs=1e-12)
     assert vec[1] == pytest.approx(0.1, abs=1e-12)
 

@@ -12,7 +12,6 @@ from fuzzycp import (
     PreferenceVariable,
     ValidationError,
     assign_utilities,
-    build_cpnet,
     compile_query,
     parse_query,
     query_from_document,
@@ -32,18 +31,17 @@ def rewrite(net, term_count=None, rng=None):
     return rewrite_query(net, ucp, kb, bindings, term_count)
 
 
-# --- build_cpnet -------------------------------------------------------------
+# --- the net parse_query builds ---------------------------------------------
 
 
 def test_build_single_variable():
-    spec = parse_query("var v: attr a { prefer x > y }")
-    net = build_cpnet(spec)
+    net = parse_query("var v: attr a { prefer x > y }").net
     assert len(net.nodes) == 1
     assert net.cpt["v"][()] == ("x", "y")
 
 
 def test_build_chain_transcribes_rows():
-    spec = parse_query(
+    net = parse_query(
         """
         var a: attr x { prefer a1 > a2 }
         var b: attr y {
@@ -52,31 +50,27 @@ def test_build_chain_transcribes_rows():
             when a = a2: prefer b2 > b1
         }
         """
-    )
-    net = build_cpnet(spec)
+    ).net
     assert net.edges == (("a", "b"),)
     assert net.cpt["b"][("a1",)] == ("b1", "b2")
     assert net.cpt["b"][("a2",)] == ("b2", "b1")
 
 
 def test_build_reports_missing_context():
-    spec = parse_query(
-        """
+    text = """
         var a: attr x { prefer a1 > a2 }
         var b: attr y {
             depends a
             when a = a1: prefer b1 > b2
         }
         """
-    )
     with pytest.raises(ValidationError) as err:
-        build_cpnet(spec)
+        parse_query(text)
     assert "a2" in str(err.value)
 
 
 def test_build_reports_cycles():
-    spec = parse_query(
-        """
+    text = """
         var a: attr x {
             depends b
             when b = b1: prefer a1 > a2
@@ -88,9 +82,8 @@ def test_build_reports_cycles():
             when a = a2: prefer b2 > b1
         }
         """
-    )
     with pytest.raises(ValidationError) as err:
-        build_cpnet(spec)
+        parse_query(text)
     assert "cycle" in str(err.value)
 
 
