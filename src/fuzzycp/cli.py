@@ -160,6 +160,9 @@ def cmd_kb_build(args) -> int:
             f"{name}: centroids [{centroids}] after {iterations.get(name, '?')} iterations",
             file=sys.stderr,
         )
+    for name in kb.unconverged:
+        print(f"fuzzycp: warning: {name}: fuzzy c-means did not converge within "
+              f"--max-iter {args.max_iter}", file=sys.stderr)
     return OK
 
 
@@ -229,9 +232,10 @@ def _print_json(results, term_count) -> None:
 def cmd_inspect(args) -> int:
     with open(args.path, encoding="utf-8") as f:
         doc = json.load(f)
-    if "attributes" in doc:
+    keys = doc if isinstance(doc, dict) else {}
+    if "attributes" in keys:
         _inspect_kb(doc)
-    elif "terms" in doc:
+    elif "terms" in keys:
         _inspect_query(doc)
     else:
         print("fuzzycp: not a knowledge-base or compiled-query document", file=sys.stderr)

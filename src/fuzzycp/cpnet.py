@@ -231,6 +231,11 @@ def node_importance(net: CPNet) -> dict[str, int]:
     its direct children, i.e. 1 + the longest downward path to a leaf.
     """
     require_valid(net)
+    return _importance(net)
+
+
+def _importance(net: CPNet) -> dict[str, int]:
+    """``node_importance`` of a net that has passed ``require_valid``."""
     importance: dict[str, int] = {}
     for name in reversed(topological_order(net)):
         children = net.child_names(name)

@@ -25,6 +25,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,23 +84,35 @@ def ingest_tabular(source, has_header: bool = True, delimiter: str = ",") -> Dat
     Attribute names come from the header row, or are synthesized as
     ``col0..colN-1`` when ``has_header`` is false.  Empty cells become NaN
     (missing); any other cell that does not parse as a number is an error.
+    Rows go to numpy's C reader; rows it rejects or warns about (empty
+    cells, quotes, ragged or no rows) are parsed again one by one.
     """
     text = _as_text(source)
-    rows = [r for r in csv.reader(io.StringIO(text), delimiter=delimiter) if r]
-    if not rows:
+    stream = io.StringIO(text)
+    first = next(filter(None, csv.reader(stream, delimiter=delimiter)), None)
+    if first is None:
         raise EmptyDatasetError("input contains no rows")
 
     if has_header:
-        attributes = [cell.strip() for cell in rows[0]]
+        attributes = [cell.strip() for cell in first]
         duplicates = {a for a in attributes if attributes.count(a) > 1}
         if duplicates:
             raise ParseError(f"duplicate attribute names in header: {sorted(duplicates)}")
-        data_rows = rows[1:]
     else:
-        attributes = [f"col{i}" for i in range(len(rows[0]))]
-        data_rows = rows
+        attributes = [f"col{i}" for i in range(len(first))]
+        stream.seek(0)
+    width, body = len(attributes), stream.tell()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parsed = np.loadtxt(stream, delimiter=delimiter, comments=None, ndmin=2)
+    except (ValueError, Warning):
+        parsed = None
+    if parsed is not None and parsed.shape[1] == width:
+        return Dataset(attributes, parsed)
 
-    width = len(attributes)
+    stream.seek(body)
+    data_rows = [r for r in csv.reader(stream, delimiter=delimiter) if r]
     parsed = np.empty((len(data_rows), width), dtype=float)
     for i, row in enumerate(data_rows):
         if len(row) != width:
@@ -167,11 +180,12 @@ class ClusterModel:
 
 @dataclass(frozen=True)
 class FcmResult:
-    """Converged fuzzy c-means run, with its per-iteration objective trace."""
+    """Fuzzy c-means run, with its per-iteration objective trace."""
 
     centroids: np.ndarray
     objective_trace: tuple[float, ...]
     iterations: int
+    converged: bool  # false when it stopped at max_iter, still moving by tol or more
 
 
 def fuzzy_c_means(
@@ -198,10 +212,9 @@ def fuzzy_c_means(
         raise ConfigError("tol must be positive")
     if x.size and not np.all(np.isfinite(x)):
         raise ParseError("values contain non-finite entries")
-    if len(np.unique(x)) < c:
-        raise DegenerateDataError(
-            f"need at least {c} distinct values, found {len(np.unique(x))}"
-        )
+    distinct = len(np.unique(x))
+    if distinct < c:
+        raise DegenerateDataError(f"need at least {c} distinct values, found {distinct}")
 
     rng = np.random.default_rng(seed)
     quantiles = (np.arange(c) + 0.5) / c
@@ -210,45 +223,46 @@ def fuzzy_c_means(
     centroids = np.sort(centroids + rng.normal(0.0, 1e-3 * spread, size=c))
 
     trace = []
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        memberships = _membership_grid(x, centroids, m)
-        weights = memberships**m
-        mass = weights.sum(axis=0)
+    iterations, converged = 0, False
+    while not converged and iterations < max_iter:
+        iterations += 1
+        weights = _membership_grid(x, centroids, m)
+        weights **= m
+        # sums over the records add them in record order: the last column
+        # of a running sum, where a row sum would add them pairwise
+        mass = np.cumsum(weights, axis=1)[:, -1]
         # a cluster can lose all weight only while another centroid sits on
         # every point; keep it where it is instead of dividing by zero
         safe_mass = np.where(mass > 0.0, mass, 1.0)
-        new_centroids = np.where(
-            mass > 0.0, (weights * x[:, None]).sum(axis=0) / safe_mass, centroids
-        )
-        trace.append(float(np.sum(weights * (x[:, None] - new_centroids[None, :]) ** 2)))
-        movement = np.max(np.abs(new_centroids - centroids))
+        moment = np.cumsum(weights * x, axis=1)[:, -1]
+        new_centroids = np.where(mass > 0.0, moment / safe_mass, centroids)
+        trace.append(float(np.sum(weights * (x - new_centroids[:, None]) ** 2)))
+        converged = bool(np.max(np.abs(new_centroids - centroids)) < tol)
         centroids = new_centroids
-        if movement < tol:
-            break
 
     centroids = np.sort(centroids, kind="stable")
     if np.any(np.diff(centroids) <= 0.0):
         raise DegenerateDataError("clusters collapsed onto the same centroid")
-    return FcmResult(centroids, tuple(trace), iterations)
+    return FcmResult(centroids, tuple(trace), iterations, converged)
 
 
 def _membership_grid(x: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:
-    """Membership of every value to every centroid; rows sum to 1."""
-    d = np.abs(x[:, None] - centroids[None, :])
-    out = np.zeros_like(d)
-    dmin = d.min(axis=1)
-    on_centroid = dmin == 0.0
-    if np.any(on_centroid):
-        hits = d[on_centroid] == 0.0
-        out[on_centroid] = hits / hits.sum(axis=1, keepdims=True)
-    off = ~on_centroid
-    if np.any(off):
-        # Scaling by the row minimum keeps the powers in (0, 1]: no overflow
-        # however close a point sits to a centroid.
-        ratio = (dmin[off, None] / d[off]) ** (2.0 / (m - 1.0))
-        out[off] = ratio / ratio.sum(axis=1, keepdims=True)
-    return out
+    """Membership of every value to every centroid, one row per centroid;
+    columns sum to 1."""
+    u = np.abs(x - centroids[:, None])
+    dmin = u.min(axis=0)
+    on_centroid = np.flatnonzero(dmin == 0.0)
+    hits = u[:, on_centroid] == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the column minimum over each distance is in (0, 1], so no power
+        # overflows; a value on a centroid gives 0/0, overwritten below
+        np.divide(dmin, u, out=u)
+        u **= 2.0 / (m - 1.0)
+        # numpy adds a contiguous run of 8 or more terms pairwise, fewer in
+        # order: this is the order of a row sum in values x centroids layout
+        u /= u.sum(axis=0) if len(u) < 8 else u.T.copy().sum(axis=1)
+    u[:, on_centroid] = hits / hits.sum(axis=0)
+    return u
 
 
 @dataclass(frozen=True)
@@ -288,6 +302,7 @@ class KnowledgeBase:
 
     models: dict[str, ClusterModel]
     provenance: dict
+    unconverged: tuple[str, ...] = ()  # attributes FCM left at max_iter; not in the document
 
     def model(self, attribute: str) -> ClusterModel:
         try:
@@ -298,12 +313,10 @@ class KnowledgeBase:
     def membership_of(self, attribute: str, value: float) -> np.ndarray:
         """Membership vector of a single (possibly unseen) ``value`` under the
         attribute's cluster model."""
-        model = self.model(attribute)
+        self.model(attribute)  # an unknown attribute fails before a bad value
         if not math.isfinite(value):
             raise ParseError(f"cannot compute memberships for non-finite value {value!r}")
-        return _membership_grid(
-            np.array([value], dtype=float), np.asarray(model.centroids), model.fuzzifier
-        )[0]
+        return self.membership_grid(attribute, [value])[0]
 
     def membership_grid(self, attribute: str, values) -> np.ndarray:
         """Membership rows of a whole column under the attribute's model.
@@ -313,12 +326,12 @@ class KnowledgeBase:
         """
         model = self.model(attribute)
         values = np.asarray(values, dtype=float)
-        grid = np.zeros((values.size, len(model.centroids)))
+        grid = np.zeros((len(model.centroids), values.size))
         finite = np.isfinite(values)
-        grid[finite] = _membership_grid(
+        grid[:, finite] = _membership_grid(
             values[finite], np.asarray(model.centroids), model.fuzzifier
         )
-        return grid
+        return grid.T
 
     def to_document(self) -> dict:
         attributes = []
@@ -341,8 +354,8 @@ class KnowledgeBase:
     def from_document(cls, doc: dict) -> "KnowledgeBase":
         """Read a version 2 document, or a version 1 one, whose per-record
         membership rows are ignored: the centroids determine them."""
-        if doc.get("format_version") not in (1, 2):
-            raise ConfigError("unsupported knowledge-base document version")
+        if not isinstance(doc, dict) or doc.get("format_version") not in (1, 2):
+            raise ConfigError("not a knowledge-base document of version 1 or 2")
         entries = doc.get("attributes")
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ConfigError("'attributes' must be a list of objects")
@@ -395,6 +408,7 @@ def build_knowledge_base(
     models: dict[str, ClusterModel] = {}
     clusters_used: dict[str, int] = {}
     iterations: dict[str, int] = {}
+    unconverged = []
     for idx, attribute in enumerate(dataset.attributes):
         c, labels = config.resolve(attribute)
         column = dataset.column(attribute)
@@ -421,6 +435,8 @@ def build_knowledge_base(
         )
         clusters_used[attribute] = c
         iterations[attribute] = result.iterations
+        if not result.converged:
+            unconverged.append(attribute)
 
     provenance = {
         "source": source,
@@ -432,4 +448,4 @@ def build_knowledge_base(
         "seed": config.seed,
         "iterations": iterations,
     }
-    return KnowledgeBase(models=models, provenance=provenance)
+    return KnowledgeBase(models, provenance, tuple(unconverged))

@@ -23,7 +23,7 @@ from .cpnet import (
     OUTCOME_CAP,
     CPNet,
     PreferenceVariable,
-    node_importance,
+    _importance,
     require_valid,
     topological_order,
 )
@@ -87,15 +87,15 @@ def rewrite_query(
     ``terms T``.
     """
     _check_bindings(net, kb, bindings)
+    require_valid(net)
     terms = _rewrite(net, ucp, term_count)
     return WeightedQuery(QuerySpec(net, dict(bindings), len(terms)), ucp, terms)
 
 
 def _rewrite(net, ucp, term_count) -> tuple[Term, ...]:
-    """The terms of ``rewrite_query`` after its knowledge-base check;
-    loading a compiled query, which has no knowledge base at hand, shares
-    it."""
-    require_valid(net)
+    """The terms of ``rewrite_query`` after its knowledge-base check and
+    validation; loading a compiled query, which has no knowledge base at
+    hand, shares it."""
     outcome_count = net.outcome_count()
     if term_count is None:
         term_count = min(5, outcome_count)
@@ -240,7 +240,7 @@ def query_to_document(query: WeightedQuery) -> dict:
         },
         "utilities": utilities,
         "max_total_utility": ucp.max_total_utility,
-        "importance": node_importance(net),
+        "importance": _importance(net),  # validated when the query was built
         "terms": [
             {
                 "assignment": dict(t.assignment),
@@ -259,8 +259,8 @@ def query_from_document(doc: dict) -> WeightedQuery:
     or query text that differs from its derivation is a ConfigError naming
     every such block, so a document cannot say two different things.
     """
-    if doc.get("format_version") != 1:
-        raise ConfigError("unsupported compiled-query document version")
+    if not isinstance(doc, dict) or doc.get("format_version") != 1:
+        raise ConfigError("not a compiled-query document of version 1")
     net_doc = doc["cpnet"]
     nodes = tuple(PreferenceVariable(n["name"], tuple(n["domain"])) for n in net_doc["nodes"])
     edges = tuple((p, c) for p, c in net_doc["edges"])
@@ -273,7 +273,7 @@ def query_from_document(doc: dict) -> WeightedQuery:
         for name, rows in net_doc["cpt"].items()
     }
     net = CPNet(nodes=nodes, edges=edges, cpt=cpt)
-    ucp = assign_utilities(net)  # validates the net first
+    ucp = assign_utilities(net)  # the one validation of the net
     bindings = {n["name"]: n["attribute"] for n in net_doc["nodes"]}
     spec = QuerySpec(net, bindings, _stored_term_count(doc.get("query")))
     query = WeightedQuery(spec, ucp, _rewrite(net, ucp, len(doc["terms"])))

@@ -6,6 +6,8 @@ recursive longest-path search, and the net validator re-derives acyclicity
 and row counting from scratch.
 """
 
+import csv
+import io
 import itertools
 import math
 import os
@@ -81,7 +83,87 @@ def fcm_memberships(result, values, m=2.0):
     as the package computes it; rows follow ``values``."""
     from fuzzycp.kb import _membership_grid
 
-    return _membership_grid(np.asarray(values, dtype=float).ravel(), result.centroids, m)
+    return _membership_grid(np.asarray(values, dtype=float).ravel(), result.centroids, m).T
+
+
+def oracle_membership_grid(x, centroids, m):
+    """The n x c membership grid as fuzzycp computed it before its c x n
+    kernel: masked rows for values on a centroid, row sums over clusters."""
+    d = np.abs(x[:, None] - centroids[None, :])
+    out = np.zeros_like(d)
+    dmin = d.min(axis=1)
+    on_centroid = dmin == 0.0
+    if np.any(on_centroid):
+        hits = d[on_centroid] == 0.0
+        out[on_centroid] = hits / hits.sum(axis=1, keepdims=True)
+    off = ~on_centroid
+    if np.any(off):
+        ratio = (dmin[off, None] / d[off]) ** (2.0 / (m - 1.0))
+        out[off] = ratio / ratio.sum(axis=1, keepdims=True)
+    return out
+
+
+def oracle_fcm(values, c, m=2.0, tol=1e-6, max_iter=200, seed=0):
+    """The n x c fuzzy c-means loop fuzzycp ran before its c x n kernel;
+    returns (sorted centroids, objective trace, iterations).  Raises the
+    package's errors for degenerate input, as ``fuzzy_c_means`` does."""
+    from fuzzycp import DegenerateDataError
+
+    x = np.asarray(values, dtype=float).ravel()
+    if len(np.unique(x)) < c:
+        raise DegenerateDataError("too few distinct values")
+    rng = np.random.default_rng(seed)
+    centroids = np.quantile(x, (np.arange(c) + 0.5) / c)
+    spread = x.max() - x.min()
+    centroids = np.sort(centroids + rng.normal(0.0, 1e-3 * spread, size=c))
+    trace = []
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        weights = oracle_membership_grid(x, centroids, m) ** m
+        mass = weights.sum(axis=0)
+        safe_mass = np.where(mass > 0.0, mass, 1.0)
+        new_centroids = np.where(
+            mass > 0.0, (weights * x[:, None]).sum(axis=0) / safe_mass, centroids
+        )
+        trace.append(float(np.sum(weights * (x[:, None] - new_centroids[None, :]) ** 2)))
+        movement = np.max(np.abs(new_centroids - centroids))
+        centroids = new_centroids
+        if movement < tol:
+            break
+    centroids = np.sort(centroids, kind="stable")
+    if np.any(np.diff(centroids) <= 0.0):
+        raise DegenerateDataError("clusters collapsed onto the same centroid")
+    return centroids, trace, iterations
+
+
+def reference_ingest(text, has_header=True, delimiter=","):
+    """The row-by-row parser ``ingest_tabular`` used before its C-reader
+    path, on text without a byte-order mark: (attributes, records), or the
+    error it raised, message included."""
+    from fuzzycp import EmptyDatasetError, ParseError, ShapeError
+
+    rows = [r for r in csv.reader(io.StringIO(text), delimiter=delimiter) if r]
+    if not rows:
+        raise EmptyDatasetError("input contains no rows")
+    if has_header:
+        attributes = [cell.strip() for cell in rows[0]]
+        duplicates = {a for a in attributes if attributes.count(a) > 1}
+        if duplicates:
+            raise ParseError(f"duplicate attribute names in header: {sorted(duplicates)}")
+        rows = rows[1:]
+    else:
+        attributes = [f"col{i}" for i in range(len(rows[0]))]
+    records = np.empty((len(rows), len(attributes)))
+    for i, row in enumerate(rows):
+        if len(row) != len(attributes):
+            raise ShapeError(i, f"row {i}: expected {len(attributes)} cells, found {len(row)}")
+        for j, cell in enumerate(row):
+            cell = cell.strip()
+            try:
+                records[i, j] = float(cell) if cell else math.nan
+            except ValueError:
+                raise ParseError(f"cannot parse {cell!r} as a number", line=i, column=j) from None
+    return attributes, records
 
 
 def longest_path_importance(nodes, edges):

@@ -73,6 +73,24 @@ def test_kb_build_writes_document(tmp_path, capsys):
     assert "price" in err and "centroids" in err and "iterations" in err
 
 
+def test_kb_build_warns_when_fuzzy_c_means_does_not_converge(tmp_path, capsys):
+    out = tmp_path / "kb.json"
+    assert main(KB_ARGS + ["--out", str(out)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    stopped = tmp_path / "stopped.json"
+    assert main(KB_ARGS + ["--out", str(stopped), "--max-iter", "1"]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert warnings == [
+        f"fuzzycp: warning: {name}: fuzzy c-means did not converge within --max-iter 1"
+        for name in ("price", "km")
+    ]
+    # the warning is not part of the document, which keeps its layout
+    doc, stopped_doc = json.loads(out.read_text()), json.loads(stopped.read_text())
+    assert stopped_doc["provenance"]["iterations"] == {"price": 1, "km": 1}
+    assert list(stopped_doc) == list(doc)
+    assert list(stopped_doc["provenance"]) == list(doc["provenance"])
+
+
 def test_kb_build_missing_input_flag_is_usage_error(tmp_path, capsys):
     code = main(["kb", "build", "--out", str(tmp_path / "kb.json")])
     assert code == 1
@@ -400,6 +418,25 @@ def _string_labels_to_numbers(doc):
     model["labels"] = list(range(len(model["labels"])))
 
 
+def _replaced(document, content):
+    """Evaluate with the knowledge base or compiled query replaced by a file
+    holding the JSON text ``content``, or for ``document="inspect"``
+    inspect that file."""
+
+    def argv(tmp_path, kb, query):
+        path = tmp_path / "replaced.json"
+        path.write_text(content)
+        if document == "inspect":
+            return ["inspect", str(path)]
+        paths = {"kb": kb, "query": query, document: path}
+        return [
+            "eval", "--kb", str(paths["kb"]), "--query", str(paths["query"]),
+            "--data", str(DATA_DIR / "cars.csv"),
+        ]
+
+    return argv
+
+
 def _inspect_edited_kb(edit):
     def argv(tmp_path, kb, query):
         edited_kb = _eval_edited(edit, document="kb")(tmp_path, kb, query)[2]
@@ -437,6 +474,10 @@ BAD_INPUTS = {
     ),
     "kb-labels-not-strings": _eval_edited(_string_labels_to_numbers, document="kb"),
     "kb-labels-not-strings-inspect": _inspect_edited_kb(_string_labels_to_numbers),
+    "kb-document-a-list": _replaced("kb", "[1]"),
+    "query-document-a-list": _replaced("query", "[1]"),
+    "inspect-json-number": _replaced("inspect", "3"),
+    "inspect-json-string": _replaced("inspect", '"attributes"'),
 }
 
 # what stderr must say, where exit 2 alone does not tell the cases apart
@@ -445,6 +486,10 @@ BAD_INPUT_MESSAGES = {
     "kb-attributes-not-a-list": "ConfigError: 'attributes' must be a list of objects",
     "kb-labels-not-strings": "ConfigError: price: labels must be strings",
     "kb-labels-not-strings-inspect": "ConfigError: price: labels must be strings",
+    "kb-document-a-list": "ConfigError: not a knowledge-base document of version 1 or 2",
+    "query-document-a-list": "ConfigError: not a compiled-query document of version 1",
+    "inspect-json-number": "fuzzycp: not a knowledge-base or compiled-query document",
+    "inspect-json-string": "fuzzycp: not a knowledge-base or compiled-query document",
 }
 
 

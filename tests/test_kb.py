@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import random
@@ -10,6 +11,7 @@ from fuzzycp import (
     ConfigError,
     DegenerateDataError,
     EmptyDatasetError,
+    FuzzycpError,
     KBConfig,
     KnowledgeBase,
     ParseError,
@@ -18,7 +20,14 @@ from fuzzycp import (
     fuzzy_c_means,
     ingest_tabular,
 )
-from helpers import fcm_memberships, reference_fcm
+from fuzzycp.kb import _membership_grid
+from helpers import (
+    fcm_memberships,
+    oracle_fcm,
+    oracle_membership_grid,
+    reference_fcm,
+    reference_ingest,
+)
 
 
 # --- ingestion ---------------------------------------------------------------
@@ -80,6 +89,113 @@ def test_ingest_strips_byte_order_mark():
 def test_ingest_rejects_duplicate_header_names():
     with pytest.raises(ParseError):
         ingest_tabular("a,a\n1,2\n")
+
+
+# Cells the random tables draw from: numbers in the forms both parsers read,
+# then cells only the row parser takes and cells that no parser takes.
+NUMBER_CELLS = ["0", "17", "-2.5", "3.25e2", "-1E-3", "+.5", "5.", " 6 ", "\t7", "8 ",
+                "1e400", "nan", "-nan", "inf", "-Infinity", "NaN"]
+OTHER_CELLS = ["", "  ", "1_000", "#", "# 4", "x", '"9"', '"1,5"', "0x10", "١", "1 2"]
+
+
+def _random_table(rng):
+    """(text, has_header, delimiter) of a random table; about half of them
+    hold numbers only, so the C reader takes them whole."""
+    delimiter = rng.choice([",", ",", "\t", ";"])
+    width = rng.randint(1, 4)
+    clean = rng.random() < 0.5
+    lines = []
+    if rng.random() < 0.7:
+        names = [f"a{i}" for i in range(width)]
+        if rng.random() < 0.2:
+            names[0] = f'"{names[0]}"'
+        lines.append(delimiter.join(names))
+        has_header = True
+    else:
+        has_header = False
+    for _ in range(rng.choice([0, 1, 2, 5, 20])):
+        cells = NUMBER_CELLS if clean or rng.random() < 0.9 else OTHER_CELLS
+        row_width = width if clean or rng.random() < 0.95 else rng.randint(1, width + 1)
+        lines.append(delimiter.join(rng.choice(cells) for _ in range(row_width)))
+        if not clean and rng.random() < 0.05:
+            lines.append(rng.choice(["", " "]))
+    newline = rng.choice(["\n", "\r\n"])
+    text = newline.join(lines) + rng.choice([newline, ""])
+    return text, has_header, delimiter
+
+
+def _outcome(parse):
+    try:
+        attributes, records = parse()
+    except FuzzycpError as exc:
+        location = [getattr(exc, key, None) for key in ("line", "column", "row")]
+        return type(exc), str(exc), location
+    return attributes, records.shape, records.tobytes()
+
+
+def test_ingest_matches_the_row_parser_on_random_tables(monkeypatch, recwarn):
+    taken = []
+    loadtxt = np.loadtxt
+
+    def counting_loadtxt(*args, **kwargs):
+        result = loadtxt(*args, **kwargs)
+        taken.append(result.shape)
+        return result
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    rng = random.Random(12)
+    for _ in range(600):
+        text, has_header, delimiter = _random_table(rng)
+        source = rng.choice([text, ("\ufeff" + text).encode("utf-8"), text.encode("utf-8")])
+
+        def fast():
+            ds = ingest_tabular(source, has_header=has_header, delimiter=delimiter)
+            return ds.attributes, ds.records
+
+        expected = _outcome(lambda: reference_ingest(text, has_header, delimiter))
+        assert _outcome(fast) == expected, (text, has_header, delimiter)
+    # the C reader, not only the row parser, produced many of the datasets
+    assert sum(rows > 0 for rows, _ in taken) >= 150
+    assert not recwarn.list  # a header without rows is no warning
+
+
+@pytest.mark.parametrize(
+    "text, has_header, delimiter",
+    [
+        ("a,b\r\n1,2\r\n3,4\r\n", True, ","),
+        ("\ufeffa,b\n1 , 2\n", True, ","),
+        ("a\tb\n1e3\t-2E-2\n", True, "\t"),
+        ("a,b\n1,\n,2\n", True, ","),
+        ("a,b\n1,nan\ninf,-inf\n", True, ","),
+        ("a\n1_000\n", True, ","),
+        ("a,b\n1,2\n#3,4\n", True, ","),
+        ('a,b\n"1",2\n', True, ","),
+        ('"a,b",c\n1,2\n', True, ","),
+        ("1,2\n3,4\n", False, ","),
+        ("a,b\n", True, ","),
+        ("a,b\n\n\n", True, ","),
+        ("a,b\n1,2\n3\n", True, ","),
+        ("a,b\n1,2,3\n", True, ","),
+        ("a\n \n1\n", True, ","),
+        ("a,b\n1,2\n  \n", True, ","),
+        ("\n\na\n1\n\n2\n", True, ","),
+        ("a\n1\r2\n", True, ","),
+    ],
+)
+def test_ingest_matches_the_row_parser(text, has_header, delimiter, recwarn):
+    def fast():
+        ds = ingest_tabular(text, has_header=has_header, delimiter=delimiter)
+        return ds.attributes, ds.records
+
+    plain = text.lstrip("\ufeff")
+    try:
+        expected = _outcome(lambda: reference_ingest(plain, has_header, delimiter))
+    except csv.Error:
+        with pytest.raises(csv.Error):
+            fast()
+        return
+    assert _outcome(fast) == expected
+    assert not recwarn.list
 
 
 # --- fuzzy c-means -----------------------------------------------------------
@@ -167,6 +283,79 @@ def test_fcm_centroids_ascending_many_seeds():
         values = rng.uniform(0, 100, size=50)
         result = fuzzy_c_means(values, c=3, seed=seed)
         assert np.all(np.diff(result.centroids) > 0)
+
+
+def _fcm_cases(count):
+    """(values, c, m, seed) for the oracle comparisons: spread-out values,
+    heavy duplicates, and inputs with fewer distinct values than clusters."""
+    rng = np.random.default_rng(8)
+    for case in range(count):
+        c = int(rng.integers(2, 6))
+        m = float(rng.choice([1.5, 2.0, 2.5, 3.0]))
+        kind = case % 4
+        if kind == 0:
+            values = rng.normal(size=int(rng.integers(c, 300))) * rng.uniform(0.01, 1000)
+        elif kind == 1:  # a handful of distinct values, each repeated
+            values = rng.integers(0, c + 2, size=int(rng.integers(c, 300))).astype(float)
+        elif kind == 2:
+            values = np.round(rng.gamma(2.0, 10.0, size=int(rng.integers(c, 300))))
+        else:  # few values: often fewer distinct ones than clusters
+            values = rng.integers(-2, 3, size=int(rng.integers(1, 8))) * 0.5
+        yield values, c, m, case
+
+
+def test_fcm_is_bit_exact_against_the_row_layout_oracle():
+    compared = degenerate = 0
+    for values, c, m, seed in _fcm_cases(320):
+        try:
+            expected = oracle_fcm(values, c, m=m, seed=seed)
+        except DegenerateDataError:
+            with pytest.raises(DegenerateDataError):
+                fuzzy_c_means(values, c, m=m, seed=seed)
+            degenerate += 1
+            continue
+        result = fuzzy_c_means(values, c, m=m, seed=seed)
+        centroids, trace, iterations = expected
+        assert np.array_equal(result.centroids, centroids), (c, m, seed)
+        assert result.iterations == iterations
+        # the objective sums the same terms in another order
+        assert len(result.objective_trace) == len(trace)
+        assert np.allclose(result.objective_trace, trace, rtol=1e-12, atol=0.0)
+        for earlier, later in zip(result.objective_trace, result.objective_trace[1:]):
+            assert later <= earlier * (1 + 1e-12) + 1e-12
+        grid = oracle_membership_grid(values, centroids, m)
+        assert np.array_equal(fcm_memberships(result, values, m), grid)
+        compared += 1
+    assert compared >= 200 and degenerate >= 20
+
+
+def test_membership_grid_is_bit_exact_against_the_row_layout_oracle():
+    # centroids drawn from the values, so many values sit on one, sometimes
+    # on two equal centroids at once; eight or more clusters add up the
+    # memberships in numpy's pairwise order
+    rng = np.random.default_rng(5)
+    for case in range(300):
+        c = int(rng.integers(2, 11))
+        m = float(rng.choice([1.5, 2.0, 2.5, 3.0]))
+        values = np.round(rng.normal(size=int(rng.integers(1, 200))) * 20.0, case % 3)
+        centroids = np.sort(rng.choice(values, size=c))
+        if case % 2:
+            centroids = np.sort(centroids + rng.uniform(0.001, 1.0, size=c))
+        grid = _membership_grid(values, centroids, m).T
+        assert np.array_equal(grid, oracle_membership_grid(values, centroids, m)), (case, c, m)
+
+
+def test_fcm_reports_whether_it_converged():
+    values = np.random.default_rng(4).normal(size=500)
+    assert fuzzy_c_means(values, c=3, seed=1).converged
+    stopped = fuzzy_c_means(values, c=3, seed=1, max_iter=1)
+    assert stopped.iterations == 1 and not stopped.converged
+
+
+def test_build_names_unconverged_attributes():
+    ds = ingest_tabular("a,b\n" + "\n".join(f"{i % 7},{i * i % 11}" for i in range(40)))
+    assert build_knowledge_base(ds, KBConfig()).unconverged == ()
+    assert build_knowledge_base(ds, KBConfig(max_iter=1)).unconverged == ("a", "b")
 
 
 # --- knowledge base ----------------------------------------------------------

@@ -309,3 +309,25 @@ def test_document_bytes_deterministic(car_kb):
     a = dump_query(compile_query(QUERY_TEXT, car_kb))
     b = dump_query(compile_query(QUERY_TEXT, car_kb))
     assert a == b
+
+
+def test_load_validates_the_net_once(car_kb, monkeypatch):
+    from fuzzycp import cpnet
+
+    doc = query_to_document(compile_query(QUERY_TEXT, car_kb))
+    validated = []
+    validate = cpnet.validate_cpnet
+    monkeypatch.setattr(cpnet, "validate_cpnet", lambda net: validated.append(net) or validate(net))
+    query_from_document(doc)
+    assert len(validated) == 1
+
+    # and that one validation still rejects a net it must reject
+    doc["cpnet"]["edges"].append(["wear", "cost"])
+    with pytest.raises(ValidationError):
+        query_from_document(doc)
+
+
+@pytest.mark.parametrize("doc", [[1], "terms", 3, None])
+def test_document_that_is_not_an_object_is_a_config_error(doc):
+    with pytest.raises(ConfigError, match="not a compiled-query document"):
+        query_from_document(doc)
