@@ -111,9 +111,6 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"fuzzycp: malformed document: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (KeyError, TypeError) as exc:
-        print(f"fuzzycp: malformed document: missing {exc}", file=sys.stderr)
-        return DATA_ERROR
     except OSError as exc:
         print(f"fuzzycp: {exc}", file=sys.stderr)
         return IO_ERROR

@@ -5,6 +5,8 @@ carries a conditional preference table (cpt): for each complete assignment
 of its parents, a total order over the node's own domain, most preferred
 value first.  Node importance falls out of graph position alone: leaves
 count 1, every internal node counts one more than its deepest child.
+Every function here and in the later stages takes a net's validity as
+given: a ``CPNet`` is checked once, when it is built, and cannot change.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import CapacityError, ConfigError, ValidationError
 
@@ -26,7 +30,8 @@ class PreferenceVariable:
     domain: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", tuple(self.domain))
+        # a frozen instance takes its normalized fields through its __dict__
+        vars(self)["domain"] = tuple(self.domain)
         if not self.domain:
             raise ConfigError(f"variable {self.name!r} has an empty domain")
         if len(set(self.domain)) != len(self.domain):
@@ -45,7 +50,7 @@ class Violation:
         return f"{self.kind} at {self.subject}: {self.message}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CPNet:
     """Preference graph plus conditional preference tables.
 
@@ -54,36 +59,40 @@ class CPNet:
     ``cpt`` maps node name -> parent-value tuple -> preference order
     (best first).  Parent values inside a key follow the order the
     parents were declared in ``edges``.
+
+    Building a net runs ``validate_cpnet`` and raises ``ValidationError``
+    with a non-empty report.  A net is immutable, ``cpt`` rows included.
     """
 
     nodes: tuple[PreferenceVariable, ...]
     edges: tuple[tuple[str, str], ...]
-    cpt: dict[str, dict[tuple[str, ...], tuple[str, ...]]]
+    cpt: Mapping[str, Mapping[tuple[str, ...], tuple[str, ...]]]
     _by_name: dict[str, PreferenceVariable] = field(init=False, repr=False)
     _parents: dict[str, tuple[str, ...]] = field(init=False, repr=False)
     _children: dict[str, tuple[str, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.nodes = tuple(self.nodes)
-        self.cpt = {
-            node: {tuple(k): tuple(v) for k, v in rows.items()}
+        edges = tuple((p, c) for p, c in self.edges)
+        parents: dict[str, dict[str, None]] = {}
+        children: dict[str, dict[str, None]] = {}
+        for parent, child in edges:
+            parents.setdefault(child, {})[parent] = None
+            children.setdefault(parent, {})[child] = None
+        cpt = {
+            node: MappingProxyType({tuple(k): tuple(v) for k, v in rows.items()})
             for node, rows in self.cpt.items()
         }
-        self._by_name = {v.name: v for v in self.nodes}
-
-    def __setattr__(self, name, value):
-        # the adjacency is derived from ``edges``; rebuild it on every
-        # assignment so it can never go stale
-        if name == "edges":
-            value = tuple((p, c) for p, c in value)
-            parents: dict[str, dict[str, None]] = {}
-            children: dict[str, dict[str, None]] = {}
-            for parent, child in value:
-                parents.setdefault(child, {})[parent] = None
-                children.setdefault(parent, {})[child] = None
-            super().__setattr__("_parents", {n: tuple(ps) for n, ps in parents.items()})
-            super().__setattr__("_children", {n: tuple(cs) for n, cs in children.items()})
-        super().__setattr__(name, value)
+        vars(self).update(
+            nodes=tuple(self.nodes),
+            edges=edges,
+            cpt=MappingProxyType(cpt),
+            _by_name={v.name: v for v in self.nodes},
+            _parents={n: tuple(ps) for n, ps in parents.items()},
+            _children={n: tuple(cs) for n, cs in children.items()},
+        )
+        report = validate_cpnet(self)
+        if report:
+            raise ValidationError(report)
 
     def variable(self, name: str) -> PreferenceVariable:
         return self._by_name[name]
@@ -103,7 +112,8 @@ class CPNet:
 def validate_cpnet(net: CPNet) -> list[Violation]:
     """Check every structural invariant; an empty list means a valid net.
 
-    Violations are returned, never raised: the report is data.
+    Violations are returned, never raised: the report is data.  Every
+    ``CPNet`` passes it, since building one runs it.
     """
     report: list[Violation] = []
     names = [v.name for v in net.nodes]
@@ -189,12 +199,6 @@ def _find_cycle(names, edges) -> list[str] | None:
     return None
 
 
-def require_valid(net: CPNet) -> None:
-    report = validate_cpnet(net)
-    if report:
-        raise ValidationError(report)
-
-
 def topological_order(net: CPNet) -> tuple[str, ...]:
     """Parents before children; ties resolved by declaration order.
 
@@ -215,12 +219,6 @@ def topological_order(net: CPNet) -> tuple[str, ...]:
             indegree[child] -= 1
             if indegree[child] == 0:
                 heapq.heappush(ready, position[child])
-    if len(order) < len(names):
-        placed = set(order)
-        remaining = [n for n in names if n not in placed]
-        raise ValidationError(
-            [Violation("cycle", ",".join(remaining), "dependencies form a cycle")]
-        )
     return tuple(order)
 
 
@@ -230,12 +228,6 @@ def node_importance(net: CPNet) -> dict[str, int]:
     Leaves score 1; an internal node scores one more than the maximum over
     its direct children, i.e. 1 + the longest downward path to a leaf.
     """
-    require_valid(net)
-    return _importance(net)
-
-
-def _importance(net: CPNet) -> dict[str, int]:
-    """``node_importance`` of a net that has passed ``require_valid``."""
     importance: dict[str, int] = {}
     for name in reversed(topological_order(net)):
         children = net.child_names(name)
@@ -254,7 +246,6 @@ def enumerate_outcomes(net: CPNet, cap: int = OUTCOME_CAP):
     is the reference the top-T search of ``query.rewrite_query`` is tested
     against; the package itself never enumerates.
     """
-    require_valid(net)
     count = net.outcome_count()
     if count > cap:
         raise CapacityError(f"outcome space {count} exceeds cap {cap}")

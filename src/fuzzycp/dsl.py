@@ -15,20 +15,21 @@ must reorder exactly those values.  Variables with a ``depends`` clause
 must qualify every row with a ``when`` covering all parents; variables
 without one must not use ``when`` at all.
 
-The result is the net itself: a validated CPNet whose nodes, edges and
-cpt rows keep declaration order, plus each variable's attribute binding
-and the optional term count.
+The result is the net itself: a CPNet whose nodes, edges and cpt rows
+keep declaration order, plus each variable's attribute binding and the
+optional term count.
 
 Syntax problems raise ParseError, meaning problems raise SemanticError;
 both carry 1-based line:column positions.  A cyclic net, or one whose
-rows miss a parent context, raises ValidationError, which has no position.
+rows miss a parent context, fails as the CPNet is built, with a
+ValidationError, which has no position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cpnet import CPNet, PreferenceVariable, require_valid
+from .cpnet import CPNet, PreferenceVariable
 from .errors import ParseError, SemanticError
 
 KEYWORDS = frozenset({"var", "attr", "depends", "when", "prefer", "terms"})
@@ -296,13 +297,12 @@ def _analyze(raw_vars, term_count) -> QuerySpec:
         cpt[name] = table
         bindings[name] = attr_tok.text
     net = CPNet(nodes=tuple(nodes), edges=tuple(edges), cpt=cpt)
-    require_valid(net)
     return QuerySpec(net, bindings, term_count)
 
 
 def parse_query(text: str) -> QuerySpec:
-    """Parse query text into its validated net, or raise; syntax and
-    meaning errors carry a precise location."""
+    """Parse query text into its net, or raise; syntax and meaning errors
+    carry a precise location."""
     return _Parser(_tokenize(text)).query()
 
 

@@ -51,15 +51,15 @@ class DegenerateDataError(FuzzycpError):
 class ConfigError(FuzzycpError):
     """A setting or document entry is unknown, out of range or inconsistent.
 
-    Covers a knowledge-base document of the wrong shape (``attributes`` not
-    a list of objects, a label that is not a string, a value that is not a
-    finite number), and a compiled query whose stored blocks disagree with
-    its net.
+    Covers a knowledge-base or compiled-query document of the wrong shape
+    (an entry missing or of the wrong type, a value that is not a finite
+    number), naming the entry, and a compiled query whose stored blocks
+    disagree with its net.
     """
 
 
 class ValidationError(FuzzycpError):
-    """A preference net violates its structural invariants.
+    """A ``CPNet`` being built violates its structural invariants.
 
     ``report`` holds the individual violations.
     """
@@ -73,9 +73,9 @@ class ValidationError(FuzzycpError):
 class CapacityError(FuzzycpError):
     """A request exceeds what the net holds or a fixed bound.
 
-    Raised for more terms than the net has outcomes, for more terms than
-    ``cpnet.OUTCOME_CAP``, and by ``enumerate_outcomes`` for an outcome
-    space above its cap.
+    Raised for more terms than the net has outcomes or than
+    ``cpnet.OUTCOME_CAP``, and by ``enumerate_outcomes``, the reference the
+    top-T search is tested against, for an outcome space above its cap.
     """
 
 

@@ -353,31 +353,36 @@ class KnowledgeBase:
     @classmethod
     def from_document(cls, doc: dict) -> "KnowledgeBase":
         """Read a version 2 document, or a version 1 one, whose per-record
-        membership rows are ignored: the centroids determine them."""
+        membership rows are ignored: the centroids determine them.  An
+        entry of the wrong shape is a ConfigError that names it."""
         if not isinstance(doc, dict) or doc.get("format_version") not in (1, 2):
             raise ConfigError("not a knowledge-base document of version 1 or 2")
         entries = doc.get("attributes")
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ConfigError("'attributes' must be a list of objects")
+        provenance = doc.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise ConfigError("'provenance' must be an object")
         models = {}
-        for attr in entries:
-            labels = attr["labels"]
+        for i, attr in enumerate(entries):
+            name = attr.get("name")
+            if not isinstance(name, str):
+                raise ConfigError(f"attribute {i}: 'name' must be a string")
+            labels = attr.get("labels")
             if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
-                raise ConfigError(f"{attr['name']}: labels must be strings")
+                raise ConfigError(f"{name}: labels must be strings")
             try:
-                centroids = tuple(float(v) for v in attr["centroids"])
-                fuzzifier = float(attr["fuzzifier"])
+                centroids = tuple(float(v) for v in attr.get("centroids"))
+                fuzzifier = float(attr.get("fuzzifier"))
             except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{attr['name']}: centroids and fuzzifier must be numbers"
-                ) from None
-            models[attr["name"]] = ClusterModel(
-                attribute=attr["name"],
+                raise ConfigError(f"{name}: centroids and fuzzifier must be numbers") from None
+            models[name] = ClusterModel(
+                attribute=name,
                 centroids=centroids,
                 labels=tuple(labels),
                 fuzzifier=fuzzifier,
             )
-        return cls(models=models, provenance=dict(doc.get("provenance", {})))
+        return cls(models=models, provenance=dict(provenance))
 
     def dump(self) -> str:
         return json.dumps(self.to_document(), ensure_ascii=False, indent=2) + "\n"

@@ -19,18 +19,11 @@ import json
 import re
 from dataclasses import dataclass
 
-from .cpnet import (
-    OUTCOME_CAP,
-    CPNet,
-    PreferenceVariable,
-    _importance,
-    require_valid,
-    topological_order,
-)
+from .cpnet import OUTCOME_CAP, CPNet, PreferenceVariable, node_importance, topological_order
 from .dsl import QuerySpec, format_query, parse_query
-from .errors import BindingError, CapacityError, ConfigError
+from .errors import BindingError, CapacityError, ConfigError, DegenerateUtilityError
 from .kb import KnowledgeBase
-from .ucp import UCPNet, assign_utilities, term_importance
+from .ucp import UCPNet, assign_utilities
 
 
 @dataclass(frozen=True)
@@ -87,15 +80,14 @@ def rewrite_query(
     ``terms T``.
     """
     _check_bindings(net, kb, bindings)
-    require_valid(net)
     terms = _rewrite(net, ucp, term_count)
     return WeightedQuery(QuerySpec(net, dict(bindings), len(terms)), ucp, terms)
 
 
 def _rewrite(net, ucp, term_count) -> tuple[Term, ...]:
-    """The terms of ``rewrite_query`` after its knowledge-base check and
-    validation; loading a compiled query, which has no knowledge base at
-    hand, shares it."""
+    """The terms of ``rewrite_query`` after its knowledge-base check, which
+    loading a compiled query, with no knowledge base at hand, shares.  An
+    importance is the search's exact utility over the additive ceiling."""
     outcome_count = net.outcome_count()
     if term_count is None:
         term_count = min(5, outcome_count)
@@ -108,14 +100,17 @@ def _rewrite(net, ucp, term_count) -> tuple[Term, ...]:
         )
     if term_count > OUTCOME_CAP:
         raise CapacityError(f"asked for {term_count} terms, above the cap of {OUTCOME_CAP}")
+    if ucp.max_total_utility <= 0:
+        raise DegenerateUtilityError("utility scale is flat; cannot normalize")
     return tuple(
-        Term({v.name: outcome[v.name] for v in net.nodes}, term_importance(ucp, outcome))
-        for outcome in _top_outcomes(net, ucp, term_count)
+        Term({v.name: outcome[v.name] for v in net.nodes}, utility / ucp.max_total_utility)
+        for outcome, utility in _top_outcomes(net, ucp, term_count)
     )
 
 
-def _top_outcomes(net: CPNet, ucp: UCPNet, count: int) -> list[dict[str, str]]:
-    """The ``count`` outcomes of highest utility, best first.
+def _top_outcomes(net: CPNet, ucp: UCPNet, count: int) -> list[tuple[dict[str, str], int]]:
+    """The ``count`` outcomes of highest utility with their utilities, best
+    first.
 
     Best-first search over partial assignments in topological order, each
     held as its prefix of domain indices; a pop assigns the next node every
@@ -144,7 +139,7 @@ def _top_outcomes(net: CPNet, ucp: UCPNet, count: int) -> list[dict[str, str]]:
         _, prefix, utility = heapq.heappop(heap)
         depth = len(prefix)
         if depth == len(order):
-            found.append({order[d]: domains[d][i] for d, i in enumerate(prefix)})
+            found.append(({order[d]: domains[d][i] for d, i in enumerate(prefix)}, utility))
             continue
         row = tables[depth][tuple(domains[p][prefix[p]] for p in parents[depth])]
         for index, value in enumerate(domains[depth]):
@@ -240,7 +235,7 @@ def query_to_document(query: WeightedQuery) -> dict:
         },
         "utilities": utilities,
         "max_total_utility": ucp.max_total_utility,
-        "importance": _importance(net),  # validated when the query was built
+        "importance": node_importance(net),
         "terms": [
             {
                 "assignment": dict(t.assignment),
@@ -255,39 +250,75 @@ def query_from_document(doc: dict) -> WeightedQuery:
     """Rebuild a compiled query from its ``cpnet`` block alone.
 
     The bindings are the nodes' attributes; the rest is derived by the code
-    that compiled it, with T = the number of stored terms.  A stored block
-    or query text that differs from its derivation is a ConfigError naming
-    every such block, so a document cannot say two different things.
+    that compiled it, with T = the number of stored terms.  An entry that
+    loading reads and that has the wrong shape is a ConfigError naming it.
+    A stored block or query text that differs from its derivation is a
+    ConfigError naming every such block, so a document cannot say two
+    different things.
     """
     if not isinstance(doc, dict) or doc.get("format_version") != 1:
         raise ConfigError("not a compiled-query document of version 1")
-    net_doc = doc["cpnet"]
-    nodes = tuple(PreferenceVariable(n["name"], tuple(n["domain"])) for n in net_doc["nodes"])
-    edges = tuple((p, c) for p, c in net_doc["edges"])
-    parents = {n["name"]: tuple(n["parents"]) for n in net_doc["nodes"]}
-    cpt = {
-        name: {
-            tuple(row["when"][p] for p in parents[name]): tuple(row["order"])
-            for row in rows
-        }
-        for name, rows in net_doc["cpt"].items()
-    }
-    net = CPNet(nodes=nodes, edges=edges, cpt=cpt)
-    ucp = assign_utilities(net)  # the one validation of the net
-    bindings = {n["name"]: n["attribute"] for n in net_doc["nodes"]}
+    _check_shape(doc, _SHAPE, "")
+    net, bindings = _decode_net(doc["cpnet"])
+    ucp = assign_utilities(net)
     spec = QuerySpec(net, bindings, _stored_term_count(doc.get("query")))
     query = WeightedQuery(spec, ucp, _rewrite(net, ucp, len(doc["terms"])))
 
     derived = query_to_document(query)
     blocks = ("query", "bindings", "cpnet", "utilities", "max_total_utility", "importance")
     stale = [key for key in blocks if doc.get(key) != derived[key]]
-    if [(t["assignment"], t["importance"]) for t in doc["terms"]] != [
+    if [(t.get("assignment"), t.get("importance")) for t in doc["terms"]] != [
         (t["assignment"], t["importance"]) for t in derived["terms"]
     ]:
         stale.append("terms")
     if stale:
         raise ConfigError(f"compiled query disagrees with its cpnet in: {', '.join(stale)}")
     return query
+
+
+# What loading reads of a compiled query: a type, [shape] for a list of
+# that shape, or {key: shape} for an object with (at least) those keys.
+_SHAPE = {
+    "cpnet": {
+        "nodes": [{"name": str, "domain": [str], "parents": [str], "attribute": str}],
+        "edges": [[str]],
+        "cpt": dict,
+    },
+    "terms": [dict],
+}
+_ROWS_SHAPE = [{"when": dict, "order": [str]}]
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _check_shape(value, shape, path: str) -> None:
+    """Raise a ConfigError that names ``path`` unless ``value`` has ``shape``."""
+    kind = type(shape) if isinstance(shape, (dict, list)) else shape
+    if not isinstance(value, kind):
+        raise ConfigError(f"compiled query: {path} must be {_KINDS[kind]}")
+    if isinstance(shape, dict):
+        for key, inner in shape.items():
+            _check_shape(value.get(key), inner, f"{path}.{key}".lstrip("."))
+    elif isinstance(shape, list):
+        for i, item in enumerate(value):
+            _check_shape(item, shape[0], f"{path}[{i}]")
+
+
+def _decode_net(block: dict) -> tuple[CPNet, dict[str, str]]:
+    """The net and bindings of a ``cpnet`` block of the right shape; an edge
+    or row that still cannot be read is a ConfigError that names it."""
+    if any(len(edge) != 2 for edge in block["edges"]):
+        raise ConfigError("compiled query: cpnet.edges must be [parent, child] pairs")
+    parents = {n["name"]: tuple(n["parents"]) for n in block["nodes"]}
+    cpt = {}
+    for name, rows in block["cpt"].items():
+        _check_shape(rows, _ROWS_SHAPE, f"cpnet.cpt.{name}")
+        keys = [tuple(row["when"].get(p) for p in parents.get(name, ())) for row in rows]
+        if not all(isinstance(value, str) for key in keys for value in key):
+            raise ConfigError(f"compiled query: a cpnet.cpt.{name} row misses a parent value")
+        cpt[name] = {key: tuple(row["order"]) for key, row in zip(keys, rows)}
+    nodes = tuple(PreferenceVariable(n["name"], tuple(n["domain"])) for n in block["nodes"])
+    net = CPNet(nodes=nodes, edges=tuple(map(tuple, block["edges"])), cpt=cpt)
+    return net, {n["name"]: n["attribute"] for n in block["nodes"]}
 
 
 def _stored_term_count(text) -> int | None:

@@ -1,6 +1,6 @@
 """Utility-weighted preference nets.
 
-Turns a validated CPNet into a UCPNet: every cpt row gets numeric utility
+Turns a CPNet into a UCPNet: every cpt row gets numeric utility
 factors that respect its preference order, and the total utility of an
 outcome is the sum of the per-node factors (generalized additive form).
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cpnet import CPNet, require_valid, topological_order
+from .cpnet import CPNet, topological_order
 from .errors import AssignmentError, DegenerateUtilityError
 
 UtilityRows = dict[tuple[str, ...], dict[str, float]]
@@ -73,7 +73,6 @@ def assign_utilities(net: CPNet) -> UCPNet:
     Uses the stepped scheme described in the module docstring, so every
     node's minspan covers its children's maxspans by construction.
     """
-    require_valid(net)
     tables: dict[str, UtilityRows] = {}
     steps: dict[str, int] = {}
     node_spans: dict[str, tuple[float, float]] = {}
@@ -127,7 +126,8 @@ def check_dominance(ucp: UCPNet) -> list[DominanceViolation]:
 
 
 def outcome_utility(ucp: UCPNet, assignment) -> float:
-    """Additive utility of a complete assignment."""
+    """Additive utility of a complete assignment; with ``term_importance``
+    a test oracle for the sums the top-T search of ``query`` keeps."""
     total = 0.0
     for variable in ucp.net.nodes:
         if variable.name not in assignment:

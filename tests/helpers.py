@@ -180,16 +180,17 @@ def longest_path_importance(nodes, edges):
     return {n: depth(n) for n in nodes}
 
 
-def brute_force_valid(net: CPNet) -> bool:
-    """Re-derive the net invariants without the library's validator."""
-    names = [v.name for v in net.nodes]
+def brute_force_valid(nodes, edges, cpt) -> bool:
+    """Re-derive the net invariants of ``CPNet(nodes, edges, cpt)`` without
+    the library's validator or the net itself."""
+    names = [v.name for v in nodes]
     if len(set(names)) != len(names):
         return False
     known = set(names)
-    if any(p not in known or c not in known for p, c in net.edges):
+    if any(p not in known or c not in known for p, c in edges):
         return False
     children = {n: set() for n in names}
-    for p, c in net.edges:
+    for p, c in edges:
         children[p].add(c)
 
     # cycle search from every node
@@ -204,12 +205,13 @@ def brute_force_valid(net: CPNet) -> bool:
             seen.add(node)
             frontier.extend(children[node])
 
-    for v in net.nodes:
-        parents = net.parent_names(v.name)
-        rows = net.cpt.get(v.name)
+    domains = {v.name: v.domain for v in nodes}
+    for v in nodes:
+        parents = list(dict.fromkeys(p for p, c in edges if c == v.name))
+        rows = cpt.get(v.name)
         if rows is None:
             return False
-        expected = list(itertools.product(*(net.variable(p).domain for p in parents)))
+        expected = list(itertools.product(*(domains[p] for p in parents)))
         if sorted(rows) != sorted(expected):
             return False
         if any(sorted(order) != sorted(v.domain) for order in rows.values()):

@@ -1,9 +1,14 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fuzzycp import (
     AttributeConfig,
@@ -478,6 +483,29 @@ BAD_INPUTS = {
     "query-document-a-list": _replaced("query", "[1]"),
     "inspect-json-number": _replaced("inspect", "3"),
     "inspect-json-string": _replaced("inspect", '"attributes"'),
+    "query-edge-not-a-pair": _eval_edited(lambda doc: doc["cpnet"].update(edges=[["a"]])),
+    "query-domain-not-a-list": _eval_edited(
+        lambda doc: doc["cpnet"]["nodes"][0].update(domain=7)
+    ),
+    "query-terms-not-a-list": _eval_edited(lambda doc: doc.update(terms=3)),
+    "query-without-cpnet": _eval_edited(lambda doc: doc.pop("cpnet")),
+    "query-without-terms": _eval_edited(lambda doc: doc.pop("terms")),
+    "query-node-without-attribute": _eval_edited(
+        lambda doc: doc["cpnet"]["nodes"][0].pop("attribute")
+    ),
+    "query-row-without-when": _eval_edited(lambda doc: doc["cpnet"]["cpt"]["cost"][0].pop("when")),
+    "kb-provenance-not-an-object": _eval_edited(
+        lambda doc: doc.update(provenance=5), document="kb"
+    ),
+    "kb-attribute-without-labels": _eval_edited(
+        lambda doc: doc["attributes"][0].pop("labels"), document="kb"
+    ),
+    "kb-attribute-without-name": _eval_edited(
+        lambda doc: doc["attributes"][0].pop("name"), document="kb"
+    ),
+    "kb-attribute-without-centroids": _eval_edited(
+        lambda doc: doc["attributes"][0].pop("centroids"), document="kb"
+    ),
 }
 
 # what stderr must say, where exit 2 alone does not tell the cases apart
@@ -490,6 +518,17 @@ BAD_INPUT_MESSAGES = {
     "query-document-a-list": "ConfigError: not a compiled-query document of version 1",
     "inspect-json-number": "fuzzycp: not a knowledge-base or compiled-query document",
     "inspect-json-string": "fuzzycp: not a knowledge-base or compiled-query document",
+    "query-edge-not-a-pair": "ConfigError: compiled query: cpnet.edges must be [parent, child] pairs",
+    "query-domain-not-a-list": "ConfigError: compiled query: cpnet.nodes[0].domain must be a list",
+    "query-terms-not-a-list": "ConfigError: compiled query: terms must be a list",
+    "query-without-cpnet": "ConfigError: compiled query: cpnet must be an object",
+    "query-without-terms": "ConfigError: compiled query: terms must be a list",
+    "query-node-without-attribute": "ConfigError: compiled query: cpnet.nodes[0].attribute must be a string",
+    "query-row-without-when": "ConfigError: compiled query: cpnet.cpt.cost[0].when must be an object",
+    "kb-provenance-not-an-object": "ConfigError: 'provenance' must be an object",
+    "kb-attribute-without-labels": "ConfigError: price: labels must be strings",
+    "kb-attribute-without-name": "ConfigError: attribute 0: 'name' must be a string",
+    "kb-attribute-without-centroids": "ConfigError: price: centroids and fuzzifier must be numbers",
 }
 
 
@@ -508,6 +547,84 @@ def test_bad_input_exits_2_without_traceback(tmp_path, built_kb, compiled_query,
     assert "Traceback" not in proc.stderr
     assert BAD_INPUT_MESSAGES.get(case, "") in proc.stderr
     assert proc.stdout == ""
+
+
+# --- edited documents --------------------------------------------------------
+
+# values an edit may put in place of any entry: every JSON type, empty and not
+JUNK = (None, True, 0, -1, 2.5, "", "x", [], [1], ["x"], {}, {"x": 1})
+
+
+def _entries(doc, path=()):
+    """Path of every entry below ``doc``, as keys and list indexes."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _entries(value, path + (key,))
+
+
+@st.composite
+def edited(draw, doc):
+    """``doc`` after one to three edits: an entry dropped, replaced by a
+    value of another type, or a list lengthened by a copy of an element."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_entries(doc))))
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        key = path[-1]
+        edit = draw(st.sampled_from(("drop", "replace", "lengthen")))
+        if edit == "drop":
+            del owner[key]
+        elif edit == "lengthen" and isinstance(owner[key], list) and owner[key]:
+            owner[key].append(copy.deepcopy(draw(st.sampled_from(owner[key]))))
+        else:
+            owner[key] = copy.deepcopy(draw(st.sampled_from(JUNK)))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """Paths of a built knowledge base and a query compiled against it."""
+    directory = tmp_path_factory.mktemp("documents")
+    paths = {"kb": directory / "kb.json", "query": directory / "q.json"}
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(KB_ARGS + ["--out", str(paths["kb"])]) == 0
+        assert main([
+            "query", "compile", "--kb", str(paths["kb"]),
+            "--query", str(DATA_DIR / "cars.pref"), "--out", str(paths["query"]),
+        ]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("document", ["kb", "query"])
+def test_no_document_edit_ends_in_a_traceback(documents, tmp_path_factory, document):
+    original = json.loads(documents[document].read_text())
+    path = tmp_path_factory.mktemp("edited") / "edited.json"
+    paths = {**documents, document: path}
+    eval_argv = [
+        "eval", "--kb", str(paths["kb"]), "--query", str(paths["query"]),
+        "--data", str(DATA_DIR / "cars.csv"),
+    ]
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(edited(original))
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        for argv in (eval_argv, ["inspect", str(path)]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert code in (0, 2, 3), (argv[0], code, err.getvalue())
+
+    check()
 
 
 # --- inspect -----------------------------------------------------------------

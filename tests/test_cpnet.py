@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -45,76 +46,99 @@ def test_minimal_net_is_valid():
 
 
 def test_self_edge_is_a_cycle():
-    net = CPNet(
-        nodes=(PreferenceVariable("X", ("a", "b")),),
-        edges=(("X", "X"),),
-        cpt={"X": {("a",): ("a", "b"), ("b",): ("a", "b")}},
-    )
-    report = validate_cpnet(net)
-    assert any(v.kind == "cycle" and "X" in v.subject for v in report)
+    with pytest.raises(ValidationError) as err:
+        CPNet(
+            nodes=(PreferenceVariable("X", ("a", "b")),),
+            edges=(("X", "X"),),
+            cpt={"X": {("a",): ("a", "b"), ("b",): ("a", "b")}},
+        )
+    assert any(v.kind == "cycle" and "X" in v.subject for v in err.value.report)
 
 
 def test_missing_cpt_row_is_reported():
-    net = CPNet(
-        nodes=(
-            PreferenceVariable("P", ("p1", "p2")),
-            PreferenceVariable("Q", ("q1", "q2")),
-        ),
-        edges=(("P", "Q"),),
-        cpt={"P": {(): ("p1", "p2")}, "Q": {("p1",): ("q1", "q2")}},
-    )
-    report = validate_cpnet(net)
-    assert any(v.kind == "cpt" and "missing row" in v.message for v in report)
+    with pytest.raises(ValidationError) as err:
+        CPNet(
+            nodes=(
+                PreferenceVariable("P", ("p1", "p2")),
+                PreferenceVariable("Q", ("q1", "q2")),
+            ),
+            edges=(("P", "Q"),),
+            cpt={"P": {(): ("p1", "p2")}, "Q": {("p1",): ("q1", "q2")}},
+        )
+    assert any(v.kind == "cpt" and "missing row" in v.message for v in err.value.report)
 
 
 def test_non_permutation_row_is_reported():
-    net = single_node()
-    net.cpt["x"][()] = ("a", "a")
-    report = validate_cpnet(net)
-    assert any("total order" in v.message for v in report)
+    with pytest.raises(ValidationError) as err:
+        CPNet(nodes=(PreferenceVariable("x", ("a", "b")),), edges=(), cpt={"x": {(): ("a", "a")}})
+    assert any("total order" in v.message for v in err.value.report)
 
 
 def test_unknown_edge_endpoint_is_reported():
-    net = CPNet(
-        nodes=(PreferenceVariable("X", ("a",)),),
-        edges=(("X", "ghost"),),
-        cpt={"X": {(): ("a",)}},
-    )
-    assert any(v.kind == "edge" for v in validate_cpnet(net))
+    with pytest.raises(ValidationError) as err:
+        CPNet(
+            nodes=(PreferenceVariable("X", ("a",)),),
+            edges=(("X", "ghost"),),
+            cpt={"X": {(): ("a",)}},
+        )
+    assert any(v.kind == "edge" for v in err.value.report)
 
 
 def test_validator_matches_brute_force_on_random_nets():
     rng = random.Random(100)
     for _ in range(150):
         net = random_cpnet(rng)
-        assert (validate_cpnet(net) == []) == brute_force_valid(net)
+        assert (validate_cpnet(net) == []) == brute_force_valid(net.nodes, net.edges, net.cpt)
 
 
 def test_validator_matches_brute_force_on_broken_nets():
     rng = random.Random(101)
     for _ in range(150):
         net = random_cpnet(rng, max_nodes=5)
+        edges, cpt = net.edges, dict(net.cpt)
         mutation = rng.choice(["drop_row", "dup_value", "reverse_edge", "ghost_edge"])
         if mutation == "drop_row":
-            victim = rng.choice(list(net.cpt))
-            rows = dict(net.cpt[victim])
+            victim = rng.choice(list(cpt))
+            rows = dict(cpt[victim])
             rows.pop(rng.choice(list(rows)))
-            net.cpt[victim] = rows
+            cpt[victim] = rows
         elif mutation == "dup_value":
-            victim = rng.choice(list(net.cpt))
-            rows = dict(net.cpt[victim])
+            victim = rng.choice(list(cpt))
+            rows = dict(cpt[victim])
             key = rng.choice(list(rows))
             first = rows[key][0]
             rows[key] = tuple(first for _ in rows[key])
-            net.cpt[victim] = rows
+            cpt[victim] = rows
         elif mutation == "reverse_edge":
-            if not net.edges:
+            if not edges:
                 continue
-            parent, child = rng.choice(net.edges)
-            net.edges = net.edges + ((child, parent),)
+            parent, child = rng.choice(edges)
+            edges = edges + ((child, parent),)
         else:
-            net.edges = net.edges + ((net.nodes[0].name, "ghost"),)
-        assert (validate_cpnet(net) == []) == brute_force_valid(net)
+            edges = edges + ((net.nodes[0].name, "ghost"),)
+        try:
+            CPNet(nodes=net.nodes, edges=edges, cpt=cpt)
+        except ValidationError as err:
+            assert err.report
+            built = False
+        else:
+            built = True
+        assert built == brute_force_valid(net.nodes, edges, cpt)
+
+
+def test_a_built_net_cannot_be_changed():
+    net = chain_abc()
+    with pytest.raises(FrozenInstanceError):
+        net.edges = (("C", "A"),)
+    with pytest.raises(FrozenInstanceError):
+        net.cpt = {}
+    with pytest.raises(TypeError):
+        net.cpt["A"] = {(): ("a2", "a1")}
+    with pytest.raises(TypeError):
+        net.cpt["B"][("a1",)] = ("b1", "b1")
+    assert net.edges == (("A", "B"), ("B", "C"))
+    assert net.cpt["B"][("a1",)] == ("b1", "b2")
+    assert validate_cpnet(net) == []
 
 
 # --- importance --------------------------------------------------------------
@@ -162,10 +186,11 @@ def test_importance_invariant_under_relabeling():
 
 
 def test_importance_rejects_invalid_net():
-    net = single_node()
-    net.cpt["x"][()] = ("a", "a")
-    with pytest.raises(ValidationError):
-        node_importance(net)
+    # node_importance and topological_order take acyclicity as given: a
+    # cyclic net is refused before either can see it
+    with pytest.raises(ValidationError) as err:
+        dag_as_net(["A", "B"], [("A", "B"), ("B", "A")])
+    assert [v.kind for v in err.value.report] == ["cycle"]
 
 
 # --- enumeration -------------------------------------------------------------

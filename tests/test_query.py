@@ -312,14 +312,34 @@ def test_document_bytes_deterministic(car_kb):
 
 
 def test_load_validates_the_net_once(car_kb, monkeypatch):
-    from fuzzycp import cpnet
+    # a net is validated as it is built, and by nothing that receives one
+    from fuzzycp import Dataset, cpnet, node_importance, rank
 
     doc = query_to_document(compile_query(QUERY_TEXT, car_kb))
     validated = []
     validate = cpnet.validate_cpnet
     monkeypatch.setattr(cpnet, "validate_cpnet", lambda net: validated.append(net) or validate(net))
-    query_from_document(doc)
-    assert len(validated) == 1
+
+    def validations(stage, *args):
+        validated.clear()
+        return stage(*args), len(validated)
+
+    spec, count = validations(parse_query, QUERY_TEXT)
+    assert count == 1
+    ucp, count = validations(assign_utilities, spec.net)
+    assert count == 0
+    bindings = {"cost": "price", "wear": "km"}
+    _, count = validations(rewrite_query, spec.net, ucp, car_kb, bindings)
+    assert count == 0
+    _, count = validations(node_importance, spec.net)
+    assert count == 0
+    _, count = validations(compile_query, QUERY_TEXT, car_kb)
+    assert count == 1
+    query, count = validations(query_from_document, doc)
+    assert count == 1
+    data = Dataset(["price", "km"], [[5.0, 200.0], [33.0, 12.0]])
+    _, count = validations(rank, car_kb, query, data)
+    assert count == 0
 
     # and that one validation still rejects a net it must reject
     doc["cpnet"]["edges"].append(["wear", "cost"])

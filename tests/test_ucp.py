@@ -102,10 +102,10 @@ def test_chain_of_binaries_keeps_unit_steps():
 
 
 def test_rejects_invalid_net():
-    net = single_node()
-    net.cpt["x"][()] = ("a", "a")
+    # assign_utilities takes a net's validity as given: a net with a
+    # non-permutation row is refused before it can be weighted
     with pytest.raises(ValidationError):
-        assign_utilities(net)
+        CPNet(nodes=(PreferenceVariable("x", ("a", "b")),), edges=(), cpt={"x": {(): ("a", "a")}})
 
 
 def test_generated_nets_have_no_dominance_violations():
