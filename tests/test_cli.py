@@ -25,6 +25,9 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
 # Written by the version 1 format with the README's ``kb build`` command
 # (the KB_ARGS below, run from the repository root).
 V1_KB = Path(__file__).resolve().parent / "data" / "cars_kb_v1.json"
+# ``eval`` output of the bundled cars, against the KB_ARGS knowledge base
+# and the query compiled from cars.pref with default options
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 KB_ARGS = [
     "kb", "build",
@@ -323,6 +326,18 @@ def test_eval_is_byte_deterministic(tmp_path, built_kb, compiled_query, capsys):
         assert main(args) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("flags, golden", [
+    ([], "cars_eval.tsv"),
+    (["--top", "5", "--format", "json"], "cars_eval_top5.json"),
+])
+def test_eval_output_is_golden(built_kb, compiled_query, capsys, flags, golden):
+    assert main([
+        "eval", "--kb", str(built_kb), "--query", str(compiled_query),
+        "--data", str(DATA_DIR / "cars.csv"), *flags,
+    ]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
 
 # --- knowledge-base document versions ----------------------------------------

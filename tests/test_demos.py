@@ -1,4 +1,5 @@
-"""Smoke test: every script under demos/ runs to completion."""
+"""Smoke test: every script under demos/ runs to completion; demo 03 prints
+the ranking it printed when its golden file was written."""
 
 import shutil
 import subprocess
@@ -10,10 +11,10 @@ import pytest
 from helpers import child_env
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 
-@pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("*.py")))
-def test_demo_runs(tmp_path, script):
+def _run_demo(tmp_path, script):
     # Run a copy, so the knowledge base demo 01 writes next to its data
     # lands in tmp_path rather than in the checkout.
     demos = shutil.copytree(
@@ -28,3 +29,14 @@ def test_demo_runs(tmp_path, script):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(tmp_path, script):
+    _run_demo(tmp_path, script)
+
+
+def test_demo_03_stdout_is_golden(tmp_path):
+    proc = _run_demo(tmp_path, "03_query_to_ranking.py")
+    assert proc.stdout.encode() == (GOLDEN / "demo_03.out").read_bytes()
