@@ -41,15 +41,16 @@ for term in query.terms:
 
 print("\nranking (top 8):")
 print(f"{'pos':>3} {'price':>6} {'km':>5} {'score':>8}   per-term scores")
-for result in rank(kb, query, dataset, top_n=8):
-    price, km = dataset.records[result.record_index]
-    scores = " ".join(f"{s:.2f}" for s in result.term_scores)
-    print(f"{result.position:>3} {price:>6.0f} {km:>5.0f} "
-          f"{result.score:>8.4f}   [{scores}]")
+ranking = rank(kb, query, dataset, top_n=8)
+rows = zip(ranking.record_index, ranking.score, ranking.term_scores)
+for place, (index, score, term_scores) in enumerate(rows, start=1):
+    price, km = dataset.records[index]
+    scores = " ".join(f"{s:.2f}" for s in term_scores)
+    print(f"{place:>3} {price:>6.0f} {km:>5.0f} {score:>8.4f}   [{scores}]")
 
 # the winner should be a cheap honest high-miler, not a cheap car with
 # a suspiciously fresh odometer
-best = rank(kb, query, dataset, top_n=1)[0]
-price, km = dataset.records[best.record_index]
+best = rank(kb, query, dataset, top_n=1).record_index[0]
+price, km = dataset.records[best]
 assert price < 12 and km > 120
 print(f"\nbest listing: {price:.0f} k-euro with {km:.0f} thousand km")

@@ -34,7 +34,7 @@ from .errors import (
 from .scoring import (
     DataProjection,
     Evaluation,
-    RankedResult,
+    Ranking,
     aggregate_term_score,
     evaluate,
     project,

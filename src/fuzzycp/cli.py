@@ -17,6 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import compress
+
+import numpy as np
 
 from . import kb as kbmod
 from . import query as qmod
@@ -108,7 +111,7 @@ def main(argv=None) -> int:
     except FuzzycpError as exc:
         print(f"fuzzycp: {type(exc).__name__}: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"fuzzycp: malformed document: {exc}", file=sys.stderr)
         return DATA_ERROR
     except OSError as exc:
@@ -184,45 +187,44 @@ def cmd_eval(args) -> int:
         dataset = kbmod.ingest_tabular(
             f, has_header=not args.no_header, delimiter=args.delimiter
         )
-    results = rank(kb, compiled, dataset, top_n=args.top)
+    ranking = rank(kb, compiled, dataset, top_n=args.top)
     if args.format == "tsv":
-        _print_tsv(results, len(compiled.terms))
+        _print_tsv(ranking)
     else:
-        _print_json(results, len(compiled.terms))
+        _print_json(ranking)
     return OK
 
 
-def _flags(result) -> str:
-    return ";".join(f"missing:{name}" for name in result.missing) or "-"
-
-
-def _print_tsv(results, term_count) -> None:
+def _print_tsv(ranking) -> None:
+    n, term_count = ranking.term_scores.shape
+    table = np.empty((n, term_count + 3), dtype=object)
+    table[:, 0] = ranking.record_index
+    table[:, 1] = ranking.score
+    table[:, 2:-1] = ranking.term_scores
+    table[:, -1] = "-"
+    flagged = np.flatnonzero(ranking.missing.any(axis=1))
+    table[flagged, -1] = [
+        ";".join(f"missing:{name}" for name in compress(ranking.variables, row))
+        for row in ranking.missing[flagged].tolist()
+    ]
     header = ["record_index", "eval"] + [f"s_{k + 1}" for k in range(term_count)] + ["flags"]
-    lines = ["\t".join(header)]
-    for r in results:
-        cells = [str(r.record_index), f"{r.score:.6f}"]
-        cells += [f"{s:.6f}" for s in r.term_scores]
-        cells.append(_flags(r))
-        lines.append("\t".join(cells))
-    sys.stdout.write("\n".join(lines) + "\n")
+    row = "%d\t%.6f" + "\t%.6f" * term_count + "\t%s"
+    # one % over the whole table, so no row gets a tuple or a list of cells
+    template = "\n".join(["\t".join(header)] + [row] * n) + "\n"
+    sys.stdout.write(template % tuple(table.ravel().tolist()))
 
 
-def _print_json(results, term_count) -> None:
-    doc = {
-        "format_version": 1,
-        "term_count": term_count,
-        "results": [
-            {
-                "record_index": r.record_index,
-                "position": r.position,
-                "eval": r.score,
-                "term_scores": list(r.term_scores),
-                "clipped": list(r.clipped),
-                "missing": list(r.missing),
-            }
-            for r in results
-        ],
-    }
+def _print_json(ranking) -> None:
+    rows = zip(ranking.record_index.tolist(), ranking.score.tolist(),
+               ranking.term_scores.tolist(), ranking.clipped.tolist(),
+               ranking.missing.tolist())
+    results = [
+        {"record_index": index, "position": position, "eval": score,
+         "term_scores": term_scores, "clipped": clipped,
+         "missing": list(compress(ranking.variables, missing))}
+        for position, (index, score, term_scores, clipped, missing) in enumerate(rows, 1)
+    ]
+    doc = {"format_version": 1, "term_count": ranking.term_scores.shape[1], "results": results}
     print(json.dumps(doc, ensure_ascii=False, indent=2))
 
 

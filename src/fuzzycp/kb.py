@@ -83,10 +83,14 @@ def ingest_tabular(source, has_header: bool = True, delimiter: str = ",") -> Dat
     ``source`` may be bytes, a string, or a (binary or text) file object.
     Attribute names come from the header row, or are synthesized as
     ``col0..colN-1`` when ``has_header`` is false.  Empty cells become NaN
-    (missing); any other cell that does not parse as a number is an error.
-    Rows go to numpy's C reader; rows it rejects or warns about (empty
-    cells, quotes, ragged or no rows) are parsed again one by one.
+    (missing); any other cell that does not parse as a number, like bytes
+    that are not UTF-8, is a ParseError.  ``delimiter`` is one character
+    other than a newline.  Rows go to numpy's C reader; rows it rejects or
+    warns about (empty cells, quotes, ragged or no rows) are parsed again
+    one by one.
     """
+    if len(delimiter) != 1 or delimiter in "\r\n":
+        raise ConfigError(f"delimiter must be one character, not a newline: {delimiter!r}")
     text = _as_text(source)
     stream = io.StringIO(text)
     first = next(filter(None, csv.reader(stream, delimiter=delimiter)), None)
@@ -132,15 +136,14 @@ def ingest_tabular(source, has_header: bool = True, delimiter: str = ",") -> Dat
 
 
 def _as_text(source) -> str:
-    if isinstance(source, bytes):
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    if isinstance(data, str):
+        return data.lstrip("\ufeff")
+    try:
         # utf-8-sig strips a byte-order mark, common in exported CSVs
-        return source.decode("utf-8-sig")
-    if isinstance(source, str):
-        return source.lstrip("﻿")
-    data = source.read()
-    if isinstance(data, bytes):
         return data.decode("utf-8-sig")
-    return data.lstrip("﻿")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -168,14 +171,6 @@ class ClusterModel:
             raise ConfigError(f"{self.attribute}: duplicate labels")
         if not 1.0 < self.fuzzifier < math.inf:
             raise ConfigError(f"{self.attribute}: fuzzifier must be finite and > 1")
-
-    def label_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ConfigError(
-                f"attribute {self.attribute!r} has no label {label!r}"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -206,10 +201,12 @@ def fuzzy_c_means(
     x = np.asarray(values, dtype=float).ravel()
     if c < 2:
         raise ConfigError("cluster count must be at least 2")
-    if m <= 1.0:
+    if not m > 1.0:
         raise ConfigError("fuzzifier must be > 1")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ConfigError("tol must be positive")
+    if max_iter < 1:
+        raise ConfigError("max_iter must be at least 1")
     if x.size and not np.all(np.isfinite(x)):
         raise ParseError("values contain non-finite entries")
     distinct = len(np.unique(x))

@@ -17,7 +17,8 @@ where U_k is the term's importance.  A record missing a bound attribute
 instead of failing.
 
 ``rank`` is columnar: it scores the whole dataset with one membership grid
-per query variable, accumulated into an n x T matrix of S_k.  ``project``
+per query variable, accumulated into an n x T matrix of S_k, and returns
+the rows it keeps as one ``Ranking`` of arrays, best first.  ``project``
 and ``evaluate`` score one record with plain loops; they are the oracles
 ``rank`` is tested against, bit for bit, not a second production path.
 """
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -53,14 +53,23 @@ class Evaluation:
     score: float  # max over k
 
 
-@dataclass
-class RankedResult:
-    record_index: int
-    term_scores: tuple[float, ...]
-    clipped: tuple[float, ...]
-    score: float
-    missing: tuple[str, ...]
-    position: int  # 1-based place in the full ranking
+@dataclass(frozen=True, eq=False)
+class Ranking:
+    """The rows ``rank`` returns, best first, as columns.
+
+    Row r is place r + 1 of the full ranking.  Column i of ``missing`` is
+    ``variables[i]``, true where the record has no value for it.
+    """
+
+    variables: tuple[str, ...]  # query variables, in declaration order
+    record_index: np.ndarray  # (n,)
+    score: np.ndarray  # (n,), max over k of clipped
+    term_scores: np.ndarray  # (n, T), S_k
+    clipped: np.ndarray  # (n, T), min(S_k, U_k)
+    missing: np.ndarray  # (n, V) bool
+
+    def __len__(self) -> int:
+        return len(self.record_index)
 
 
 def project(
@@ -152,13 +161,13 @@ def rank(
     query: WeightedQuery,
     dataset: Dataset,
     top_n: int | None = None,
-) -> list[RankedResult]:
+) -> Ranking:
     """Score every record and sort best-first; ties keep the input order.
 
     The query is checked against the knowledge base before any record is
     scored: a term label that is not a cluster of its bound attribute is a
-    BindingError.  ``top_n`` (at least 1) keeps the first ``top_n`` of the
-    full ranking, positions included.
+    BindingError.  ``top_n`` (at least 1) keeps the first ``top_n`` rows of
+    the full ranking.
     """
     if top_n is not None and top_n < 1:
         raise ConfigError(f"top_n must be at least 1, got {top_n}")
@@ -186,26 +195,9 @@ def rank(
     scores = clipped.max(axis=1)
 
     order = np.lexsort((np.arange(n), -scores))[:top_n]
-    rows = zip(
-        order.tolist(),
-        term_scores[order].tolist(),
-        clipped[order].tolist(),
-        scores[order].tolist(),
-        missing[order].tolist(),
+    return Ranking(
+        variables, order, scores[order], term_scores[order], clipped[order], missing[order]
     )
-    return [
-        RankedResult(
-            record_index=idx,
-            term_scores=tuple(row_scores),
-            clipped=tuple(row_clipped),
-            score=score,
-            missing=tuple(compress(variables, row_missing)),
-            position=position,
-        )
-        for position, (idx, row_scores, row_clipped, score, row_missing) in enumerate(
-            rows, start=1
-        )
-    ]
 
 
 def _label_table(kb: KnowledgeBase, query: WeightedQuery, variables) -> np.ndarray:

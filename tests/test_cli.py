@@ -438,14 +438,34 @@ def _string_labels_to_numbers(doc):
     model["labels"] = list(range(len(model["labels"])))
 
 
+def _on_table(command, *flags, content=None):
+    """``kb build`` or ``eval`` of a table file holding the bytes
+    ``content``, or of the bundled cars table."""
+
+    def argv(tmp_path, kb, query):
+        table = DATA_DIR / "cars.csv"
+        if content is not None:
+            table = tmp_path / "table.csv"
+            table.write_bytes(content)
+        if command == "kb":
+            return ["kb", "build", "--input", str(table),
+                    "--out", str(tmp_path / "out.json"), *flags]
+        return ["eval", "--kb", str(kb), "--query", str(query), "--data", str(table), *flags]
+
+    return argv
+
+
 def _replaced(document, content):
     """Evaluate with the knowledge base or compiled query replaced by a file
-    holding the JSON text ``content``, or for ``document="inspect"``
-    inspect that file."""
+    holding ``content`` (JSON text, or bytes), or for ``document="inspect"``
+    inspect that file; ``document="pref"`` compiles it as query text."""
 
     def argv(tmp_path, kb, query):
         path = tmp_path / "replaced.json"
-        path.write_text(content)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        if document == "pref":
+            return ["query", "compile", "--kb", str(kb), "--query", str(path),
+                    "--out", str(tmp_path / "out.json")]
         if document == "inspect":
             return ["inspect", str(path)]
         paths = {"kb": kb, "query": query, document: path}
@@ -521,6 +541,19 @@ BAD_INPUTS = {
     "kb-attribute-without-centroids": _eval_edited(
         lambda doc: doc["attributes"][0].pop("centroids"), document="kb"
     ),
+    "inspect-not-utf8": _replaced("inspect", b'{"format_version": 1, "x": "\xff"}'),
+    "kb-not-utf8": _replaced("kb", b'{"format_version": 2, "attributes": ["\xff"]}'),
+    "query-not-utf8": _replaced("query", b'{"format_version": 1, "x": "\xff"}'),
+    "pref-not-utf8": _replaced("pref", b"var cost: attr price { prefer \xff }\n"),
+    "kb-build-input-not-utf8": _on_table("kb", content=b"a,b\n1,\xff\n"),
+    "eval-data-not-utf8": _on_table("eval", content=b"price,km\n1,\xff\n"),
+    "kb-build-delimiter-empty": _kb_build("--delimiter", ""),
+    "kb-build-delimiter-two": _kb_build("--delimiter", ",,"),
+    "kb-build-delimiter-newline": _kb_build("--delimiter", "\n"),
+    "eval-delimiter-empty": _on_table("eval", "--delimiter", ""),
+    "eval-delimiter-newline": _on_table("eval", "--delimiter", "\n"),
+    "tol-nan": _kb_build("--tol", "nan"),
+    "max-iter-0": _kb_build("--max-iter", "0"),
 }
 
 # what stderr must say, where exit 2 alone does not tell the cases apart
@@ -544,6 +577,19 @@ BAD_INPUT_MESSAGES = {
     "kb-attribute-without-labels": "ConfigError: price: labels must be strings",
     "kb-attribute-without-name": "ConfigError: attribute 0: 'name' must be a string",
     "kb-attribute-without-centroids": "ConfigError: price: centroids and fuzzifier must be numbers",
+    "inspect-not-utf8": "fuzzycp: malformed document: 'utf-8' codec can't decode",
+    "kb-not-utf8": "fuzzycp: malformed document: 'utf-8' codec can't decode",
+    "query-not-utf8": "fuzzycp: malformed document: 'utf-8' codec can't decode",
+    "pref-not-utf8": "fuzzycp: malformed document: 'utf-8' codec can't decode",
+    "kb-build-input-not-utf8": "ParseError: input is not UTF-8 text",
+    "eval-data-not-utf8": "ParseError: input is not UTF-8 text",
+    "kb-build-delimiter-empty": "ConfigError: delimiter must be one character",
+    "kb-build-delimiter-two": "ConfigError: delimiter must be one character",
+    "kb-build-delimiter-newline": "ConfigError: delimiter must be one character",
+    "eval-delimiter-empty": "ConfigError: delimiter must be one character",
+    "eval-delimiter-newline": "ConfigError: delimiter must be one character",
+    "tol-nan": "ConfigError: tol must be positive",
+    "max-iter-0": "ConfigError: max_iter must be at least 1",
 }
 
 
@@ -559,6 +605,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, built_kb, compiled_query,
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("fuzzycp:")
+    assert proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert BAD_INPUT_MESSAGES.get(case, "") in proc.stderr
     assert proc.stdout == ""

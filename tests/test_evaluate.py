@@ -19,7 +19,7 @@ from fuzzycp import (
     project,
     rank,
 )
-from fuzzycp.scoring import DataProjection, RankedResult
+from fuzzycp.scoring import DataProjection, Ranking
 from helpers import kb_for_net, random_weighted_query
 from test_cpnet import chain_abc, single_node
 
@@ -231,7 +231,7 @@ def test_saturation_on_top_term_centroids():
         for name, value in top.assignment.items():
             attribute = query.bindings[name]
             model = kb.model(attribute)
-            record[attribute] = model.centroids[model.label_index(value)]
+            record[attribute] = model.centroids[model.labels.index(value)]
         importance = node_importance(query.net)
         out = evaluate(project(kb, query, record), query, importance)
         assert out.term_scores[0] == pytest.approx(1.0)
@@ -254,40 +254,41 @@ def ranked_fixture():
 def test_rank_single_record():
     _net, kb, query = ranked_fixture()
     ds = Dataset(["attr_x"], np.array([[0.0]]))
-    results = rank(kb, query, ds)
-    assert len(results) == 1
-    assert results[0].position == 1
-    assert results[0].record_index == 0
+    ranking = rank(kb, query, ds)
+    assert len(ranking) == 1
+    # row 0 is place 1
+    assert ranking.record_index.tolist() == [0]
 
 
 def test_rank_orders_descending():
     _net, kb, query = ranked_fixture()
     ds = Dataset(["attr_x"], np.array([[0.4], [0.0]]))
-    results = rank(kb, query, ds)
-    assert [r.record_index for r in results] == [1, 0]
-    assert results[0].score > results[1].score
+    ranking = rank(kb, query, ds)
+    assert ranking.record_index.tolist() == [1, 0]
+    assert ranking.score[0] > ranking.score[1]
 
 
 def test_rank_preserves_input_order_on_ties():
     _net, kb, query = ranked_fixture()
     ds = Dataset(["attr_x"], np.array([[0.3], [0.3], [0.3]]))
-    results = rank(kb, query, ds)
-    assert [r.record_index for r in results] == [0, 1, 2]
+    ranking = rank(kb, query, ds)
+    assert ranking.record_index.tolist() == [0, 1, 2]
 
 
 def test_rank_truncates_to_top_n():
     _net, kb, query = ranked_fixture()
     ds = Dataset(["attr_x"], np.array([[0.1], [0.2], [0.3], [0.4]]))
-    results = rank(kb, query, ds, top_n=2)
-    assert len(results) == 2
+    ranking = rank(kb, query, ds, top_n=2)
+    assert len(ranking) == 2
 
 
 def test_rank_flags_missing_attribute_column():
     _net, kb, query = ranked_fixture()
     ds = Dataset(["unrelated"], np.array([[1.0], [2.0]]))
-    results = rank(kb, query, ds)
-    assert all(r.missing == ("x",) for r in results)
-    assert all(r.score is not None for r in results)
+    ranking = rank(kb, query, ds)
+    assert ranking.variables == ("x",)
+    assert ranking.missing.tolist() == [[True], [True]]
+    assert not np.isnan(ranking.score).any()
 
 
 def test_rank_rejects_unknown_term_label():
@@ -343,23 +344,33 @@ def random_dataset(rng, kb, query, draw, n):
 def oracle_ranking(kb, query, dataset):
     """The full ranking from ``project`` and ``evaluate``, record by record."""
     importance = node_importance(query.net)
+    variables = tuple(v.name for v in query.net.nodes)
     scored = []
     for idx, row in enumerate(dataset.records):
         record = {a: float(v) for a, v in zip(dataset.attributes, row)}
         projection = project(kb, query, record, record_index=idx)
         scored.append((idx, evaluate(projection, query, importance), projection.missing))
     scored.sort(key=lambda item: (-item[1].score, item[0]))
-    return [
-        RankedResult(
-            record_index=idx,
-            term_scores=outcome.term_scores,
-            clipped=outcome.clipped,
-            score=outcome.score,
-            missing=missing,
-            position=position,
-        )
-        for position, (idx, outcome, missing) in enumerate(scored, start=1)
-    ]
+    shape = (len(scored), len(query.terms))
+    return Ranking(
+        variables=variables,
+        record_index=np.array([idx for idx, _, _ in scored], dtype=np.intp),
+        score=np.array([outcome.score for _, outcome, _ in scored]),
+        term_scores=np.array([o.term_scores for _, o, _ in scored]).reshape(shape),
+        clipped=np.array([o.clipped for _, o, _ in scored]).reshape(shape),
+        missing=np.array(
+            [[name in missing for name in variables] for _, _, missing in scored], dtype=bool
+        ).reshape(len(scored), len(variables)),
+    )
+
+
+def assert_same_ranking(ranking, expected, rows=None):
+    """Every column of ``ranking`` equals the first ``rows`` of ``expected``'s."""
+    assert ranking.variables == expected.variables
+    for column in ("record_index", "score", "term_scores", "clipped", "missing"):
+        got, want = getattr(ranking, column), getattr(expected, column)[:rows]
+        assert got.dtype == want.dtype, column
+        assert np.array_equal(got, want), column
 
 
 def test_rank_matches_project_and_evaluate():
@@ -371,9 +382,8 @@ def test_rank_matches_project_and_evaluate():
         n = 0 if trial % 20 == 0 else rng.randint(1, 40)
         dataset = random_dataset(rng, kb, query, draw, n)
         full = rank(kb, query, dataset)
-        assert full == oracle_ranking(kb, query, dataset)
+        assert_same_ranking(full, oracle_ranking(kb, query, dataset))
         top_n = rng.randint(1, len(full) + 2)
-        assert rank(kb, query, dataset, top_n=top_n) == full[:top_n]
+        assert_same_ranking(rank(kb, query, dataset, top_n=top_n), full, rows=top_n)
         compared += len(full)
     assert compared > 2000
-

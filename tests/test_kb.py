@@ -69,6 +69,18 @@ def test_ingest_alternate_delimiter():
     assert ds.attributes == ["a", "b"]
 
 
+@pytest.mark.parametrize("delimiter", ["", ",,", "\n", "\r"])
+def test_ingest_rejects_delimiter_not_one_character(delimiter):
+    with pytest.raises(ConfigError, match="delimiter"):
+        ingest_tabular("a,b\n1,2\n", delimiter=delimiter)
+
+
+@pytest.mark.parametrize("source", [b"a,b\n1,\xff\n", io.BytesIO(b"\xfe\n1\n")])
+def test_ingest_rejects_bytes_not_utf8(source):
+    with pytest.raises(ParseError, match="not UTF-8"):
+        ingest_tabular(source)
+
+
 def test_ingest_accepts_bytes_and_files():
     as_bytes = ingest_tabular(b"a\n1\n")
     as_file = ingest_tabular(io.BytesIO(b"a\n1\n"))
@@ -270,7 +282,16 @@ def test_fcm_rejects_non_finite():
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"c": 1}, {"c": 2, "m": 1.0}, {"c": 2, "tol": 0.0}]
+    "kwargs",
+    [
+        {"c": 1},
+        {"c": 2, "m": 1.0},
+        {"c": 2, "tol": 0.0},
+        {"c": 2, "tol": float("nan")},
+        {"c": 2, "max_iter": 0},
+        {"c": 2, "max_iter": -1},
+        {"c": 2, "m": float("nan")},
+    ],
 )
 def test_fcm_rejects_bad_parameters(kwargs):
     with pytest.raises(ConfigError):
