@@ -82,18 +82,23 @@ def ingest_tabular(source, has_header: bool = True, delimiter: str = ",") -> Dat
 
     ``source`` may be bytes, a string, or a (binary or text) file object.
     Attribute names come from the header row, or are synthesized as
-    ``col0..colN-1`` when ``has_header`` is false.  Empty cells become NaN
-    (missing); any other cell that does not parse as a number, like bytes
-    that are not UTF-8, is a ParseError.  ``delimiter`` is one character
-    other than a newline.  Rows go to numpy's C reader; rows it rejects or
-    warns about (empty cells, quotes, ragged or no rows) are parsed again
-    one by one.
+    ``col0..colN-1`` when ``has_header`` is false.  A row ends at ``\n``,
+    ``\r\n`` or a lone ``\r``; empty lines are skipped.  Empty and
+    whitespace-only cells become NaN (missing); any other cell that does
+    not parse as a number, like bytes that are not UTF-8, is a ParseError.
+    ``delimiter`` is one character other than a newline.
+
+    The rows go to numpy's C reader, and if it refuses them, to it again
+    with ``nan`` written into every empty cell.  A table it still refuses
+    or warns about (quotes, whitespace-only cells, ragged or no rows) is
+    read again from the original text by the ``csv`` row parser, which
+    locates a bad cell for the error.
     """
     if len(delimiter) != 1 or delimiter in "\r\n":
         raise ConfigError(f"delimiter must be one character, not a newline: {delimiter!r}")
     text = _as_text(source)
-    stream = io.StringIO(text)
-    first = next(filter(None, csv.reader(stream, delimiter=delimiter)), None)
+    stream = io.StringIO(text, newline="")
+    first = next(_csv_rows(stream, delimiter), None)
     if first is None:
         raise EmptyDatasetError("input contains no rows")
 
@@ -102,21 +107,19 @@ def ingest_tabular(source, has_header: bool = True, delimiter: str = ",") -> Dat
         duplicates = {a for a in attributes if attributes.count(a) > 1}
         if duplicates:
             raise ParseError(f"duplicate attribute names in header: {sorted(duplicates)}")
+        body = text[stream.tell():]
     else:
         attributes = [f"col{i}" for i in range(len(first))]
-        stream.seek(0)
-    width, body = len(attributes), stream.tell()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            parsed = np.loadtxt(stream, delimiter=delimiter, comments=None, ndmin=2)
-    except (ValueError, Warning):
-        parsed = None
+        body = text
+    width = len(attributes)
+    parsed = _c_reader(body, delimiter)
+    if parsed is None:
+        filled = _nan_for_empty_cells(body, delimiter)
+        parsed = _c_reader(filled, delimiter) if filled != body else None
     if parsed is not None and parsed.shape[1] == width:
         return Dataset(attributes, parsed)
 
-    stream.seek(body)
-    data_rows = [r for r in csv.reader(stream, delimiter=delimiter) if r]
+    data_rows = list(_csv_rows(io.StringIO(text, newline=""), delimiter))[int(has_header):]
     parsed = np.empty((len(data_rows), width), dtype=float)
     for i, row in enumerate(data_rows):
         if len(row) != width:
@@ -133,6 +136,53 @@ def ingest_tabular(source, has_header: bool = True, delimiter: str = ",") -> Dat
                     f"cannot parse {cell!r} as a number", line=i, column=j
                 ) from None
     return Dataset(attributes, parsed)
+
+
+def _csv_rows(stream, delimiter: str):
+    """The non-empty rows of ``stream``; a line ``csv`` refuses (a cell over
+    its field size limit) is a ParseError."""
+    reader = csv.reader(stream, delimiter=delimiter)
+    try:
+        yield from filter(None, reader)
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num} of the table: {exc}") from None
+
+
+def _c_reader(body: str, delimiter: str) -> np.ndarray | None:
+    """The rows of ``body`` by numpy's C reader, or None if it refuses or
+    warns about them."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(
+                io.StringIO(body, newline=""), delimiter=delimiter, comments=None, ndmin=2
+            )
+    except (ValueError, Warning):
+        return None
+
+
+def _nan_for_empty_cells(body: str, delimiter: str) -> str:
+    """``body`` with ``nan`` in every empty cell, for the C reader.
+
+    An empty cell lies between two delimiters, or between a delimiter and a
+    line end or an end of ``body``.  Runs of delimiters need the first
+    replacement twice.  Empty lines stay as they are: both readers skip
+    them.  Cells in quotes may be rewritten too, but the C reader refuses
+    a quote, and the row parser then reads the original text.
+    """
+    d = delimiter
+    if d == '"':  # csv reads two in a row as a quote, not as an empty cell
+        return body
+    pairs = [(d + d, d + "nan" + d)] * 2 + [(d + "\n", d + "nan\n"), ("\n" + d, "\nnan" + d)]
+    if "\r" in body:
+        pairs += [(d + "\r", d + "nan\r"), ("\r" + d, "\rnan" + d)]
+    for empty, filled in pairs:
+        body = body.replace(empty, filled)
+    if body.startswith(d):
+        body = "nan" + body
+    if body.endswith(d):
+        body += "nan"
+    return body
 
 
 def _as_text(source) -> str:
@@ -203,8 +253,8 @@ def fuzzy_c_means(
         raise ConfigError("cluster count must be at least 2")
     if not m > 1.0:
         raise ConfigError("fuzzifier must be > 1")
-    if not tol > 0.0:
-        raise ConfigError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError("tol must be positive and finite")
     if max_iter < 1:
         raise ConfigError("max_iter must be at least 1")
     if x.size and not np.all(np.isfinite(x)):
@@ -284,6 +334,8 @@ class KBConfig:
         override = self.per_attribute.get(attribute, AttributeConfig())
         c = override.clusters if override.clusters is not None else self.clusters
         labels = override.labels if override.labels is not None else self.labels
+        if c < 2:
+            raise ConfigError(f"{attribute}: cluster count must be at least 2, got {c}")
         if labels is None:
             labels = _DEFAULT_LABELS.get(c) or tuple(f"c{i}" for i in range(c))
         if len(labels) != c:
@@ -403,6 +455,8 @@ def build_knowledge_base(
     RNG stream from (seed, attribute position).
     """
     config = config or KBConfig()
+    if config.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {config.seed}")
     unknown = set(config.per_attribute) - set(dataset.attributes)
     if unknown:
         raise ConfigError(f"config references unknown attributes: {sorted(unknown)}")

@@ -139,10 +139,12 @@ def oracle_fcm(values, c, m=2.0, tol=1e-6, max_iter=200, seed=0):
 def reference_ingest(text, has_header=True, delimiter=","):
     """The row-by-row parser ``ingest_tabular`` used before its C-reader
     path, on text without a byte-order mark: (attributes, records), or the
-    error it raised, message included."""
+    error it raised, message included.  A lone CR ends a row, as ``csv``
+    reads it from a stream opened with ``newline=""``."""
     from fuzzycp import EmptyDatasetError, ParseError, ShapeError
 
-    rows = [r for r in csv.reader(io.StringIO(text), delimiter=delimiter) if r]
+    stream = io.StringIO(text, newline="")
+    rows = [r for r in csv.reader(stream, delimiter=delimiter) if r]
     if not rows:
         raise EmptyDatasetError("input contains no rows")
     if has_header:
@@ -164,6 +166,26 @@ def reference_ingest(text, has_header=True, delimiter=","):
             except ValueError:
                 raise ParseError(f"cannot parse {cell!r} as a number", line=i, column=j) from None
     return attributes, records
+
+
+def percent_tsv(ranking) -> str:
+    """The TSV ``eval`` writes for ``ranking``, by one ``%`` format over an
+    object table: the writer ``cli._print_tsv`` replaced."""
+    n, term_count = ranking.term_scores.shape
+    table = np.empty((n, term_count + 3), dtype=object)
+    table[:, 0] = ranking.record_index
+    table[:, 1] = ranking.score
+    table[:, 2:-1] = ranking.term_scores
+    table[:, -1] = "-"
+    flagged = np.flatnonzero(ranking.missing.any(axis=1))
+    table[flagged, -1] = [
+        ";".join(f"missing:{name}" for name in itertools.compress(ranking.variables, row))
+        for row in ranking.missing[flagged].tolist()
+    ]
+    header = ["record_index", "eval"] + [f"s_{k + 1}" for k in range(term_count)] + ["flags"]
+    row = "%d\t%.6f" + "\t%.6f" * term_count + "\t%s"
+    template = "\n".join(["\t".join(header)] + [row] * n) + "\n"
+    return template % tuple(table.ravel().tolist())
 
 
 def longest_path_importance(nodes, edges):

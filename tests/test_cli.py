@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,9 +18,11 @@ from fuzzycp import (
     build_knowledge_base,
     ingest_tabular,
 )
+from fuzzycp import cli
 from fuzzycp.cli import main
 from fuzzycp.cpnet import OUTCOME_CAP
-from helpers import child_env
+from fuzzycp.scoring import Ranking
+from helpers import child_env, percent_tsv
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
 # Written by the version 1 format with the README's ``kb build`` command
@@ -328,6 +331,59 @@ def test_eval_is_byte_deterministic(tmp_path, built_kb, compiled_query, capsys):
     assert outputs[0] == outputs[1]
 
 
+# scores where rint(x * 1e6) and %.6f may disagree, and where they meet
+TIES = [(k + 0.5) / 1e6 for k in (0, 1, 7812, 499999, 999998, 999999)]
+EDGES = [0.0, 1.0, 1 - 5e-7, 1 / 128, 3 / 256, 5e-324, 2.2250738585072014e-308, 5e-7]
+# scores no ranking holds, which the writer still formats as % does
+BEYOND = [-0.0, -1e-9, 1 + 1e-9, 2.5, 1e300, float("inf"), float("-inf"), float("nan")]
+INDEXES = [0, 9, 10, 999, 1000, 10**6]
+
+
+def _random_ranking(rng, n, term_count, specials):
+    """A Ranking of ``n`` rows whose cells are drawn from uniform scores,
+    exact halves and ``specials``, with several missing variables a row."""
+    variables = ("cost", "wear", "größe", "a;b")
+    scores = rng.random((n, term_count + 1))
+    pick = rng.random(scores.shape)
+    scores[pick < 0.4] = rng.choice(specials, size=int((pick < 0.4).sum()))
+    halves = (rng.integers(0, 10**6, size=scores.shape) + 0.5) / 1e6
+    scores[pick > 0.7] = halves[pick > 0.7]
+    index = rng.integers(0, 2 * 10**6, size=n)
+    index[: min(n, len(INDEXES))] = INDEXES[:n]
+    missing = rng.random((n, len(variables))) < 0.3
+    return Ranking(variables, index, scores[:, 0], scores[:, 1:], scores[:, 1:], missing)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tsv_writer_equals_the_percent_format(capsys, seed):
+    rng = np.random.default_rng(seed)
+    for n in (0, 1, 6, 50, 400):
+        for term_count in (1, 5):
+            specials = TIES + EDGES + (BEYOND if seed % 2 else [])
+            ranking = _random_ranking(rng, n, term_count, specials)
+            cli._print_tsv(ranking)
+            assert capsys.readouterr().out == percent_tsv(ranking), (n, term_count)
+
+
+def test_tsv_writer_needs_its_percent_cells(monkeypatch, capsys):
+    ranking = _random_ranking(np.random.default_rng(0), 400, 5, TIES + EDGES)
+    monkeypatch.setattr(cli, "_printf_cells", lambda x, scaled: np.zeros(x.shape, bool))
+    cli._print_tsv(ranking)
+    assert capsys.readouterr().out != percent_tsv(ranking)
+
+
+def test_kb_build_reads_carriage_return_line_ends(tmp_path):
+    outputs = []
+    for newline in (b"\n", b"\r", b"\r\n"):
+        table = tmp_path / "cars.csv"
+        table.write_bytes((DATA_DIR / "cars.csv").read_bytes().replace(b"\n", newline))
+        out = tmp_path / "kb.json"
+        # KB_ARGS with the input path (its item 3) replaced
+        assert main([*KB_ARGS[:3], str(table), *KB_ARGS[4:], "--out", str(out)]) == 0
+        outputs.append(json.loads(out.read_text())["attributes"])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 @pytest.mark.parametrize("flags, golden", [
     ([], "cars_eval.tsv"),
     (["--top", "5", "--format", "json"], "cars_eval_top5.json"),
@@ -554,6 +610,14 @@ BAD_INPUTS = {
     "eval-delimiter-newline": _on_table("eval", "--delimiter", "\n"),
     "tol-nan": _kb_build("--tol", "nan"),
     "max-iter-0": _kb_build("--max-iter", "0"),
+    "kb-build-bare-cr-splits-a-row": _on_table("kb", content=b"a,b\n1,2\n3\r4,5\n"),
+    "eval-bare-cr-splits-a-row": _on_table("eval", content=b"price,km\n1,2\n3\r4,5\n"),
+    "eval-cell-over-csv-field-limit": _on_table(
+        "eval", content=b"price,km\n1," + b"x" * 200_000 + b"\n"
+    ),
+    "seed-negative": _kb_build("--seed", "-1"),
+    "tol-inf": _kb_build("--tol", "inf"),
+    "clusters-negative": _kb_build("--clusters", "-3"),
 }
 
 # what stderr must say, where exit 2 alone does not tell the cases apart
@@ -590,6 +654,12 @@ BAD_INPUT_MESSAGES = {
     "eval-delimiter-newline": "ConfigError: delimiter must be one character",
     "tol-nan": "ConfigError: tol must be positive",
     "max-iter-0": "ConfigError: max_iter must be at least 1",
+    "kb-build-bare-cr-splits-a-row": "ShapeError: row 1: expected 2 cells, found 1",
+    "eval-bare-cr-splits-a-row": "ShapeError: row 1: expected 2 cells, found 1",
+    "eval-cell-over-csv-field-limit": "ParseError: line 2 of the table: field larger",
+    "seed-negative": "ConfigError: seed must be a non-negative integer, got -1",
+    "tol-inf": "ConfigError: tol must be positive and finite",
+    "clusters-negative": "ConfigError: price: cluster count must be at least 2, got -3",
 }
 
 

@@ -111,11 +111,13 @@ OTHER_CELLS = ["", "  ", "1_000", "#", "# 4", "x", '"9"', '"1,5"', "0x10", "١",
 
 
 def _random_table(rng):
-    """(text, has_header, delimiter) of a random table; about half of them
-    hold numbers only, so the C reader takes them whole."""
+    """(text, has_header, delimiter, holes) of a random table; about half of
+    them hold numbers only, so the C reader takes them whole, and most of
+    those also hold empty cells (``holes``), which it takes as ``nan``."""
     delimiter = rng.choice([",", ",", "\t", ";"])
     width = rng.randint(1, 4)
     clean = rng.random() < 0.5
+    holes = clean and rng.random() < 0.7
     lines = []
     if rng.random() < 0.7:
         names = [f"a{i}" for i in range(width)]
@@ -128,12 +130,15 @@ def _random_table(rng):
     for _ in range(rng.choice([0, 1, 2, 5, 20])):
         cells = NUMBER_CELLS if clean or rng.random() < 0.9 else OTHER_CELLS
         row_width = width if clean or rng.random() < 0.95 else rng.randint(1, width + 1)
-        lines.append(delimiter.join(rng.choice(cells) for _ in range(row_width)))
+        row = [rng.choice(cells) for _ in range(row_width)]
+        if holes:
+            row = ["" if rng.random() < 0.3 else cell for cell in row]
+        lines.append(delimiter.join(row))
         if not clean and rng.random() < 0.05:
             lines.append(rng.choice(["", " "]))
-    newline = rng.choice(["\n", "\r\n"])
+    newline = rng.choice(["\n", "\r\n", "\r"])
     text = newline.join(lines) + rng.choice([newline, ""])
-    return text, has_header, delimiter
+    return text, has_header, delimiter, holes
 
 
 def _outcome(parse):
@@ -151,13 +156,14 @@ def test_ingest_matches_the_row_parser_on_random_tables(monkeypatch, recwarn):
 
     def counting_loadtxt(*args, **kwargs):
         result = loadtxt(*args, **kwargs)
-        taken.append(result.shape)
+        taken.append(result)
         return result
 
     monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
     rng = random.Random(12)
+    taken_rows, read_holes = [], 0
     for _ in range(600):
-        text, has_header, delimiter = _random_table(rng)
+        text, has_header, delimiter, holes = _random_table(rng)
         source = rng.choice([text, ("\ufeff" + text).encode("utf-8"), text.encode("utf-8")])
 
         def fast():
@@ -165,9 +171,14 @@ def test_ingest_matches_the_row_parser_on_random_tables(monkeypatch, recwarn):
             return ds.attributes, ds.records
 
         expected = _outcome(lambda: reference_ingest(text, has_header, delimiter))
+        taken.clear()
         assert _outcome(fast) == expected, (text, has_header, delimiter)
-    # the C reader, not only the row parser, produced many of the datasets
-    assert sum(rows > 0 for rows, _ in taken) >= 150
+        read_holes += holes and bool(taken) and bool(np.isnan(taken[-1]).any())
+        taken_rows.append(len(taken[-1]) if taken else 0)
+    # the C reader, not only the row parser, produced many of the datasets,
+    # empty cells included
+    assert sum(rows > 0 for rows in taken_rows) >= 150
+    assert read_holes >= 100
     assert not recwarn.list  # a header without rows is no warning
 
 
@@ -192,6 +203,13 @@ def test_ingest_matches_the_row_parser_on_random_tables(monkeypatch, recwarn):
         ("a,b\n1,2\n  \n", True, ","),
         ("\n\na\n1\n\n2\n", True, ","),
         ("a\n1\r2\n", True, ","),
+        ("a,b\n1,2\n3\r4,5\n", True, ","),
+        ("a,b\r1,2\r,4\r", True, ","),
+        ("a,b\n1,", True, ","),
+        ("a;b\r\n;2\r\n1;\r\n", True, ";"),
+        ("a\tb\tc\n\t\t\n1\t\t3", True, "\t"),
+        (",,,\n1,,,2\n", False, ","),
+        ('a"b\n"1\n', True, '"'),
     ],
 )
 def test_ingest_matches_the_row_parser(text, has_header, delimiter, recwarn):
@@ -200,14 +218,48 @@ def test_ingest_matches_the_row_parser(text, has_header, delimiter, recwarn):
         return ds.attributes, ds.records
 
     plain = text.lstrip("\ufeff")
-    try:
-        expected = _outcome(lambda: reference_ingest(plain, has_header, delimiter))
-    except csv.Error:
-        with pytest.raises(csv.Error):
-            fast()
-        return
+    expected = _outcome(lambda: reference_ingest(plain, has_header, delimiter))
     assert _outcome(fast) == expected
     assert not recwarn.list
+
+
+@pytest.mark.parametrize(
+    "text, delimiter",
+    [
+        ("a,b\n1,", ","),
+        ("a,b\n1,2\n,4\n", ","),
+        (",2\n3,\n", ","),
+        ("a,b,c,d\n1,,,4\n", ","),
+        ("a,b\r1,\r,2\r", ","),
+        ("a;b\r\n;2\r\n1;\r\n", ";"),
+        ("a\tb\n\t2\n", "\t"),
+    ],
+)
+def test_ingest_reads_empty_cells_in_the_c_reader(monkeypatch, text, delimiter):
+    taken = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: taken.append(loadtxt(*a, **k)) or taken[-1])
+    has_header = text[0] == "a"
+    ds = ingest_tabular(text, has_header=has_header, delimiter=delimiter)
+    attributes, records = reference_ingest(text, has_header, delimiter)
+    assert (ds.attributes, ds.records.tobytes()) == (attributes, records.tobytes())
+    assert len(taken) == 1 and np.isnan(taken[0]).any()
+
+
+def test_ingest_ends_a_row_at_a_lone_carriage_return():
+    lf = ingest_tabular("a,b\n1,2\n,4\n")
+    for newline in ("\r", "\r\n"):
+        ds = ingest_tabular(f"a,b{newline}1,2{newline},4{newline}")
+        assert ds.attributes == lf.attributes
+        assert ds.records.tobytes() == lf.records.tobytes()
+    with pytest.raises(ShapeError) as info:
+        ingest_tabular("a,b\n1,2\n3\r4,5\n")
+    assert info.value.row == 1
+
+
+def test_ingest_cell_over_the_csv_field_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="line 2 of the table: field larger"):
+        ingest_tabular("a,b\n1," + "x" * (csv.field_size_limit() + 1) + "\n")
 
 
 # --- fuzzy c-means -----------------------------------------------------------
@@ -288,6 +340,7 @@ def test_fcm_rejects_non_finite():
         {"c": 2, "m": 1.0},
         {"c": 2, "tol": 0.0},
         {"c": 2, "tol": float("nan")},
+        {"c": 2, "tol": float("inf")},
         {"c": 2, "max_iter": 0},
         {"c": 2, "max_iter": -1},
         {"c": 2, "m": float("nan")},
@@ -410,6 +463,20 @@ def test_build_label_count_mismatch():
     cfg = KBConfig(clusters=2, labels=("a", "b", "c"))
     with pytest.raises(ConfigError):
         build_knowledge_base(ds, cfg)
+
+
+def test_build_checks_the_cluster_count_before_the_labels():
+    ds = ingest_tabular("size\n0\n1\n2\n")
+    with pytest.raises(ConfigError, match="size: cluster count must be at least 2, got -3"):
+        build_knowledge_base(ds, KBConfig(clusters=-3))
+    with pytest.raises(ConfigError, match="cluster count must be at least 2, got 1"):
+        build_knowledge_base(ds, KBConfig(clusters=1, labels=("low",)))
+
+
+def test_build_rejects_a_negative_seed():
+    ds = ingest_tabular("size\n0\n1\n2\n")
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        build_knowledge_base(ds, KBConfig(clusters=2, seed=-1))
 
 
 def test_build_rejects_missing_values():
