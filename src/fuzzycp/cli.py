@@ -10,6 +10,11 @@ JSON document so it can be inspected and rerun independently:
 
 Exit codes: 0 success, 1 usage error, 2 data error (parse, semantic,
 validation, binding), 3 I/O error.
+
+Each stage imports the layers it uses when it runs.  Only the two that
+read tables, ``kb build`` (``kb``) and ``eval`` (``kb`` and ``scoring``),
+load numpy; ``query compile`` and ``inspect`` work on documents alone
+(``kbdoc`` and ``query``).
 """
 
 from __future__ import annotations
@@ -19,14 +24,8 @@ import json
 import sys
 from itertools import compress
 
-import numpy as np
-
-from . import kb as kbmod
-from . import query as qmod
-from .cpnet import node_importance
+from . import kbdoc
 from .errors import ConfigError, FuzzycpError
-from .scoring import rank
-from .ucp import check_dominance
 
 OK, USAGE_ERROR, DATA_ERROR, IO_ERROR = 0, 1, 2, 3
 
@@ -56,12 +55,12 @@ def _build_parser() -> _ArgumentParser:
     build = kb_sub.add_parser("build", help="cluster a dataset into a fuzzy knowledge base")
     build.add_argument("--input", required=True, help="delimiter-separated data file")
     build.add_argument("--out", required=True, help="where to write the knowledge base")
-    build.add_argument("--clusters", type=int, default=kbmod.DEFAULT_CLUSTERS)
+    build.add_argument("--clusters", type=int, default=kbdoc.DEFAULT_CLUSTERS)
     build.add_argument("--labels", help="comma-separated labels, one per cluster")
-    build.add_argument("--fuzzifier", type=float, default=kbmod.DEFAULT_FUZZIFIER)
+    build.add_argument("--fuzzifier", type=float, default=kbdoc.DEFAULT_FUZZIFIER)
     build.add_argument("--seed", type=int, default=0)
-    build.add_argument("--tol", type=float, default=kbmod.DEFAULT_TOL)
-    build.add_argument("--max-iter", type=int, default=kbmod.DEFAULT_MAX_ITER)
+    build.add_argument("--tol", type=float, default=kbdoc.DEFAULT_TOL)
+    build.add_argument("--max-iter", type=int, default=kbdoc.DEFAULT_MAX_ITER)
     build.add_argument("--delimiter", default=",")
     build.add_argument("--no-header", action="store_true")
     build.add_argument(
@@ -123,7 +122,7 @@ def entry_point():
     raise SystemExit(main())
 
 
-def _parse_attr_overrides(specs) -> dict[str, kbmod.AttributeConfig]:
+def _parse_attr_overrides(specs) -> dict[str, kbdoc.AttributeConfig]:
     overrides = {}
     for spec in specs:
         parts = spec.split(":", 2)
@@ -133,16 +132,16 @@ def _parse_attr_overrides(specs) -> dict[str, kbmod.AttributeConfig]:
         except ValueError:
             raise ConfigError(f"--attr {spec!r}: cluster count is not an integer") from None
         labels = tuple(parts[2].split(",")) if len(parts) > 2 else None
-        overrides[name] = kbmod.AttributeConfig(clusters=clusters, labels=labels)
+        overrides[name] = kbdoc.AttributeConfig(clusters=clusters, labels=labels)
     return overrides
 
 
 def cmd_kb_build(args) -> int:
+    from .kb import build_knowledge_base, ingest_tabular
+
     with open(args.input, "rb") as f:
-        dataset = kbmod.ingest_tabular(
-            f, has_header=not args.no_header, delimiter=args.delimiter
-        )
-    config = kbmod.KBConfig(
+        dataset = ingest_tabular(f, has_header=not args.no_header, delimiter=args.delimiter)
+    config = kbdoc.KBConfig(
         clusters=args.clusters,
         labels=tuple(args.labels.split(",")) if args.labels else None,
         fuzzifier=args.fuzzifier,
@@ -151,7 +150,7 @@ def cmd_kb_build(args) -> int:
         seed=args.seed,
         per_attribute=_parse_attr_overrides(args.attr),
     )
-    kb = kbmod.build_knowledge_base(dataset, config, source=args.input)
+    kb = build_knowledge_base(dataset, config, source=args.input)
     kb.save(args.out)
     iterations = kb.provenance.get("iterations", {})
     for name, model in kb.models.items():
@@ -167,11 +166,13 @@ def cmd_kb_build(args) -> int:
 
 
 def cmd_query_compile(args) -> int:
-    kb = kbmod.KnowledgeBase.load(args.kb)
+    from .query import compile_query, save_query
+
+    kb = kbdoc.KnowledgeBase.load(args.kb)
     with open(args.query, encoding="utf-8") as f:
         text = f.read()
-    compiled = qmod.compile_query(text, kb, term_count=args.terms)
-    qmod.save_query(compiled, args.out)
+    compiled = compile_query(text, kb, term_count=args.terms)
+    save_query(compiled, args.out)
     print(
         f"compiled {len(compiled.terms)} terms over "
         f"{len(compiled.net.nodes)} variables",
@@ -181,125 +182,20 @@ def cmd_query_compile(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    kb = kbmod.KnowledgeBase.load(args.kb)
-    compiled = qmod.load_query(args.query)
+    from .kb import ingest_tabular
+    from .query import load_query
+    from .scoring import print_tsv, rank
+
+    kb = kbdoc.KnowledgeBase.load(args.kb)
+    compiled = load_query(args.query)
     with open(args.data, "rb") as f:
-        dataset = kbmod.ingest_tabular(
-            f, has_header=not args.no_header, delimiter=args.delimiter
-        )
+        dataset = ingest_tabular(f, has_header=not args.no_header, delimiter=args.delimiter)
     ranking = rank(kb, compiled, dataset, top_n=args.top)
     if args.format == "tsv":
-        _print_tsv(ranking)
+        print_tsv(ranking)
     else:
         _print_json(ranking)
     return OK
-
-
-# row k holds the digits of "%03d" % k
-_DIGIT_GROUPS = np.array([list(b"%03d" % k) for k in range(1000)], dtype=np.uint8)
-
-
-def _placed(groups: np.ndarray, at: int) -> np.ndarray:
-    """Each row of ``groups`` at byte ``at`` of an 8-byte cell, as the
-    little-endian uint64 the cell's bytes read as."""
-    cells = np.zeros((len(groups), 8), dtype=np.uint8)
-    cells[:, at : at + groups.shape[1]] = groups
-    return cells.view("<u8").ravel()
-
-
-# a "%.6f" cell "w.hhhlll" is _UNITS[w] | _THOUSANDTHS[hhh] | _MILLIONTHS[lll]
-_UNITS = _placed(np.array([list(b"0."), list(b"1.")], dtype=np.uint8), 0)
-_THOUSANDTHS = _placed(_DIGIT_GROUPS, 2)
-_MILLIONTHS = _placed(_DIGIT_GROUPS, 5)
-# fills the unused bytes of the TSV matrix: no UTF-8 text holds it, while a
-# variable name read from a document may hold a NUL
-_PAD = 0xFF
-
-
-def _print_tsv(ranking) -> None:
-    """Write the ranking as TSV, one line per row of a uint8 matrix.
-
-    Every cell has a fixed width, its unused bytes set to ``_PAD``; the
-    body is the matrix without them.  The bytes equal those of the
-    ``%d``/``%.6f``/``%s`` line format.
-    """
-    n, term_count = ranking.term_scores.shape
-    header = ["record_index", "eval"] + [f"s_{k + 1}" for k in range(term_count)] + ["flags"]
-    scores = _fixed6(np.column_stack([ranking.score, ranking.term_scores]))
-    tabs = np.full((n, term_count + 1, 1), ord("\t"), dtype=np.uint8)
-    flagged = np.flatnonzero(ranking.missing.any(axis=1))
-    names = _padded([
-        ";".join(f"missing:{name}" for name in compress(ranking.variables, row))
-        .encode("utf-8", "surrogatepass")
-        for row in ranking.missing[flagged].tolist()
-    ], width=1)
-    flags = np.full((n, names.shape[1]), _PAD, dtype=np.uint8)
-    flags[:, 0] = ord("-")
-    flags[flagged] = names
-    cells = np.concatenate([tabs, scores], axis=2)
-    matrix = np.concatenate([
-        _decimal(ranking.record_index),
-        cells.reshape(n, cells.shape[1] * cells.shape[2]),
-        tabs[:, 0],
-        flags,
-        np.full((n, 1), ord("\n"), dtype=np.uint8),
-    ], axis=1)
-    sys.stdout.write("\t".join(header) + "\n")
-    sys.stdout.write(matrix[matrix != _PAD].tobytes().decode("utf-8", "surrogatepass"))
-
-
-def _decimal(values: np.ndarray) -> np.ndarray:
-    """``b"%d" % v`` for every non-negative v, as rows padded in front."""
-    groups = -(-len(str(values.max(initial=0))) // 3)
-    digits = np.empty((len(values), groups, 3), dtype=np.uint8)
-    rest = values.astype(np.int64)
-    for g in reversed(range(groups)):
-        rest, group = np.divmod(rest, 1000)
-        digits[:, g] = _DIGIT_GROUPS.take(group, axis=0)
-    digits = digits.reshape(len(values), 3 * groups)
-    leading = np.logical_and.accumulate(digits == ord("0"), axis=1)
-    leading[:, -1] = False
-    digits[leading] = _PAD
-    return digits
-
-
-def _fixed6(x: np.ndarray) -> np.ndarray:
-    """``b"%.6f" % v`` for every v of ``x``, as byte rows padded behind:
-    shape ``x.shape + (width,)``.
-
-    k = rint(v·10^6) goes through the digit table as ``0.dddddd`` or
-    ``1.000000``.  ``%`` itself formats the cells ``_printf_cells`` picks.
-    """
-    with np.errstate(invalid="ignore"):
-        scaled = x * 1e6
-        printf = _printf_cells(x, scaled)
-    scaled[printf] = 0.0
-    units, fraction = np.divmod(np.rint(scaled).astype(np.int32), 10**6)
-    thousandths, millionths = np.divmod(fraction, 1000)
-    words = _UNITS.take(units) | _THOUSANDTHS.take(thousandths) | _MILLIONTHS.take(millionths)
-    cells = words.view(np.uint8).reshape(x.shape + (8,))
-    if printf.any():
-        texts = _padded([b"%.6f" % v for v in x[printf].tolist()], width=8)
-        cells = np.pad(cells, [(0, 0)] * x.ndim + [(0, texts.shape[1] - 8)], constant_values=_PAD)
-        cells[printf] = texts
-    return cells
-
-
-def _printf_cells(x: np.ndarray, scaled: np.ndarray) -> np.ndarray:
-    """Where rint(x·10^6) may differ from ``%.6f``, which rounds the exact
-    binary value: x·10^6 within 1e-6 of a half (exact ties such as 1/128
-    included), x above 1 or NaN, and a set sign bit (-0.0 included)."""
-    near_half = np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6
-    return near_half | ~(x <= 1.0) | np.signbit(x)
-
-
-def _padded(texts: list[bytes], width: int) -> np.ndarray:
-    """The byte strings as rows of one uint8 matrix, padded behind to the
-    longest of them or to ``width`` bytes."""
-    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
-    rows = np.full((len(texts), lengths.max(initial=width)), _PAD, dtype=np.uint8)
-    rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(texts), np.uint8)
-    return rows
 
 
 def _print_json(ranking) -> None:
@@ -314,6 +210,8 @@ def _print_json(ranking) -> None:
     ]
     doc = {"format_version": 1, "term_count": ranking.term_scores.shape[1], "results": results}
     print(json.dumps(doc, ensure_ascii=False, indent=2))
+
+
 
 
 def cmd_inspect(args) -> int:
@@ -331,7 +229,7 @@ def cmd_inspect(args) -> int:
 
 
 def _inspect_kb(doc) -> None:
-    kb = kbmod.KnowledgeBase.from_document(doc)
+    kb = kbdoc.KnowledgeBase.from_document(doc)
     prov = kb.provenance
     print(f"knowledge base (source: {prov.get('source')}, seed: {prov.get('seed')})")
     print(f"records: {prov.get('records', '?')}")
@@ -343,7 +241,11 @@ def _inspect_kb(doc) -> None:
 
 
 def _inspect_query(doc) -> None:
-    compiled = qmod.query_from_document(doc)
+    from .cpnet import node_importance
+    from .query import query_from_document
+    from .ucp import check_dominance
+
+    compiled = query_from_document(doc)
     net, ucp = compiled.net, compiled.ucp
     print(f"compiled query over {len(net.nodes)} variables")
     for node in net.nodes:

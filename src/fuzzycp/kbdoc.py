@@ -1,0 +1,200 @@
+"""The knowledge-base document, and the settings it is built with.
+
+A knowledge base is one cluster model (centroids, labels, fuzzifier) per
+attribute, plus how it was built.  This module reads, checks and writes
+that document without numpy, so ``query compile`` and ``inspect`` never
+load it; the numeric half (ingest, fuzzy c-means, the membership kernel)
+is ``kb``, which ``membership_grid`` imports when it is called.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, field
+
+from .errors import ConfigError, DegenerateDataError, ParseError
+
+DEFAULT_CLUSTERS = 3
+DEFAULT_FUZZIFIER = 2.0
+DEFAULT_TOL = 1e-6
+DEFAULT_MAX_ITER = 200
+
+# Labels attached to clusters when the caller gives none, per cluster count.
+_DEFAULT_LABELS = {
+    2: ("low", "high"),
+    3: ("low", "medium", "high"),
+}
+
+
+def default_labels(c: int) -> tuple[str, ...]:
+    """The labels of ``c`` clusters when the caller gives none."""
+    return _DEFAULT_LABELS.get(c) or tuple(f"c{i}" for i in range(c))
+
+
+@dataclass(frozen=True)
+class ClusterModel:
+    """Fuzzy segmentation of one attribute: centroids with linguistic labels."""
+
+    attribute: str
+    centroids: tuple[float, ...]  # strictly ascending
+    labels: tuple[str, ...]
+    fuzzifier: float
+
+    def __post_init__(self):
+        if len(self.centroids) != len(self.labels):
+            raise ConfigError(
+                f"{self.attribute}: {len(self.labels)} labels for "
+                f"{len(self.centroids)} centroids"
+            )
+        if not all(map(math.isfinite, self.centroids)):
+            raise ConfigError(f"{self.attribute}: centroids must be finite")
+        if any(b <= a for a, b in zip(self.centroids, self.centroids[1:])):
+            raise DegenerateDataError(
+                f"{self.attribute}: centroids are not strictly ascending"
+            )
+        if len(set(self.labels)) != len(self.labels):
+            raise ConfigError(f"{self.attribute}: duplicate labels")
+        if not 1.0 < self.fuzzifier < math.inf:
+            raise ConfigError(f"{self.attribute}: fuzzifier must be finite and > 1")
+
+
+@dataclass(frozen=True)
+class AttributeConfig:
+    """Per-attribute overrides for the knowledge-base build."""
+
+    clusters: int | None = None
+    labels: tuple[str, ...] | None = None
+
+
+@dataclass(frozen=True)
+class KBConfig:
+    clusters: int = DEFAULT_CLUSTERS
+    labels: tuple[str, ...] | None = None
+    fuzzifier: float = DEFAULT_FUZZIFIER
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
+    seed: int = 0
+    per_attribute: dict[str, AttributeConfig] = field(default_factory=dict)
+
+    def resolve(self, attribute: str) -> tuple[int, tuple[str, ...] | None]:
+        """The attribute's cluster count and configured labels, checked
+        against each other.  None stands for ``default_labels(c)``, which
+        are built only once the data has c distinct values: their cost
+        grows with the count."""
+        override = self.per_attribute.get(attribute, AttributeConfig())
+        c = override.clusters if override.clusters is not None else self.clusters
+        labels = override.labels if override.labels is not None else self.labels
+        if c < 2:
+            raise ConfigError(f"{attribute}: cluster count must be at least 2, got {c}")
+        if labels is not None and len(labels) != c:
+            raise ConfigError(
+                f"{attribute}: {len(labels)} labels configured for {c} clusters"
+            )
+        return c, None if labels is None else tuple(labels)
+
+
+@dataclass
+class KnowledgeBase:
+    """One ClusterModel per dataset attribute, plus how they were built."""
+
+    models: dict[str, ClusterModel]
+    provenance: dict
+    unconverged: tuple[str, ...] = ()  # attributes FCM left at max_iter; not in the document
+
+    def model(self, attribute: str) -> ClusterModel:
+        try:
+            return self.models[attribute]
+        except KeyError:
+            raise ConfigError(f"unknown attribute {attribute!r}") from None
+
+    def membership_of(self, attribute: str, value: float):
+        """Membership vector of a single (possibly unseen) ``value`` under the
+        attribute's cluster model."""
+        self.model(attribute)  # an unknown attribute fails before a bad value
+        if not math.isfinite(value):
+            raise ParseError(f"cannot compute memberships for non-finite value {value!r}")
+        return self.membership_grid(attribute, [value])[0]
+
+    def membership_grid(self, attribute: str, values):
+        """Membership rows of a whole column under the attribute's model, as
+        a numpy array.
+
+        Row r equals ``membership_of(attribute, values[r])``; a missing or
+        non-finite value belongs to no cluster (a row of zeros).
+        """
+        import numpy as np
+
+        from .kb import _membership_grid
+
+        model = self.model(attribute)
+        values = np.asarray(values, dtype=float)
+        grid = np.zeros((len(model.centroids), values.size))
+        finite = np.isfinite(values)
+        grid[:, finite] = _membership_grid(
+            values[finite], np.asarray(model.centroids), model.fuzzifier
+        )
+        return grid.T
+
+    def to_document(self) -> dict:
+        attributes = []
+        for name, model in self.models.items():
+            attributes.append(
+                {
+                    "name": name,
+                    "labels": list(model.labels),
+                    "centroids": list(model.centroids),
+                    "fuzzifier": model.fuzzifier,
+                }
+            )
+        return {
+            "format_version": 2,
+            "attributes": attributes,
+            "provenance": self.provenance,
+        }
+
+    @classmethod
+    def from_document(cls, doc: dict) -> "KnowledgeBase":
+        """Read a version 2 document, or a version 1 one, whose per-record
+        membership rows are ignored: the centroids determine them.  An
+        entry of the wrong shape is a ConfigError that names it."""
+        if not isinstance(doc, dict) or doc.get("format_version") not in (1, 2):
+            raise ConfigError("not a knowledge-base document of version 1 or 2")
+        entries = doc.get("attributes")
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ConfigError("'attributes' must be a list of objects")
+        provenance = doc.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise ConfigError("'provenance' must be an object")
+        models = {}
+        for i, attr in enumerate(entries):
+            name = attr.get("name")
+            if not isinstance(name, str):
+                raise ConfigError(f"attribute {i}: 'name' must be a string")
+            labels = attr.get("labels")
+            if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
+                raise ConfigError(f"{name}: labels must be strings")
+            try:
+                centroids = tuple(float(v) for v in attr.get("centroids"))
+                fuzzifier = float(attr.get("fuzzifier"))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name}: centroids and fuzzifier must be numbers") from None
+            models[name] = ClusterModel(
+                attribute=name,
+                centroids=centroids,
+                labels=tuple(labels),
+                fuzzifier=fuzzifier,
+            )
+        return cls(models=models, provenance=dict(provenance))
+
+    def dump(self) -> str:
+        return json.dumps(self.to_document(), ensure_ascii=False, indent=2) + "\n"
+
+    def save(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(self.dump())
+
+    @classmethod
+    def load(cls, path) -> "KnowledgeBase":
+        with open(path, encoding="utf-8") as f:
+            return cls.from_document(json.load(f))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .cpnet import OUTCOME_CAP, CPNet, PreferenceVariable, node_importance, topological_order
 from .dsl import QuerySpec, format_query, parse_query
 from .errors import BindingError, CapacityError, ConfigError, DegenerateUtilityError
-from .kb import KnowledgeBase
+from .kbdoc import KnowledgeBase
 from .ucp import UCPNet, assign_utilities
 
 

@@ -21,18 +21,23 @@ per query variable, accumulated into an n x T matrix of S_k, and returns
 the rows it keeps as one ``Ranking`` of arrays, best first.  ``project``
 and ``evaluate`` score one record with plain loops; they are the oracles
 ``rank`` is tested against, bit for bit, not a second production path.
+``print_tsv`` writes a ``Ranking`` as the ``eval`` TSV straight from its
+arrays.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .cpnet import node_importance
 from .errors import BindingError, ConfigError, DegenerateQueryError
-from .kb import Dataset, KnowledgeBase
+from .kb import Dataset
+from .kbdoc import KnowledgeBase
 from .query import WeightedQuery
 
 
@@ -226,3 +231,110 @@ def _label_table(kb: KnowledgeBase, query: WeightedQuery, variables) -> np.ndarr
                 )
             table[k, i] = labels.index(wanted)
     return table
+
+
+# row k holds the digits of "%03d" % k
+_DIGIT_GROUPS = np.array([list(b"%03d" % k) for k in range(1000)], dtype=np.uint8)
+
+
+def _placed(groups: np.ndarray, at: int) -> np.ndarray:
+    """Each row of ``groups`` at byte ``at`` of an 8-byte cell, as the
+    little-endian uint64 the cell's bytes read as."""
+    cells = np.zeros((len(groups), 8), dtype=np.uint8)
+    cells[:, at : at + groups.shape[1]] = groups
+    return cells.view("<u8").ravel()
+
+
+# a "%.6f" cell "w.hhhlll" is _UNITS[w] | _THOUSANDTHS[hhh] | _MILLIONTHS[lll]
+_UNITS = _placed(np.array([list(b"0."), list(b"1.")], dtype=np.uint8), 0)
+_THOUSANDTHS = _placed(_DIGIT_GROUPS, 2)
+_MILLIONTHS = _placed(_DIGIT_GROUPS, 5)
+# fills the unused bytes of the TSV matrix: no UTF-8 text holds it, while a
+# variable name read from a document may hold a NUL
+_PAD = 0xFF
+
+
+def print_tsv(ranking: Ranking) -> None:
+    """Write the ranking to stdout as TSV, one line per row of a uint8 matrix.
+
+    Every cell has a fixed width, its unused bytes set to ``_PAD``; the
+    body is the matrix without them.  The bytes equal those of the
+    ``%d``/``%.6f``/``%s`` line format.
+    """
+    n, term_count = ranking.term_scores.shape
+    header = ["record_index", "eval"] + [f"s_{k + 1}" for k in range(term_count)] + ["flags"]
+    scores = _fixed6(np.column_stack([ranking.score, ranking.term_scores]))
+    tabs = np.full((n, term_count + 1, 1), ord("\t"), dtype=np.uint8)
+    flagged = np.flatnonzero(ranking.missing.any(axis=1))
+    names = _padded([
+        ";".join(f"missing:{name}" for name in compress(ranking.variables, row))
+        .encode("utf-8", "surrogatepass")
+        for row in ranking.missing[flagged].tolist()
+    ], width=1)
+    flags = np.full((n, names.shape[1]), _PAD, dtype=np.uint8)
+    flags[:, 0] = ord("-")
+    flags[flagged] = names
+    cells = np.concatenate([tabs, scores], axis=2)
+    matrix = np.concatenate([
+        _decimal(ranking.record_index),
+        cells.reshape(n, cells.shape[1] * cells.shape[2]),
+        tabs[:, 0],
+        flags,
+        np.full((n, 1), ord("\n"), dtype=np.uint8),
+    ], axis=1)
+    sys.stdout.write("\t".join(header) + "\n")
+    sys.stdout.write(matrix[matrix != _PAD].tobytes().decode("utf-8", "surrogatepass"))
+
+
+def _decimal(values: np.ndarray) -> np.ndarray:
+    """``b"%d" % v`` for every non-negative v, as rows padded in front."""
+    groups = -(-len(str(values.max(initial=0))) // 3)
+    digits = np.empty((len(values), groups, 3), dtype=np.uint8)
+    rest = values.astype(np.int64)
+    for g in reversed(range(groups)):
+        rest, group = np.divmod(rest, 1000)
+        digits[:, g] = _DIGIT_GROUPS.take(group, axis=0)
+    digits = digits.reshape(len(values), 3 * groups)
+    leading = np.logical_and.accumulate(digits == ord("0"), axis=1)
+    leading[:, -1] = False
+    digits[leading] = _PAD
+    return digits
+
+
+def _fixed6(x: np.ndarray) -> np.ndarray:
+    """``b"%.6f" % v`` for every v of ``x``, as byte rows padded behind:
+    shape ``x.shape + (width,)``.
+
+    k = rint(v·10^6) goes through the digit table as ``0.dddddd`` or
+    ``1.000000``.  ``%`` itself formats the cells ``_printf_cells`` picks.
+    """
+    with np.errstate(invalid="ignore"):
+        scaled = x * 1e6
+        printf = _printf_cells(x, scaled)
+    scaled[printf] = 0.0
+    units, fraction = np.divmod(np.rint(scaled).astype(np.int32), 10**6)
+    thousandths, millionths = np.divmod(fraction, 1000)
+    words = _UNITS.take(units) | _THOUSANDTHS.take(thousandths) | _MILLIONTHS.take(millionths)
+    cells = words.view(np.uint8).reshape(x.shape + (8,))
+    if printf.any():
+        texts = _padded([b"%.6f" % v for v in x[printf].tolist()], width=8)
+        cells = np.pad(cells, [(0, 0)] * x.ndim + [(0, texts.shape[1] - 8)], constant_values=_PAD)
+        cells[printf] = texts
+    return cells
+
+
+def _printf_cells(x: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """Where rint(x·10^6) may differ from ``%.6f``, which rounds the exact
+    binary value: x·10^6 within 1e-6 of a half (exact ties such as 1/128
+    included), x above 1 or NaN, and a set sign bit (-0.0 included)."""
+    near_half = np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6
+    return near_half | ~(x <= 1.0) | np.signbit(x)
+
+
+def _padded(texts: list[bytes], width: int) -> np.ndarray:
+    """The byte strings as rows of one uint8 matrix, padded behind to the
+    longest of them or to ``width`` bytes."""
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    rows = np.full((len(texts), lengths.max(initial=width)), _PAD, dtype=np.uint8)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(texts), np.uint8)
+    return rows

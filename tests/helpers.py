@@ -170,7 +170,7 @@ def reference_ingest(text, has_header=True, delimiter=","):
 
 def percent_tsv(ranking) -> str:
     """The TSV ``eval`` writes for ``ranking``, by one ``%`` format over an
-    object table: the writer ``cli._print_tsv`` replaced."""
+    object table: the writer ``scoring.print_tsv`` replaced."""
     n, term_count = ranking.term_scores.shape
     table = np.empty((n, term_count + 3), dtype=object)
     table[:, 0] = ranking.record_index

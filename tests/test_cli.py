@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from fuzzycp import (
     build_knowledge_base,
     ingest_tabular,
 )
-from fuzzycp import cli
+from fuzzycp import scoring
 from fuzzycp.cli import main
 from fuzzycp.cpnet import OUTCOME_CAP
 from fuzzycp.scoring import Ranking
@@ -361,14 +362,14 @@ def test_tsv_writer_equals_the_percent_format(capsys, seed):
         for term_count in (1, 5):
             specials = TIES + EDGES + (BEYOND if seed % 2 else [])
             ranking = _random_ranking(rng, n, term_count, specials)
-            cli._print_tsv(ranking)
+            scoring.print_tsv(ranking)
             assert capsys.readouterr().out == percent_tsv(ranking), (n, term_count)
 
 
 def test_tsv_writer_needs_its_percent_cells(monkeypatch, capsys):
     ranking = _random_ranking(np.random.default_rng(0), 400, 5, TIES + EDGES)
-    monkeypatch.setattr(cli, "_printf_cells", lambda x, scaled: np.zeros(x.shape, bool))
-    cli._print_tsv(ranking)
+    monkeypatch.setattr(scoring, "_printf_cells", lambda x, scaled: np.zeros(x.shape, bool))
+    scoring.print_tsv(ranking)
     assert capsys.readouterr().out != percent_tsv(ranking)
 
 
@@ -618,6 +619,7 @@ BAD_INPUTS = {
     "seed-negative": _kb_build("--seed", "-1"),
     "tol-inf": _kb_build("--tol", "inf"),
     "clusters-negative": _kb_build("--clusters", "-3"),
+    "fuzzifier-huge": _kb_build("--fuzzifier", "1e308"),
 }
 
 # what stderr must say, where exit 2 alone does not tell the cases apart
@@ -660,6 +662,7 @@ BAD_INPUT_MESSAGES = {
     "seed-negative": "ConfigError: seed must be a non-negative integer, got -1",
     "tol-inf": "ConfigError: tol must be positive and finite",
     "clusters-negative": "ConfigError: price: cluster count must be at least 2, got -3",
+    "fuzzifier-huge": "ConfigError: fuzzifier 1e+308 is too large",
 }
 
 
@@ -679,6 +682,49 @@ def test_bad_input_exits_2_without_traceback(tmp_path, built_kb, compiled_query,
     assert "Traceback" not in proc.stderr
     assert BAD_INPUT_MESSAGES.get(case, "") in proc.stderr
     assert proc.stdout == ""
+
+
+# --- numeric flags -----------------------------------------------------------
+
+# the largest magnitude each flag is tried at; no cluster count above 10^6
+HUGE = {
+    "--clusters": "1000000",
+    "--fuzzifier": "1e308",
+    "--tol": "1e308",
+    "--max-iter": str(10**30),
+    "--seed": str(10**30),
+    "--terms": str(10**30),
+    "--top": str(10**30),
+}
+
+
+def _with_flag(flag, value, tmp_path, kb, query):
+    """The stage that takes ``flag``, with only that flag off its default;
+    ``flag=value`` keeps argparse from reading ``-inf`` as an option."""
+    option = f"{flag}={value}"
+    if flag == "--terms":
+        return ["query", "compile", "--kb", str(kb), "--query", str(DATA_DIR / "cars.pref"),
+                "--out", str(tmp_path / "out.json"), option]
+    if flag == "--top":
+        return ["eval", "--kb", str(kb), "--query", str(query),
+                "--data", str(DATA_DIR / "cars.csv"), option]
+    return _kb_build(option)(tmp_path, kb, query)
+
+
+@pytest.mark.parametrize("flag", list(HUGE))
+def test_no_numeric_flag_value_ends_in_a_traceback(tmp_path, built_kb, compiled_query, flag):
+    for value in ("-1", "-" + HUGE[flag], "0", "nan", "inf", "-inf", HUGE[flag]):
+        argv = _with_flag(flag, value, tmp_path, built_kb, compiled_query)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        stderr = err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+        assert code in (0, 1, 2), (value, code, stderr)
+        assert "Traceback" not in stderr and not caught, (value, stderr)
+        if code == 2:
+            assert stderr.startswith("fuzzycp:") and stderr.count("\n") == 1, (value, stderr)
 
 
 # --- edited documents --------------------------------------------------------

@@ -1,0 +1,86 @@
+"""The package and the document-only CLI stages load without numpy, and
+every public name resolves to the object its home module defines."""
+
+import contextlib
+import io
+import subprocess
+import sys
+
+import pytest
+
+import fuzzycp
+from fuzzycp.cli import main
+from helpers import child_env
+from test_cli import DATA_DIR, KB_ARGS
+
+# the names the package exported when it imported every module eagerly
+PUBLIC = {
+    "AssignmentError", "AttributeConfig", "BindingError", "CPNet", "CapacityError",
+    "ClusterModel", "ConfigError", "DataProjection", "Dataset", "DegenerateDataError",
+    "DegenerateQueryError", "DegenerateUtilityError", "EmptyDatasetError", "Evaluation",
+    "FcmResult", "FuzzycpError", "KBConfig", "KnowledgeBase", "ParseError",
+    "PreferenceVariable", "QuerySpec", "Ranking", "SemanticError", "ShapeError", "Term",
+    "UCPNet", "ValidationError", "Violation", "WeightedQuery", "aggregate_term_score",
+    "assign_utilities", "build_knowledge_base", "check_dominance", "compile_query",
+    "enumerate_outcomes", "evaluate", "format_query", "fuzzy_c_means", "ingest_tabular",
+    "load_query", "node_importance", "outcome_utility", "parse_query", "project",
+    "query_from_document", "query_to_document", "rank", "rewrite_query", "save_query",
+    "spans", "term_importance", "topological_order", "validate_cpnet",
+}
+
+
+def _loads_numpy(code: str) -> bool:
+    """Whether a fresh interpreter has numpy loaded after running ``code``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=child_env(), check=True,
+    )
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """Paths of a built knowledge base and a query compiled against it."""
+    directory = tmp_path_factory.mktemp("documents")
+    kb, query = directory / "kb.json", directory / "q.json"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(KB_ARGS + ["--out", str(kb)]) == 0
+        assert main(["query", "compile", "--kb", str(kb),
+                     "--query", str(DATA_DIR / "cars.pref"), "--out", str(query)]) == 0
+    return kb, query
+
+
+@pytest.mark.parametrize("stage", ["import", "query compile", "inspect kb", "inspect query"])
+def test_document_stages_leave_numpy_unloaded(tmp_path, documents, stage):
+    kb, query = documents
+    argv = {
+        "import": None,
+        "query compile": ["query", "compile", "--kb", str(kb),
+                          "--query", str(DATA_DIR / "cars.pref"),
+                          "--out", str(tmp_path / "out.json")],
+        "inspect kb": ["inspect", str(kb)],
+        "inspect query": ["inspect", str(query)],
+    }[stage]
+    code = "import fuzzycp"
+    if argv is not None:
+        code = f"from fuzzycp.cli import main\nassert main({argv!r}) == 0"
+    assert not _loads_numpy(code)
+
+
+def test_table_stages_load_numpy(tmp_path):
+    argv = KB_ARGS + ["--out", str(tmp_path / "kb.json")]
+    assert _loads_numpy(f"from fuzzycp.cli import main\nassert main({argv!r}) == 0")
+
+
+def test_every_public_name_resolves_to_its_home_object():
+    assert set(fuzzycp.__all__) == PUBLIC
+    listed = dir(fuzzycp)
+    for name in fuzzycp.__all__:
+        value = getattr(fuzzycp, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+        assert name in listed
+    namespace = {}
+    exec("from fuzzycp import *", namespace)
+    assert PUBLIC <= set(namespace)
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        fuzzycp.nonexistent

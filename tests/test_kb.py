@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from helpers import (
     reference_fcm,
     reference_ingest,
 )
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 # --- ingestion ---------------------------------------------------------------
@@ -344,6 +348,8 @@ def test_fcm_rejects_non_finite():
         {"c": 2, "max_iter": 0},
         {"c": 2, "max_iter": -1},
         {"c": 2, "m": float("nan")},
+        {"c": 2, "m": float("inf")},
+        {"c": 2, "m": 1e308},
     ],
 )
 def test_fcm_rejects_bad_parameters(kwargs):
@@ -471,6 +477,23 @@ def test_build_checks_the_cluster_count_before_the_labels():
         build_knowledge_base(ds, KBConfig(clusters=-3))
     with pytest.raises(ConfigError, match="cluster count must be at least 2, got 1"):
         build_knowledge_base(ds, KBConfig(clusters=1, labels=("low",)))
+
+
+def test_build_refuses_more_clusters_than_values_before_any_label():
+    # the default labels c0..c{c-1} would cost memory growing with the count
+    ds = ingest_tabular((DATA_DIR / "cars.csv").read_bytes())
+    config = KBConfig(clusters=10**6)
+    message = "^need at least 1000000 distinct values, found 20$"
+    with pytest.raises(DegenerateDataError, match=message):
+        build_knowledge_base(ds, config)  # imports what numpy loads on first use
+    tracemalloc.start()
+    try:
+        with pytest.raises(DegenerateDataError, match=message):
+            build_knowledge_base(ds, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_build_rejects_a_negative_seed():
