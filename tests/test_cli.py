@@ -29,6 +29,12 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
 # Written by the version 1 format with the README's ``kb build`` command
 # (the KB_ARGS below, run from the repository root).
 V1_KB = Path(__file__).resolve().parent / "data" / "cars_kb_v1.json"
+# The same knowledge base in the version 2 format, kept fixed so that tests
+# which print or compare exact centroids do not follow the last bits of
+# fuzzy c-means; a fresh build must stay within CENTROID_TOL of it.
+CARS_KB = Path(__file__).resolve().parent / "data" / "cars_kb.json"
+# fresh centroids may differ from fixed ones by this much times max |value|
+CENTROID_TOL = 1e-12
 # ``eval`` output of the bundled cars, against the KB_ARGS knowledge base
 # and the query compiled from cars.pref with default options
 GOLDEN = Path(__file__).resolve().parent / "data"
@@ -49,17 +55,33 @@ def built_kb(tmp_path):
     return out
 
 
-@pytest.fixture
-def compiled_query(tmp_path, built_kb):
-    out = tmp_path / "q.json"
+def _compile(kb: Path, out: Path) -> Path:
     code = main([
         "query", "compile",
-        "--kb", str(built_kb),
+        "--kb", str(kb),
         "--query", str(DATA_DIR / "cars.pref"),
         "--out", str(out),
     ])
     assert code == 0
     return out
+
+
+@pytest.fixture
+def compiled_query(tmp_path, built_kb):
+    return _compile(built_kb, tmp_path / "q.json")
+
+
+def test_fresh_kb_build_matches_the_fixed_kb(built_kb):
+    fresh, fixed = json.loads(built_kb.read_text()), json.loads(CARS_KB.read_text())
+    dataset = ingest_tabular((DATA_DIR / "cars.csv").read_bytes())
+    assert len(fresh["attributes"]) == len(fixed["attributes"])
+    for ours, theirs in zip(fresh["attributes"], fixed["attributes"]):
+        scale = np.max(np.abs(dataset.column(ours["name"])))
+        difference = np.abs(np.subtract(ours["centroids"], theirs["centroids"]))
+        assert np.max(difference) <= CENTROID_TOL * scale, ours["name"]
+        assert {**ours, "centroids": None} == {**theirs, "centroids": None}
+    # the same iteration counts and settings; only the source path differs
+    assert {**fresh["provenance"], "source": None} == {**fixed["provenance"], "source": None}
 
 
 # --- kb build ----------------------------------------------------------------
@@ -389,9 +411,13 @@ def test_kb_build_reads_carriage_return_line_ends(tmp_path):
     ([], "cars_eval.tsv"),
     (["--top", "5", "--format", "json"], "cars_eval_top5.json"),
 ])
-def test_eval_output_is_golden(built_kb, compiled_query, capsys, flags, golden):
+def test_eval_output_is_golden(tmp_path, built_kb, capsys, flags, golden):
+    # the TSV prints 6 decimals and reads a fresh build; JSON prints every
+    # digit of a score and reads the fixed knowledge base
+    kb = CARS_KB if golden.endswith(".json") else built_kb
+    query = _compile(kb, tmp_path / "q.json")
     assert main([
-        "eval", "--kb", str(built_kb), "--query", str(compiled_query),
+        "eval", "--kb", str(kb), "--query", str(query),
         "--data", str(DATA_DIR / "cars.csv"), *flags,
     ]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
@@ -400,8 +426,8 @@ def test_eval_output_is_golden(built_kb, compiled_query, capsys, flags, golden):
 # --- knowledge-base document versions ----------------------------------------
 
 
-def test_v1_document_loads_to_same_models(built_kb):
-    assert KnowledgeBase.load(V1_KB).models == KnowledgeBase.load(built_kb).models
+def test_v1_document_loads_to_same_models():
+    assert KnowledgeBase.load(V1_KB).models == KnowledgeBase.load(CARS_KB).models
 
 
 def test_eval_same_tsv_with_v1_or_v2_kb(built_kb, compiled_query, capsys):
@@ -415,12 +441,12 @@ def test_eval_same_tsv_with_v1_or_v2_kb(built_kb, compiled_query, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_v1_memberships_are_ignored(tmp_path, built_kb, capsys):
+def test_v1_memberships_are_ignored(tmp_path, capsys):
     doc = json.loads(V1_KB.read_text())
     doc["attributes"][0]["memberships"][0][0] = 5.0
     edited = tmp_path / "kb_v1.json"
     edited.write_text(json.dumps(doc))
-    assert KnowledgeBase.load(edited).models == KnowledgeBase.load(built_kb).models
+    assert KnowledgeBase.load(edited).models == KnowledgeBase.load(CARS_KB).models
     assert main(["inspect", str(edited)]) == 0
 
 
