@@ -14,6 +14,17 @@ A point sitting exactly on a centroid gets membership 1 there and 0
 elsewhere.  Converged centroids are sorted ascending so linguistic labels
 ("low" < "high") always attach in a stable order.
 
+Records with equal values get equal memberships, so the updates run on the
+column's distinct values, each weighted by its count n_k (brFCM: Eschrich,
+Ke, Hall & Goldgof, IEEE TFS 2003):
+
+    c_j  = sum_k n_k u_kj^m x_k / sum_k n_k u_kj^m
+
+This is the arithmetic of a loop over the records with its terms summed in
+another order: the iteration counts are the same, and the centroids differ
+only by rounding (the tests allow 1e-12 times the column's largest
+magnitude).
+
 The knowledge base is the per-attribute cluster models (centroids, labels,
 fuzzifier).  Memberships are not stored: a value's degrees follow from the
 centroids by the membership formula, for training and unseen values alike.
@@ -166,25 +177,24 @@ def _c_reader(body: str, delimiter: str) -> np.ndarray | None:
 def _nan_for_empty_cells(body: str, delimiter: str) -> str:
     """``body`` with ``nan`` in every empty cell, for the C reader.
 
-    An empty cell lies between two delimiters, or between a delimiter and a
-    line end or an end of ``body``.  Runs of delimiters need the first
-    replacement twice.  Empty lines stay as they are: both readers skip
-    them.  Cells in quotes may be rewritten too, but the C reader refuses
-    a quote, and the row parser then reads the original text.
+    An empty cell is a gap between two cell ends (a delimiter, a line end
+    or an end of ``body``) with a delimiter on at least one side; one
+    vectorised pass over the characters finds them all.  Empty lines stay
+    as they are: both readers skip them.  Cells in quotes may be rewritten
+    too, but the C reader refuses a quote, and the row parser then reads
+    the original text.
     """
-    d = delimiter
-    if d == '"':  # csv reads two in a row as a quote, not as an empty cell
+    if delimiter == '"':  # csv reads two in a row as a quote, not as an empty cell
         return body
-    pairs = [(d + d, d + "nan" + d)] * 2 + [(d + "\n", d + "nan\n"), ("\n" + d, "\nnan" + d)]
-    if "\r" in body:
-        pairs += [(d + "\r", d + "nan\r"), ("\r" + d, "\rnan" + d)]
-    for empty, filled in pairs:
-        body = body.replace(empty, filled)
-    if body.startswith(d):
-        body = "nan" + body
-    if body.endswith(d):
-        body += "nan"
-    return body
+    chars = np.frombuffer(body.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    # padded by one end of body on each side: gap i lies between these i, i + 1
+    sep = np.zeros(len(chars) + 2, dtype=bool)
+    sep[1:-1] = chars == ord(delimiter)
+    ends = sep.copy()
+    ends[[0, -1]] = True
+    ends[1:-1] |= (chars == ord("\n")) | (chars == ord("\r"))
+    gaps = np.flatnonzero(ends[:-1] & ends[1:] & (sep[:-1] | sep[1:])).tolist()
+    return "nan".join(body[a:b] for a, b in zip([0, *gaps], [*gaps, len(body)]))
 
 
 def _as_text(source) -> str:
@@ -222,6 +232,8 @@ def fuzzy_c_means(
     noise (reproducible for a fixed seed).  Iteration stops once the
     largest centroid movement drops below ``tol`` or after ``max_iter``
     rounds.  Returned centroids are sorted ascending.
+
+    The loop runs on the distinct values, each weighted by its count.
     """
     x = np.asarray(values, dtype=float).ravel()
     if c < 2:
@@ -234,34 +246,34 @@ def fuzzy_c_means(
         raise ConfigError("max_iter must be at least 1")
     if x.size and not np.all(np.isfinite(x)):
         raise ParseError("values contain non-finite entries")
-    distinct = len(np.unique(x))
-    if distinct < c:
-        raise DegenerateDataError(f"need at least {c} distinct values, found {distinct}")
+    points, counts = np.unique(x, return_counts=True)
+    if len(points) < c:
+        raise DegenerateDataError(f"need at least {c} distinct values, found {len(points)}")
 
     rng = np.random.default_rng(seed)
-    quantiles = (np.arange(c) + 0.5) / c
-    centroids = np.quantile(x, quantiles)
-    spread = x.max() - x.min()
+    centroids = _quantiles(points, counts, (np.arange(c) + 0.5) / c)
+    spread = points[-1] - points[0]
     centroids = np.sort(centroids + rng.normal(0.0, 1e-3 * spread, size=c))
 
+    counts = counts.astype(float)
+    weighted_points = counts * points
     trace = []
     iterations, converged = 0, False
     while not converged and iterations < max_iter:
         iterations += 1
-        weights = _membership_grid(x, centroids, m)
+        weights = _membership_grid(points, centroids, m)
         weights **= m
-        # sums over the records add them in record order: the last column
-        # of a running sum, where a row sum would add them pairwise
-        mass = np.cumsum(weights, axis=1)[:, -1]
+        mass = weights @ counts
         # a point's memberships sum to 1, so only underflow zeroes every power
         if not mass.any():
             raise ConfigError(f"fuzzifier {m} is too large: every membership power underflows")
         # a cluster can lose all weight only while another centroid sits on
         # every point; keep it where it is instead of dividing by zero
         safe_mass = np.where(mass > 0.0, mass, 1.0)
-        moment = np.cumsum(weights * x, axis=1)[:, -1]
+        moment = weights @ weighted_points
         new_centroids = np.where(mass > 0.0, moment / safe_mass, centroids)
-        trace.append(float(np.sum(weights * (x - new_centroids[:, None]) ** 2)))
+        weights *= (points - new_centroids[:, None]) ** 2
+        trace.append(float(np.sum(weights @ counts)))
         converged = bool(np.max(np.abs(new_centroids - centroids)) < tol)
         centroids = new_centroids
 
@@ -269,6 +281,25 @@ def fuzzy_c_means(
     if np.any(np.diff(centroids) <= 0.0):
         raise DegenerateDataError("clusters collapsed onto the same centroid")
     return FcmResult(centroids, tuple(trace), iterations, converged)
+
+
+def _quantiles(points: np.ndarray, counts: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(x, q)`` bit for bit, for the column ``x`` that holds
+    ``counts[i]`` copies of the ascending ``points[i]``.
+
+    The linear method: the two order statistics around ``(n - 1) * q``,
+    read off the running counts, then numpy's two-sided interpolation
+    (from the upper one where the fraction is at least 1/2).
+    """
+    n = int(counts.sum())
+    index = (n - 1) * q
+    below = np.floor(index)
+    fraction = index - below
+    ends = np.cumsum(counts)
+    lower = points[np.searchsorted(ends, below, side="right")]
+    upper = points[np.searchsorted(ends, np.minimum(below + 1, n - 1), side="right")]
+    step = upper - lower
+    return np.where(fraction >= 0.5, upper - step * (1 - fraction), lower + step * fraction)
 
 
 def _membership_grid(x: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:

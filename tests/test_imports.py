@@ -29,10 +29,10 @@ PUBLIC = {
 }
 
 
-def _loads_numpy(code: str) -> bool:
-    """Whether a fresh interpreter has numpy loaded after running ``code``."""
+def _loads(code: str, module: str = "numpy") -> bool:
+    """Whether a fresh interpreter has ``module`` loaded after running ``code``."""
     proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys\nprint('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"{code}\nimport sys\nprint({module!r} in sys.modules)"],
         capture_output=True, text=True, env=child_env(), check=True,
     )
     return proc.stdout.splitlines()[-1] == "True"
@@ -64,12 +64,21 @@ def test_document_stages_leave_numpy_unloaded(tmp_path, documents, stage):
     code = "import fuzzycp"
     if argv is not None:
         code = f"from fuzzycp.cli import main\nassert main({argv!r}) == 0"
-    assert not _loads_numpy(code)
+    assert not _loads(code)
 
 
 def test_table_stages_load_numpy(tmp_path):
     argv = KB_ARGS + ["--out", str(tmp_path / "kb.json")]
-    assert _loads_numpy(f"from fuzzycp.cli import main\nassert main({argv!r}) == 0")
+    assert _loads(f"from fuzzycp.cli import main\nassert main({argv!r}) == 0")
+
+
+def test_kb_build_leaves_numpy_ma_unloaded(tmp_path):
+    # np.quantile and np.unique without counts import numpy.ma, start-up
+    # that fuzzy c-means does not need
+    argv = KB_ARGS + ["--out", str(tmp_path / "kb.json")]
+    code = f"from fuzzycp.cli import main\nassert main({argv!r}) == 0"
+    assert _loads(code, "numpy.random")
+    assert not _loads(code, "numpy.ma")
 
 
 def test_every_public_name_resolves_to_its_home_object():

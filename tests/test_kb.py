@@ -22,7 +22,7 @@ from fuzzycp import (
     fuzzy_c_means,
     ingest_tabular,
 )
-from fuzzycp.kb import _membership_grid
+from fuzzycp.kb import _membership_grid, _quantiles
 from helpers import (
     fcm_memberships,
     oracle_fcm,
@@ -384,7 +384,9 @@ def _fcm_cases(count):
         yield values, c, m, case
 
 
-def test_fcm_is_bit_exact_against_the_row_layout_oracle():
+def test_fcm_matches_the_row_layout_oracle_within_tolerance():
+    # the oracle sums over the records, fuzzy_c_means over the distinct
+    # values weighted by count: the same arithmetic in another order
     compared = degenerate = 0
     for values, c, m, seed in _fcm_cases(320):
         try:
@@ -396,17 +398,34 @@ def test_fcm_is_bit_exact_against_the_row_layout_oracle():
             continue
         result = fuzzy_c_means(values, c, m=m, seed=seed)
         centroids, trace, iterations = expected
-        assert np.array_equal(result.centroids, centroids), (c, m, seed)
-        assert result.iterations == iterations
-        # the objective sums the same terms in another order
+        assert result.iterations == iterations, (c, m, seed)
+        scale = np.max(np.abs(values))
+        assert np.max(np.abs(result.centroids - centroids)) <= 1e-12 * scale, (c, m, seed)
+        # the objective can fall to about 1e-48, out of reach of a relative bound
         assert len(result.objective_trace) == len(trace)
-        assert np.allclose(result.objective_trace, trace, rtol=1e-12, atol=0.0)
+        difference = np.abs(np.subtract(result.objective_trace, trace))
+        assert np.max(difference) <= 1e-12 * trace[0], (c, m, seed)
         for earlier, later in zip(result.objective_trace, result.objective_trace[1:]):
             assert later <= earlier * (1 + 1e-12) + 1e-12
-        grid = oracle_membership_grid(values, centroids, m)
+        grid = oracle_membership_grid(values, result.centroids, m)
         assert np.array_equal(fcm_memberships(result, values, m), grid)
         compared += 1
     assert compared >= 200 and degenerate >= 20
+
+
+def test_fcm_starts_at_the_quantiles_of_the_column_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for case in range(600):
+        c = int(rng.integers(2, 12))
+        n = c if case % 3 == 0 else int(rng.integers(c, 400))
+        if case % 2:  # heavy duplicates
+            values = rng.integers(0, c + 2, size=n) * rng.uniform(0.01, 100.0)
+        else:
+            values = rng.normal(size=n) * 10.0 ** rng.integers(-3, 7)
+        q = (np.arange(c) + 0.5) / c
+        points, counts = np.unique(values, return_counts=True)
+        start = _quantiles(points, counts, q)
+        assert start.tobytes() == np.quantile(values, q).tobytes(), (case, c, n)
 
 
 def test_membership_grid_is_bit_exact_against_the_row_layout_oracle():
