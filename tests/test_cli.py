@@ -31,9 +31,9 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
 V1_KB = Path(__file__).resolve().parent / "data" / "cars_kb_v1.json"
 # The same knowledge base in the version 2 format, kept fixed so that tests
 # which print or compare exact centroids do not follow the last bits of
-# fuzzy c-means; a fresh build must stay within CENTROID_TOL of it.
+# fuzzy c-means; a fresh build stays within CENTROID_TOL times each
+# column's largest magnitude of it.
 CARS_KB = Path(__file__).resolve().parent / "data" / "cars_kb.json"
-# fresh centroids may differ from fixed ones by this much times max |value|
 CENTROID_TOL = 1e-12
 # ``eval`` output of the bundled cars, against the KB_ARGS knowledge base
 # and the query compiled from cars.pref with default options
@@ -71,19 +71,6 @@ def compiled_query(tmp_path, built_kb):
     return _compile(built_kb, tmp_path / "q.json")
 
 
-def test_fresh_kb_build_matches_the_fixed_kb(built_kb):
-    fresh, fixed = json.loads(built_kb.read_text()), json.loads(CARS_KB.read_text())
-    dataset = ingest_tabular((DATA_DIR / "cars.csv").read_bytes())
-    assert len(fresh["attributes"]) == len(fixed["attributes"])
-    for ours, theirs in zip(fresh["attributes"], fixed["attributes"]):
-        scale = np.max(np.abs(dataset.column(ours["name"])))
-        difference = np.abs(np.subtract(ours["centroids"], theirs["centroids"]))
-        assert np.max(difference) <= CENTROID_TOL * scale, ours["name"]
-        assert {**ours, "centroids": None} == {**theirs, "centroids": None}
-    # the same iteration counts and settings; only the source path differs
-    assert {**fresh["provenance"], "source": None} == {**fixed["provenance"], "source": None}
-
-
 # --- kb build ----------------------------------------------------------------
 
 
@@ -105,6 +92,19 @@ def test_kb_build_writes_document(tmp_path, capsys):
     assert KnowledgeBase.from_document(doc).models == built.models
     err = capsys.readouterr().err
     assert "price" in err and "centroids" in err and "iterations" in err
+
+
+def test_fresh_kb_build_matches_the_fixed_kb(built_kb):
+    fresh, fixed = json.loads(built_kb.read_text()), json.loads(CARS_KB.read_text())
+    dataset = ingest_tabular((DATA_DIR / "cars.csv").read_bytes())
+    assert len(fresh["attributes"]) == len(fixed["attributes"])
+    for ours, theirs in zip(fresh["attributes"], fixed["attributes"]):
+        scale = np.max(np.abs(dataset.column(ours["name"])))
+        difference = np.abs(np.subtract(ours["centroids"], theirs["centroids"]))
+        assert np.max(difference) <= CENTROID_TOL * scale, ours["name"]
+        assert {**ours, "centroids": None} == {**theirs, "centroids": None}
+    # the same iteration counts and settings; only the source path differs
+    assert {**fresh["provenance"], "source": None} == {**fixed["provenance"], "source": None}
 
 
 def test_kb_build_warns_when_fuzzy_c_means_does_not_converge(tmp_path, capsys):
