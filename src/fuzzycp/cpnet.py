@@ -15,43 +15,40 @@ import heapq
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import CapacityError, ConfigError, ValidationError
+from .record import Frozen
 
 # the most outcomes enumerate_outcomes yields or rewrite_query returns as terms
 OUTCOME_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class PreferenceVariable:
-    name: str
-    domain: tuple[str, ...]
+class PreferenceVariable(Frozen):
+    __slots__ = ("name", "domain")
 
-    def __post_init__(self):
-        # a frozen instance takes its normalized fields through its __dict__
-        vars(self)["domain"] = tuple(self.domain)
-        if not self.domain:
-            raise ConfigError(f"variable {self.name!r} has an empty domain")
-        if len(set(self.domain)) != len(self.domain):
-            raise ConfigError(f"variable {self.name!r} repeats a domain value")
+    def __init__(self, name: str, domain: tuple[str, ...]):
+        domain = tuple(domain)
+        if not domain:
+            raise ConfigError(f"variable {name!r} has an empty domain")
+        if len(set(domain)) != len(domain):
+            raise ConfigError(f"variable {name!r} repeats a domain value")
+        self._set(name=name, domain=domain)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen):
     """One broken invariant, identified by the node or edge it concerns."""
 
-    kind: str
-    subject: str
-    message: str
+    __slots__ = ("kind", "subject", "message")
+
+    def __init__(self, kind: str, subject: str, message: str):
+        self._set(kind=kind, subject=subject, message=message)
 
     def __str__(self):
         return f"{self.kind} at {self.subject}: {self.message}"
 
 
-@dataclass(frozen=True)
-class CPNet:
+class CPNet(Frozen):
     """Preference graph plus conditional preference tables.
 
     ``nodes`` keeps declaration order, which breaks every tie in this
@@ -64,15 +61,16 @@ class CPNet:
     with a non-empty report.  A net is immutable, ``cpt`` rows included.
     """
 
-    nodes: tuple[PreferenceVariable, ...]
-    edges: tuple[tuple[str, str], ...]
-    cpt: Mapping[str, Mapping[tuple[str, ...], tuple[str, ...]]]
-    _by_name: dict[str, PreferenceVariable] = field(init=False, repr=False)
-    _parents: dict[str, tuple[str, ...]] = field(init=False, repr=False)
-    _children: dict[str, tuple[str, ...]] = field(init=False, repr=False)
+    __slots__ = ("nodes", "edges", "cpt", "_by_name", "_parents", "_children")
 
-    def __post_init__(self):
-        edges = tuple((p, c) for p, c in self.edges)
+    def __init__(
+        self,
+        nodes: tuple[PreferenceVariable, ...],
+        edges: tuple[tuple[str, str], ...],
+        cpt: Mapping[str, Mapping[tuple[str, ...], tuple[str, ...]]],
+    ):
+        nodes = tuple(nodes)
+        edges = tuple((p, c) for p, c in edges)
         parents: dict[str, dict[str, None]] = {}
         children: dict[str, dict[str, None]] = {}
         for parent, child in edges:
@@ -80,13 +78,13 @@ class CPNet:
             children.setdefault(parent, {})[child] = None
         cpt = {
             node: MappingProxyType({tuple(k): tuple(v) for k, v in rows.items()})
-            for node, rows in self.cpt.items()
+            for node, rows in cpt.items()
         }
-        vars(self).update(
-            nodes=tuple(self.nodes),
+        self._set(
+            nodes=nodes,
             edges=edges,
             cpt=MappingProxyType(cpt),
-            _by_name={v.name: v for v in self.nodes},
+            _by_name={v.name: v for v in nodes},
             _parents={n: tuple(ps) for n, ps in parents.items()},
             _children={n: tuple(cs) for n, cs in children.items()},
         )

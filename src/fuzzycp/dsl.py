@@ -27,30 +27,35 @@ ValidationError, which has no position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cpnet import CPNet, PreferenceVariable
 from .errors import ParseError, SemanticError
+from .record import Frozen
 
 KEYWORDS = frozenset({"var", "attr", "depends", "when", "prefer", "terms"})
 PUNCT = frozenset(":{},=>")
 
 
-@dataclass(frozen=True)
-class QuerySpec:
-    """A parsed query; ``term_count`` is None without a ``terms`` clause."""
+class QuerySpec(Frozen):
+    """A parsed query; ``bindings`` maps variable -> dataset attribute, and
+    ``term_count`` is None without a ``terms`` clause."""
 
-    net: CPNet
-    bindings: dict[str, str]  # variable -> dataset attribute
-    term_count: int | None = None
+    __slots__ = ("net", "bindings", "term_count")
+
+    def __init__(self, net: CPNet, bindings: dict[str, str], term_count: int | None = None):
+        self._set(net=net, bindings=bindings, term_count=term_count)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "kw" | "ident" | "int" | "punct" | "eof"
-    text: str
-    line: int
-    column: int
+class Token(Frozen):
+    """``kind`` is "kw", "ident", "int", "punct" or "eof"."""
+
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        # one per lexeme, so written straight to the slots, without _set's dict
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
 
 
 def _tokenize(text: str) -> list[Token]:

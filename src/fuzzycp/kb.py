@@ -39,7 +39,6 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,20 +60,21 @@ from .kbdoc import (  # noqa: F401 (the document names stay importable from kb)
     KnowledgeBase,
     default_labels,
 )
+from .record import Frozen, Record
 
 
-@dataclass
-class Dataset:
+class Dataset(Record):
     """Rectangular numeric table: one row per record, one column per attribute.
 
-    Missing cells are stored as NaN; everything else is a finite float.
+    ``records`` has shape (record_count, len(attributes)).  Missing cells
+    are stored as NaN; everything else is a finite float.
     """
 
-    attributes: list[str]
-    records: np.ndarray  # shape (record_count, len(attributes))
+    __slots__ = ("attributes", "records")
 
-    def __post_init__(self):
-        self.records = np.asarray(self.records, dtype=float)
+    def __init__(self, attributes: list[str], records: np.ndarray):
+        self.attributes = attributes
+        self.records = np.asarray(records, dtype=float)
         if self.records.ndim != 2 or self.records.shape[1] != len(self.attributes):
             raise ShapeError(0, "records do not form a rectangle over the attributes")
 
@@ -110,8 +110,11 @@ def ingest_tabular(source, has_header: bool = True, delimiter: str = ",") -> Dat
     if len(delimiter) != 1 or delimiter in "\r\n":
         raise ConfigError(f"delimiter must be one character, not a newline: {delimiter!r}")
     text = _as_text(source)
-    stream = io.StringIO(text, newline="")
-    first = next(_csv_rows(stream, delimiter), None)
+    # closed before the C reader runs: a StringIO holds a copy of the whole
+    # text, 4 bytes a character, and the header needs only its end
+    with io.StringIO(text, newline="") as stream:
+        first = next(_csv_rows(stream, delimiter), None)
+        header_end = stream.tell()
     if first is None:
         raise EmptyDatasetError("input contains no rows")
 
@@ -120,7 +123,7 @@ def ingest_tabular(source, has_header: bool = True, delimiter: str = ",") -> Dat
         duplicates = {a for a in attributes if attributes.count(a) > 1}
         if duplicates:
             raise ParseError(f"duplicate attribute names in header: {sorted(duplicates)}")
-        body = text[stream.tell():]
+        body = text[header_end:]
     else:
         attributes = [f"col{i}" for i in range(len(first))]
         body = text
@@ -208,14 +211,28 @@ def _as_text(source) -> str:
         raise ParseError(f"input is not UTF-8 text: {exc}") from None
 
 
-@dataclass(frozen=True)
-class FcmResult:
-    """Fuzzy c-means run, with its per-iteration objective trace."""
+class FcmResult(Frozen):
+    """Fuzzy c-means run, with its per-iteration objective trace.
 
-    centroids: np.ndarray
-    objective_trace: tuple[float, ...]
-    iterations: int
-    converged: bool  # false when it stopped at max_iter, still moving by tol or more
+    ``converged`` is false when it stopped at max_iter, still moving by tol
+    or more.
+    """
+
+    __slots__ = ("centroids", "objective_trace", "iterations", "converged")
+
+    def __init__(
+        self,
+        centroids: np.ndarray,
+        objective_trace: tuple[float, ...],
+        iterations: int,
+        converged: bool,
+    ):
+        self._set(
+            centroids=centroids,
+            objective_trace=objective_trace,
+            iterations=iterations,
+            converged=converged,
+        )
 
 
 def fuzzy_c_means(

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-
 from .errors import ConfigError, DegenerateDataError, ParseError
+from .record import Frozen, Record
 
 DEFAULT_CLUSTERS = 3
 DEFAULT_FUZZIFIER = 2.0
@@ -32,50 +31,68 @@ def default_labels(c: int) -> tuple[str, ...]:
     return _DEFAULT_LABELS.get(c) or tuple(f"c{i}" for i in range(c))
 
 
-@dataclass(frozen=True)
-class ClusterModel:
-    """Fuzzy segmentation of one attribute: centroids with linguistic labels."""
+class ClusterModel(Frozen):
+    """Fuzzy segmentation of one attribute: centroids, strictly ascending,
+    with linguistic labels."""
 
-    attribute: str
-    centroids: tuple[float, ...]  # strictly ascending
-    labels: tuple[str, ...]
-    fuzzifier: float
+    __slots__ = ("attribute", "centroids", "labels", "fuzzifier")
 
-    def __post_init__(self):
-        if len(self.centroids) != len(self.labels):
+    def __init__(
+        self,
+        attribute: str,
+        centroids: tuple[float, ...],
+        labels: tuple[str, ...],
+        fuzzifier: float,
+    ):
+        if len(centroids) != len(labels):
             raise ConfigError(
-                f"{self.attribute}: {len(self.labels)} labels for "
-                f"{len(self.centroids)} centroids"
+                f"{attribute}: {len(labels)} labels for {len(centroids)} centroids"
             )
-        if not all(map(math.isfinite, self.centroids)):
-            raise ConfigError(f"{self.attribute}: centroids must be finite")
-        if any(b <= a for a, b in zip(self.centroids, self.centroids[1:])):
-            raise DegenerateDataError(
-                f"{self.attribute}: centroids are not strictly ascending"
-            )
-        if len(set(self.labels)) != len(self.labels):
-            raise ConfigError(f"{self.attribute}: duplicate labels")
-        if not 1.0 < self.fuzzifier < math.inf:
-            raise ConfigError(f"{self.attribute}: fuzzifier must be finite and > 1")
+        if not all(map(math.isfinite, centroids)):
+            raise ConfigError(f"{attribute}: centroids must be finite")
+        if any(b <= a for a, b in zip(centroids, centroids[1:])):
+            raise DegenerateDataError(f"{attribute}: centroids are not strictly ascending")
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"{attribute}: duplicate labels")
+        if not 1.0 < fuzzifier < math.inf:
+            raise ConfigError(f"{attribute}: fuzzifier must be finite and > 1")
+        self._set(attribute=attribute, centroids=centroids, labels=labels, fuzzifier=fuzzifier)
 
 
-@dataclass(frozen=True)
-class AttributeConfig:
+class AttributeConfig(Frozen):
     """Per-attribute overrides for the knowledge-base build."""
 
-    clusters: int | None = None
-    labels: tuple[str, ...] | None = None
+    __slots__ = ("clusters", "labels")
+
+    def __init__(self, clusters: int | None = None, labels: tuple[str, ...] | None = None):
+        self._set(clusters=clusters, labels=labels)
 
 
-@dataclass(frozen=True)
-class KBConfig:
-    clusters: int = DEFAULT_CLUSTERS
-    labels: tuple[str, ...] | None = None
-    fuzzifier: float = DEFAULT_FUZZIFIER
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-    seed: int = 0
-    per_attribute: dict[str, AttributeConfig] = field(default_factory=dict)
+class KBConfig(Frozen):
+    """Knowledge-base build settings; ``per_attribute`` defaults to a new
+    empty dict."""
+
+    __slots__ = ("clusters", "labels", "fuzzifier", "tol", "max_iter", "seed", "per_attribute")
+
+    def __init__(
+        self,
+        clusters: int = DEFAULT_CLUSTERS,
+        labels: tuple[str, ...] | None = None,
+        fuzzifier: float = DEFAULT_FUZZIFIER,
+        tol: float = DEFAULT_TOL,
+        max_iter: int = DEFAULT_MAX_ITER,
+        seed: int = 0,
+        per_attribute: dict[str, AttributeConfig] | None = None,
+    ):
+        self._set(
+            clusters=clusters,
+            labels=labels,
+            fuzzifier=fuzzifier,
+            tol=tol,
+            max_iter=max_iter,
+            seed=seed,
+            per_attribute={} if per_attribute is None else per_attribute,
+        )
 
     def resolve(self, attribute: str) -> tuple[int, tuple[str, ...] | None]:
         """The attribute's cluster count and configured labels, checked
@@ -94,13 +111,24 @@ class KBConfig:
         return c, None if labels is None else tuple(labels)
 
 
-@dataclass
-class KnowledgeBase:
-    """One ClusterModel per dataset attribute, plus how they were built."""
+class KnowledgeBase(Record):
+    """One ClusterModel per dataset attribute, plus how they were built.
 
-    models: dict[str, ClusterModel]
-    provenance: dict
-    unconverged: tuple[str, ...] = ()  # attributes FCM left at max_iter; not in the document
+    ``unconverged`` names the attributes FCM left at max_iter; it is not
+    in the document.
+    """
+
+    __slots__ = ("models", "provenance", "unconverged")
+
+    def __init__(
+        self,
+        models: dict[str, ClusterModel],
+        provenance: dict,
+        unconverged: tuple[str, ...] = (),
+    ):
+        self.models = models
+        self.provenance = provenance
+        self.unconverged = unconverged
 
     def model(self, attribute: str) -> ClusterModel:
         try:

@@ -17,33 +17,33 @@ from __future__ import annotations
 import heapq
 import json
 import re
-from dataclasses import dataclass
 
 from .cpnet import OUTCOME_CAP, CPNet, PreferenceVariable, node_importance, topological_order
 from .dsl import QuerySpec, format_query, parse_query
 from .errors import BindingError, CapacityError, ConfigError, DegenerateUtilityError
 from .kbdoc import KnowledgeBase
+from .record import Frozen, Record
 from .ucp import UCPNet, assign_utilities
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Frozen):
     """One conjunctive disjunct: a complete assignment and its importance."""
 
-    assignment: dict[str, str]
-    importance: float
+    __slots__ = ("assignment", "importance")
+
+    def __init__(self, assignment: dict[str, str], importance: float):
+        self._set(assignment=assignment, importance=importance)
 
 
-@dataclass
-class WeightedQuery:
+class WeightedQuery(Record):
     """Disjunction of weighted terms plus everything needed to score records."""
 
-    spec: QuerySpec
-    ucp: UCPNet
-    terms: tuple[Term, ...]
+    __slots__ = ("spec", "ucp", "terms")
 
-    def __post_init__(self):
-        self.terms = tuple(self.terms)
+    def __init__(self, spec: QuerySpec, ucp: UCPNet, terms: tuple[Term, ...]):
+        self.spec = spec
+        self.ucp = ucp
+        self.terms = tuple(terms)
         names = {v.name for v in self.net.nodes}
         for term in self.terms:
             if set(term.assignment) != names:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -39,39 +38,81 @@ from .errors import BindingError, ConfigError, DegenerateQueryError
 from .kb import Dataset
 from .kbdoc import KnowledgeBase
 from .query import WeightedQuery
+from .record import Frozen, Record
 
 
-@dataclass
-class DataProjection:
+class DataProjection(Record):
     """Per-(term, variable) membership degrees of one record."""
 
-    record_index: int
-    variables: tuple[str, ...]
-    entries: np.ndarray  # shape (term_count, len(variables)), values in [0, 1]
-    missing: tuple[str, ...]  # variables whose record value was absent
+    __slots__ = (
+        "record_index",
+        "variables",
+        "entries",  # shape (term_count, len(variables)), values in [0, 1]
+        "missing",  # variables whose record value was absent
+    )
+
+    def __init__(
+        self,
+        record_index: int,
+        variables: tuple[str, ...],
+        entries: np.ndarray,
+        missing: tuple[str, ...],
+    ):
+        self.record_index = record_index
+        self.variables = variables
+        self.entries = entries
+        self.missing = missing
 
 
-@dataclass
-class Evaluation:
-    term_scores: tuple[float, ...]  # S_k
-    clipped: tuple[float, ...]  # min(S_k, U_k)
-    score: float  # max over k
+class Evaluation(Record):
+    __slots__ = (
+        "term_scores",  # S_k
+        "clipped",  # min(S_k, U_k)
+        "score",  # max over k
+    )
+
+    def __init__(self, term_scores: tuple[float, ...], clipped: tuple[float, ...], score: float):
+        self.term_scores = term_scores
+        self.clipped = clipped
+        self.score = score
 
 
-@dataclass(frozen=True, eq=False)
-class Ranking:
+class Ranking(Frozen):
     """The rows ``rank`` returns, best first, as columns.
 
     Row r is place r + 1 of the full ranking.  Column i of ``missing`` is
-    ``variables[i]``, true where the record has no value for it.
+    ``variables[i]``, true where the record has no value for it.  Two
+    rankings are equal only if they are the same object.
     """
 
-    variables: tuple[str, ...]  # query variables, in declaration order
-    record_index: np.ndarray  # (n,)
-    score: np.ndarray  # (n,), max over k of clipped
-    term_scores: np.ndarray  # (n, T), S_k
-    clipped: np.ndarray  # (n, T), min(S_k, U_k)
-    missing: np.ndarray  # (n, V) bool
+    __slots__ = (
+        "variables",  # query variables, in declaration order
+        "record_index",  # (n,)
+        "score",  # (n,), max over k of clipped
+        "term_scores",  # (n, T), S_k
+        "clipped",  # (n, T), min(S_k, U_k)
+        "missing",  # (n, V) bool
+    )
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        variables: tuple[str, ...],
+        record_index: np.ndarray,
+        score: np.ndarray,
+        term_scores: np.ndarray,
+        clipped: np.ndarray,
+        missing: np.ndarray,
+    ):
+        self._set(
+            variables=variables,
+            record_index=record_index,
+            score=score,
+            term_scores=term_scores,
+            clipped=clipped,
+            missing=missing,
+        )
 
     def __len__(self) -> int:
         return len(self.record_index)

@@ -24,16 +24,14 @@ arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cpnet import CPNet, topological_order
 from .errors import AssignmentError, DegenerateUtilityError
+from .record import Frozen, Record
 
 UtilityRows = dict[tuple[str, ...], dict[str, float]]
 
 
-@dataclass
-class UCPNet:
+class UCPNet(Record):
     """A CPNet plus utility tables, spans, and the additive utility ceiling.
 
     ``tables`` maps node -> parent context -> value -> utility.
@@ -41,11 +39,21 @@ class UCPNet:
     (minspan, maxspan) per node.
     """
 
-    net: CPNet
-    tables: dict[str, UtilityRows]
-    steps: dict[str, int]
-    spans: dict[str, tuple[float, float]]
-    max_total_utility: float
+    __slots__ = ("net", "tables", "steps", "spans", "max_total_utility")
+
+    def __init__(
+        self,
+        net: CPNet,
+        tables: dict[str, UtilityRows],
+        steps: dict[str, int],
+        spans: dict[str, tuple[float, float]],
+        max_total_utility: float,
+    ):
+        self.net = net
+        self.tables = tables
+        self.steps = steps
+        self.spans = spans
+        self.max_total_utility = max_total_utility
 
 
 def spans(rows) -> tuple[float, float]:
@@ -101,11 +109,11 @@ def assign_utilities(net: CPNet) -> UCPNet:
     )
 
 
-@dataclass(frozen=True)
-class DominanceViolation:
-    node: str
-    minspan: float
-    required: float
+class DominanceViolation(Frozen):
+    __slots__ = ("node", "minspan", "required")
+
+    def __init__(self, node: str, minspan: float, required: float):
+        self._set(node=node, minspan=minspan, required=required)
 
     def __str__(self):
         return (

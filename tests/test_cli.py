@@ -23,7 +23,7 @@ from fuzzycp import scoring
 from fuzzycp.cli import main
 from fuzzycp.cpnet import OUTCOME_CAP
 from fuzzycp.scoring import Ranking
-from helpers import child_env, percent_tsv
+from helpers import child_env, percent_tsv, reference_ingest
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
 # Written by the version 1 format with the README's ``kb build`` command
@@ -827,6 +827,78 @@ def test_no_document_edit_ends_in_a_traceback(documents, tmp_path_factory, docum
                     contextlib.redirect_stderr(io.StringIO()) as err:
                 code = main(argv)
             assert code in (0, 2, 3), (argv[0], code, err.getvalue())
+
+    check()
+
+
+# --- mutated inputs ----------------------------------------------------------
+
+# what an edit may put in place of a byte range: the delimiters and line ends
+# of both input languages, quotes, a byte-order mark, bytes that are not
+# UTF-8, and the starts of numbers, words and keywords
+NOISE = (b"", b",", b";", b"\n", b"\r", b"\r\n", b'"', b" ", b"\t", b"\xef\xbb\xbf",
+         b"\xff", b"\xc3", b"-", b".", b"e", b"0", b"1e999", b"nan", b"inf", b"x", b"#",
+         b"{", b"}", b":", b"=", b">", b"var", b"attr", b"depends", b"when", b"prefer",
+         b"terms", b"9" * 20)
+
+
+@st.composite
+def mutated(draw, data: bytes):
+    """``data`` after one to four edits, each replacing a range of up to
+    eight bytes by noise, by random bytes or by two copies of itself."""
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(data)))
+        end = draw(st.integers(start, min(len(data), start + 8)))
+        piece = draw(st.one_of(st.sampled_from(NOISE), st.binary(max_size=4),
+                               st.just(data[start:end] * 2)))
+        data = data[:start] + piece + data[end:]
+    return data
+
+
+def _run(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 2, 3), (argv[0], code, err.getvalue())
+    return code
+
+
+def test_no_table_mutation_ends_in_a_traceback(documents, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("mutated")
+    table, kb = directory / "table.csv", directory / "kb.json"
+    original = (DATA_DIR / "cars.csv").read_bytes()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(mutated(original), st.binary(max_size=64)))
+    def check(data):
+        table.write_bytes(data)
+        built = _run(["kb", "build", "--input", str(table), "--seed", "7", "--out", str(kb)])
+        evaluated = _run(["eval", "--kb", str(documents["kb"]),
+                          "--query", str(documents["query"]), "--data", str(table)])
+        if 0 in (built, evaluated):
+            dataset = ingest_tabular(data)
+            attributes, records = reference_ingest(data.decode("utf-8-sig"))
+            assert dataset.attributes == attributes
+            assert np.array_equal(dataset.records, records, equal_nan=True)
+
+    check()
+
+
+def test_no_query_text_mutation_ends_in_a_traceback(documents, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("mutated")
+    text, out = directory / "query.pref", directory / "query.json"
+    original = (DATA_DIR / "cars.pref").read_bytes()
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated(original))
+    def check(data):
+        text.write_bytes(data)
+        compiled = _run(["query", "compile", "--kb", str(documents["kb"]),
+                         "--query", str(text), "--out", str(out)])
+        if compiled == 0:
+            assert _run(["inspect", str(out)]) == 0
 
     check()
 

@@ -1,5 +1,4 @@
 import random
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -128,9 +127,9 @@ def test_validator_matches_brute_force_on_broken_nets():
 
 def test_a_built_net_cannot_be_changed():
     net = chain_abc()
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         net.edges = (("C", "A"),)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         net.cpt = {}
     with pytest.raises(TypeError):
         net.cpt["A"] = {(): ("a2", "a1")}

@@ -50,21 +50,36 @@ def documents(tmp_path_factory):
     return kb, query
 
 
-@pytest.mark.parametrize("stage", ["import", "query compile", "inspect kb", "inspect query"])
-def test_document_stages_leave_numpy_unloaded(tmp_path, documents, stage):
-    kb, query = documents
+def _stage_code(stage, kb, query, tmp_path) -> str:
+    """Code that runs ``stage`` in process against the built documents."""
     argv = {
         "import": None,
+        "kb build": KB_ARGS + ["--out", str(tmp_path / "kb.json")],
         "query compile": ["query", "compile", "--kb", str(kb),
                           "--query", str(DATA_DIR / "cars.pref"),
                           "--out", str(tmp_path / "out.json")],
+        "eval": ["eval", "--kb", str(kb), "--query", str(query),
+                 "--data", str(DATA_DIR / "cars.csv")],
         "inspect kb": ["inspect", str(kb)],
         "inspect query": ["inspect", str(query)],
     }[stage]
-    code = "import fuzzycp"
-    if argv is not None:
-        code = f"from fuzzycp.cli import main\nassert main({argv!r}) == 0"
-    assert not _loads(code)
+    if argv is None:
+        return "import fuzzycp"
+    return f"from fuzzycp.cli import main\nassert main({argv!r}) == 0"
+
+
+@pytest.mark.parametrize("stage", ["import", "query compile", "inspect kb", "inspect query"])
+def test_document_stages_leave_numpy_unloaded(tmp_path, documents, stage):
+    assert not _loads(_stage_code(stage, *documents, tmp_path))
+
+
+@pytest.mark.parametrize(
+    "stage", ["import", "kb build", "query compile", "eval", "inspect kb", "inspect query"]
+)
+def test_no_stage_loads_dataclasses(tmp_path, documents, stage):
+    # dataclasses imports inspect, dis, ast and tokenize: start-up that the
+    # plain record classes do without
+    assert not _loads(_stage_code(stage, *documents, tmp_path), "dataclasses")
 
 
 def test_table_stages_load_numpy(tmp_path):
