@@ -20,12 +20,13 @@ load numpy; ``query compile`` and ``inspect`` work on documents alone
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from itertools import compress
 
 from . import kbdoc
-from .errors import ConfigError, FuzzycpError
+from .errors import ConfigError, FuzzycpError, ParseError
 
 OK, USAGE_ERROR, DATA_ERROR, IO_ERROR = 0, 1, 2, 3
 
@@ -40,7 +41,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -119,7 +124,17 @@ def main(argv=None) -> int:
 
 
 def entry_point():
-    raise SystemExit(main())
+    """Run one stage as the process's whole life.
+
+    No stage makes reference cycles per record, so the cyclic collector
+    only walks what the imports built: it is off for the stage, and the
+    objects left at exit are frozen so that the interpreter's shutdown
+    collections skip them.  ``main`` itself keeps the collector.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 def _parse_attr_overrides(specs) -> dict[str, kbdoc.AttributeConfig]:
@@ -169,8 +184,12 @@ def cmd_query_compile(args) -> int:
     from .query import compile_query, save_query
 
     kb = kbdoc.KnowledgeBase.load(args.kb)
-    with open(args.query, encoding="utf-8") as f:
-        text = f.read()
+    try:
+        # text mode, for the universal newlines the parser's line numbers count
+        with open(args.query, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.query}: query text is not UTF-8: {exc}") from None
     compiled = compile_query(text, kb, term_count=args.terms)
     save_query(compiled, args.out)
     print(

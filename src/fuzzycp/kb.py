@@ -67,10 +67,13 @@ class Dataset(Record):
     """Rectangular numeric table: one row per record, one column per attribute.
 
     ``records`` has shape (record_count, len(attributes)).  Missing cells
-    are stored as NaN; everything else is a finite float.
+    are stored as NaN; everything else is a finite float.  Two datasets
+    are equal only if they are the same object.
     """
 
     __slots__ = ("attributes", "records")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, attributes: list[str], records: np.ndarray):
         self.attributes = attributes
@@ -215,10 +218,12 @@ class FcmResult(Frozen):
     """Fuzzy c-means run, with its per-iteration objective trace.
 
     ``converged`` is false when it stopped at max_iter, still moving by tol
-    or more.
+    or more.  Two results are equal only if they are the same object.
     """
 
     __slots__ = ("centroids", "objective_trace", "iterations", "converged")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(
         self,

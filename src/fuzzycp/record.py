@@ -6,7 +6,9 @@ whose names do not start with an underscore) in slot order.  ``repr``
 shows the public fields, equality compares them between records of the
 same class, and a copy is rebuilt from them.  A ``Record`` is mutable and
 therefore unhashable; a ``Frozen`` record refuses assignment and deletion
-once built, and hashes its public fields.
+once built, and hashes its public fields.  A record that holds numpy
+arrays, whose ``==`` does not give one truth value, sets ``__eq__`` and
+``__hash__`` back to ``object``'s, so that it is equal only to itself.
 """
 
 

@@ -42,7 +42,10 @@ from .record import Frozen, Record
 
 
 class DataProjection(Record):
-    """Per-(term, variable) membership degrees of one record."""
+    """Per-(term, variable) membership degrees of one record.
+
+    Two projections are equal only if they are the same object.
+    """
 
     __slots__ = (
         "record_index",
@@ -50,6 +53,8 @@ class DataProjection(Record):
         "entries",  # shape (term_count, len(variables)), values in [0, 1]
         "missing",  # variables whose record value was absent
     )
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(
         self,

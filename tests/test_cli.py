@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import io
 import json
 import subprocess
@@ -628,6 +629,9 @@ BAD_INPUTS = {
     "kb-not-utf8": _replaced("kb", b'{"format_version": 2, "attributes": ["\xff"]}'),
     "query-not-utf8": _replaced("query", b'{"format_version": 1, "x": "\xff"}'),
     "pref-not-utf8": _replaced("pref", b"var cost: attr price { prefer \xff }\n"),
+    "pref-latin1-comment": _replaced(
+        "pref", b"# caf\xe9\n" + (DATA_DIR / "cars.pref").read_bytes()
+    ),
     "kb-build-input-not-utf8": _on_table("kb", content=b"a,b\n1,\xff\n"),
     "eval-data-not-utf8": _on_table("eval", content=b"price,km\n1,\xff\n"),
     "kb-build-delimiter-empty": _kb_build("--delimiter", ""),
@@ -672,7 +676,10 @@ BAD_INPUT_MESSAGES = {
     "inspect-not-utf8": "fuzzycp: malformed document: 'utf-8' codec can't decode",
     "kb-not-utf8": "fuzzycp: malformed document: 'utf-8' codec can't decode",
     "query-not-utf8": "fuzzycp: malformed document: 'utf-8' codec can't decode",
-    "pref-not-utf8": "fuzzycp: malformed document: 'utf-8' codec can't decode",
+    "pref-not-utf8": "replaced.json: query text is not UTF-8: 'utf-8' codec can't decode "
+                     "byte 0xff",
+    "pref-latin1-comment": "replaced.json: query text is not UTF-8: 'utf-8' codec can't "
+                           "decode byte 0xe9",
     "kb-build-input-not-utf8": "ParseError: input is not UTF-8 text",
     "eval-data-not-utf8": "ParseError: input is not UTF-8 text",
     "kb-build-delimiter-empty": "ConfigError: delimiter must be one character",
@@ -751,6 +758,13 @@ def test_no_numeric_flag_value_ends_in_a_traceback(tmp_path, built_kb, compiled_
         assert "Traceback" not in stderr and not caught, (value, stderr)
         if code == 2:
             assert stderr.startswith("fuzzycp:") and stderr.count("\n") == 1, (value, stderr)
+
+
+@pytest.mark.parametrize("flag", ["--clusters", "--max-iter", "--seed", "--terms", "--top"])
+def test_non_integer_flag_value_is_an_invalid_int(tmp_path, built_kb, compiled_query, capsys,
+                                                  flag):
+    assert main(_with_flag(flag, "abc", tmp_path, built_kb, compiled_query)) == 1
+    assert f"argument {flag}: invalid int value: 'abc'\n" in capsys.readouterr().err
 
 
 # --- edited documents --------------------------------------------------------
@@ -901,6 +915,123 @@ def test_no_query_text_mutation_ends_in_a_traceback(documents, tmp_path_factory)
             assert _run(["inspect", str(out)]) == 0
 
     check()
+
+
+# --- the cyclic collector ----------------------------------------------------
+
+# Runs the stage in argv[2:] through entry_point, as ``python -m fuzzycp``
+# and the ``fuzzycp`` script do, and writes to the file argv[1] how many
+# collections started once entry_point was entered.
+ENTRY_POINT_CHILD = """
+import gc, sys
+from fuzzycp.cli import entry_point
+
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info))
+count_path = sys.argv.pop(1)
+try:
+    entry_point()
+finally:
+    with open(count_path, "w") as f:
+        f.write(str(len(starts)))
+"""
+
+# stage -> its arguments, given the directory it writes to and the
+# ``documents`` paths
+STAGES = {
+    "kb build": lambda out, docs: KB_ARGS + ["--out", str(out / "kb.json")],
+    "query compile": lambda out, docs: [
+        "query", "compile", "--kb", str(docs["kb"]), "--query", str(DATA_DIR / "cars.pref"),
+        "--out", str(out / "q.json"),
+    ],
+    "eval": lambda out, docs: [
+        "eval", "--kb", str(docs["kb"]), "--query", str(docs["query"]),
+        "--data", str(DATA_DIR / "cars.csv"),
+    ],
+    "eval absent data": lambda out, docs: [
+        "eval", "--kb", str(docs["kb"]), "--query", str(docs["query"]),
+        "--data", str(docs["kb"].parent / "absent.csv"),
+    ],
+}
+
+
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_entry_point_runs_a_stage_without_collections(documents, tmp_path, capsys, stage):
+    in_process, child = tmp_path / "in_process", tmp_path / "child"
+    in_process.mkdir()
+    child.mkdir()
+    code = main(STAGES[stage](in_process, documents))
+    expected = capsys.readouterr()
+    count = tmp_path / "collections"
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY_POINT_CHILD, str(count), *STAGES[stage](child, documents)],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert count.read_text() == "0"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err)
+    written = sorted(path.name for path in in_process.iterdir())
+    assert sorted(path.name for path in child.iterdir()) == written
+    for name in written:
+        assert (child / name).read_bytes() == (in_process / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(documents, tmp_path, capsys, enabled):
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for stage in STAGES:
+            main(STAGES[stage](tmp_path, documents))
+            assert gc.isenabled() is enabled, stage
+            assert gc.get_freeze_count() == frozen, stage
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+# Runs each stage in the JSON list argv[1] in process with the collector off
+# and prints, as JSON, how many unreachable objects a collection finds after
+# each.
+GARBAGE_CHILD = """
+import contextlib, gc, json, os, sys
+from fuzzycp.cli import main
+
+gc.disable()
+found = []
+for argv in json.loads(sys.argv[1]):
+    gc.collect()
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \\
+            contextlib.redirect_stderr(sink):
+        assert main(argv) == 0, argv
+    found.append(gc.collect())
+print(json.dumps(found))
+"""
+
+
+def test_no_stage_leaves_cyclic_garbage_that_grows_with_the_table(tmp_path):
+    # what entry_point relies on to run a stage without the collector
+    header, rows = (DATA_DIR / "cars.csv").read_text().split("\n", 1)
+    found = []
+    for copies in (1, 50):
+        directory = tmp_path / str(copies)
+        directory.mkdir()
+        table, kb, query = directory / "cars.csv", directory / "kb.json", directory / "q.json"
+        table.write_text(header + "\n" + rows * copies)
+        evaluate = ["eval", "--kb", str(kb), "--query", str(query), "--data", str(table)]
+        stages = [
+            [*KB_ARGS[:3], str(table), *KB_ARGS[4:], "--out", str(kb)],
+            ["query", "compile", "--kb", str(kb), "--query", str(DATA_DIR / "cars.pref"),
+             "--out", str(query)],
+            evaluate,
+            evaluate + ["--format", "json"],
+            ["inspect", str(kb)],
+            ["inspect", str(query)],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", GARBAGE_CHILD, json.dumps(stages)],
+            capture_output=True, text=True, env=child_env(), check=True,
+        )
+        found.append(json.loads(proc.stdout))
+    assert found[0] == found[1]
 
 
 # --- inspect -----------------------------------------------------------------
