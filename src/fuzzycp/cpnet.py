@@ -7,6 +7,9 @@ value first.  Node importance falls out of graph position alone: leaves
 count 1, every internal node counts one more than its deepest child.
 Every function here and in the later stages takes a net's validity as
 given: a ``CPNet`` is checked once, when it is built, and cannot change.
+Building a net orders it once, by Kahn's algorithm; a cyclic net is
+refused with the first cycle reached from the first node in declaration
+order that the pass could not place, the same report on every run.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ class CPNet(Frozen):
     with a non-empty report.  A net is immutable, ``cpt`` rows included.
     """
 
-    __slots__ = ("nodes", "edges", "cpt", "_by_name", "_parents", "_children")
+    __slots__ = ("nodes", "edges", "cpt", "_by_name", "_parents", "_children", "_order")
 
     def __init__(
         self,
@@ -80,13 +83,15 @@ class CPNet(Frozen):
             node: MappingProxyType({tuple(k): tuple(v) for k, v in rows.items()})
             for node, rows in cpt.items()
         }
+        by_name = {v.name: v for v in nodes}
         self._set(
             nodes=nodes,
             edges=edges,
             cpt=MappingProxyType(cpt),
-            _by_name={v.name: v for v in nodes},
+            _by_name=by_name,
             _parents={n: tuple(ps) for n, ps in parents.items()},
             _children={n: tuple(cs) for n, cs in children.items()},
+            _order=_kahn(list(by_name), parents, children),
         )
         report = validate_cpnet(self)
         if report:
@@ -128,11 +133,18 @@ def validate_cpnet(net: CPNet) -> list[Violation]:
             report.append(Violation("edge", f"{parent}->{child}", "duplicate edge"))
         seen_edges.add((parent, child))
 
-    cycle = _find_cycle(known, net.edges)
-    if cycle:
-        report.append(
-            Violation("cycle", " -> ".join(cycle), "dependencies form a cycle")
-        )
+    # a node that Kahn's pass left unplaced has a declared parent it left
+    # unplaced, so the walk up from the first one comes back to a node on it
+    unplaced = known.difference(net._order)
+    name = next((n for n in names if n in unplaced), None)
+    if name is not None:
+        walk: dict[str, int] = {}
+        while name not in walk:
+            walk[name] = len(walk)
+            name = next(p for p in net.parent_names(name) if p in unplaced)
+        loop = list(walk)[walk[name]:]  # child -> parent, from the node met again
+        cycle = [name, *reversed(loop)]
+        report.append(Violation("cycle", " -> ".join(cycle), "dependencies form a cycle"))
 
     for node in net.nodes:
         rows = net.cpt.get(node.name)
@@ -163,61 +175,29 @@ def validate_cpnet(net: CPNet) -> list[Violation]:
     return report
 
 
-def _find_cycle(names, edges) -> list[str] | None:
-    """Return one cycle as a node path, or None. Iterative DFS, three colors."""
-    adjacency: dict[str, list[str]] = {n: [] for n in names}
-    for parent, child in edges:
-        if parent in adjacency and child in adjacency:
-            adjacency[parent].append(child)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in names}
-    for root in names:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(adjacency[root]))]
-        path = [root]
-        color[root] = GRAY
-        while stack:
-            node, children = stack[-1]
-            advanced = False
-            for nxt in children:
-                if color[nxt] == GRAY:
-                    start = path.index(nxt)
-                    return path[start:] + [nxt]
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(adjacency[nxt])))
-                    path.append(nxt)
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
-    return None
-
-
-def topological_order(net: CPNet) -> tuple[str, ...]:
-    """Parents before children; ties resolved by declaration order.
-
-    Kahn's algorithm with the ready nodes in a heap of declaration
-    positions, so each step takes the first-declared node whose parents
-    are all placed.
-    """
-    names = [v.name for v in net.nodes]
+def _kahn(names, parents, children) -> tuple[str, ...]:
+    """Kahn's algorithm over the declared ``names``: from a heap of ready
+    positions, each step places the first-declared node whose declared
+    parents are all placed.  The nodes on or below a cycle stay unplaced."""
     position = {n: i for i, n in enumerate(names)}
-    indegree = {n: len(net.parent_names(n)) for n in names}
-    ready = [position[n] for n in names if indegree[n] == 0]
-    heapq.heapify(ready)
+    indegree = {n: sum(p in position for p in parents.get(n, ())) for n in names}
+    ready = [i for i, n in enumerate(names) if indegree[n] == 0]
     order = []
     while ready:
         name = names[heapq.heappop(ready)]
         order.append(name)
-        for child in net.child_names(name):
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                heapq.heappush(ready, position[child])
+        for child in children.get(name, ()):
+            if child in indegree:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    heapq.heappush(ready, position[child])
     return tuple(order)
+
+
+def topological_order(net: CPNet) -> tuple[str, ...]:
+    """Parents before children; ties resolved by declaration order: the
+    order Kahn's algorithm gave the net when it was built."""
+    return net._order
 
 
 def node_importance(net: CPNet) -> dict[str, int]:
@@ -249,9 +229,4 @@ def enumerate_outcomes(net: CPNet, cap: int = OUTCOME_CAP):
         raise CapacityError(f"outcome space {count} exceeds cap {cap}")
     order = topological_order(net)
     domains = [net.variable(n).domain for n in order]
-
-    def generate():
-        for combo in itertools.product(*domains):
-            yield dict(zip(order, combo))
-
-    return generate()
+    return (dict(zip(order, combo)) for combo in itertools.product(*domains))

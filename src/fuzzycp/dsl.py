@@ -144,7 +144,11 @@ class _Parser:
         if self.at("kw", "terms"):
             self.advance()
             tok = self.expect("int", expected="an integer")
-            term_count = int(tok.text)
+            try:
+                term_count = int(tok.text)
+            except ValueError:  # a digit int() refuses, such as '²', or over 4300 digits
+                raise ParseError("term count is not an integer Python can read",
+                                 tok.line, tok.column) from None
             if term_count < 1:
                 raise SemanticError("term count must be at least 1", tok.line, tok.column)
         if not self.at("eof"):

@@ -58,6 +58,11 @@ class ConfigError(FuzzycpError):
     """
 
 
+class MalformedDocumentError(FuzzycpError):
+    """A document file that is not UTF-8 JSON, or whose JSON holds an integer
+    over the interpreter's digit limit or nesting over its recursion limit."""
+
+
 class ValidationError(FuzzycpError):
     """A ``CPNet`` being built violates its structural invariants.
 

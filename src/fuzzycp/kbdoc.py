@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from .errors import ConfigError, DegenerateDataError, ParseError
+from .errors import ConfigError, DegenerateDataError, MalformedDocumentError, ParseError
 from .record import Frozen, Record
 
 DEFAULT_CLUSTERS = 3
@@ -224,5 +224,14 @@ class KnowledgeBase(Record):
 
     @classmethod
     def load(cls, path) -> "KnowledgeBase":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_document(json.load(f))
+        return cls.from_document(load_document(path))
+
+
+def load_document(path):
+    """The JSON value in the file at ``path``: the one reader of knowledge
+    bases and compiled queries, so every stage refuses the same files."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedDocumentError(str(exc)) from None

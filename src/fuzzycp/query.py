@@ -21,7 +21,7 @@ import re
 from .cpnet import OUTCOME_CAP, CPNet, PreferenceVariable, node_importance, topological_order
 from .dsl import QuerySpec, format_query, parse_query
 from .errors import BindingError, CapacityError, ConfigError, DegenerateUtilityError
-from .kbdoc import KnowledgeBase
+from .kbdoc import KnowledgeBase, load_document
 from .record import Frozen, Record
 from .ucp import UCPNet, assign_utilities
 
@@ -325,7 +325,10 @@ def _stored_term_count(text) -> int | None:
     """N of the text's closing ``terms N`` line, the one count the net
     cannot supply; None when there is none."""
     match = isinstance(text, str) and re.search(r"^terms ([1-9][0-9]*)\n\Z", text, re.M)
-    return int(match.group(1)) if match else None
+    try:
+        return int(match.group(1)) if match else None
+    except ValueError:  # over 4300 digits, a count that no query text parses to
+        return None
 
 
 def dump_query(query: WeightedQuery) -> str:
@@ -338,5 +341,4 @@ def save_query(query: WeightedQuery, path) -> None:
 
 
 def load_query(path) -> WeightedQuery:
-    with open(path, encoding="utf-8") as f:
-        return query_from_document(json.load(f))
+    return query_from_document(load_document(path))

@@ -27,6 +27,7 @@ from fuzzycp.scoring import Ranking
 from helpers import child_env, percent_tsv, reference_ingest
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "demos" / "data"
+BENCH_TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 # Written by the version 1 format with the README's ``kb build`` command
 # (the KB_ARGS below, run from the repository root).
 V1_KB = Path(__file__).resolve().parent / "data" / "cars_kb_v1.json"
@@ -251,6 +252,39 @@ def test_compile_net_beyond_enumeration_cap(tmp_path):
     assert "CapacityError" in proc.stderr and "Traceback" not in proc.stderr
 
 
+CYCLIC_QUERY = """\
+var cost: attr price {
+    depends wear
+    when wear = low: prefer low > mid > high
+    when wear = high: prefer high > mid > low
+}
+var wear: attr km {
+    depends cost
+    when cost = low: prefer high > low
+    when cost = mid: prefer low > high
+    when cost = high: prefer low > high
+}
+"""
+
+
+def test_compile_names_the_same_cycle_under_every_hash_seed(tmp_path, built_kb):
+    query = tmp_path / "cyclic.pref"
+    query.write_text(CYCLIC_QUERY)
+    errors = set()
+    for seed in range(8):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzzycp", "query", "compile", "--kb", str(built_kb),
+             "--query", str(query), "--out", str(tmp_path / "q.json")],
+            capture_output=True, text=True, env={**child_env(), "PYTHONHASHSEED": str(seed)},
+        )
+        assert proc.returncode == 2
+        errors.add(proc.stderr)
+    assert errors == {
+        "fuzzycp: ValidationError: invalid preference net: "
+        "cycle at cost -> wear -> cost: dependencies form a cycle\n"
+    }
+
+
 # --- eval --------------------------------------------------------------------
 
 
@@ -341,6 +375,34 @@ def test_eval_top_below_one_is_usage_error(built_kb, compiled_query, capsys, top
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--top" in captured.err
+
+
+# The JSON writer ends with a write of its own, which meets the closed pipe
+# whenever the large one before it is cut short without an error; the TSV
+# writer's one large write meets it only when it starts after the close.
+@pytest.mark.parametrize("output", ["tsv", "json"])
+def test_eval_stops_quietly_when_the_reader_closes_stdout(tmp_path, built_kb, compiled_query,
+                                                          capsys, output):
+    rng = np.random.default_rng(5)
+    table = tmp_path / "many.csv"
+    rows = zip(rng.integers(1, 20, 5000).tolist(), rng.integers(10, 300, 5000).tolist())
+    table.write_text("price,km\n" + "".join(f"{p},{k}\n" for p, k in rows))
+    argv = ["eval", "--kb", str(built_kb), "--query", str(compiled_query), "--data", str(table),
+            "--format", output]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    # more than a pipe buffer, so the child is still writing when the pipe closes
+    assert len(out.encode()) > 4 * 65536
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fuzzycp", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert first.decode() == out.split("\n", 1)[0] + "\n"
 
 
 def test_eval_is_byte_deterministic(tmp_path, built_kb, compiled_query, capsys):
@@ -542,13 +604,17 @@ def _on_table(command, *flags, content=None):
 def _replaced(document, content):
     """Evaluate with the knowledge base or compiled query replaced by a file
     holding ``content`` (JSON text, or bytes), or for ``document="inspect"``
-    inspect that file; ``document="pref"`` compiles it as query text."""
+    inspect that file; ``document="pref"`` compiles it as query text, and
+    ``document="compile"`` compiles the bundled query against it."""
 
     def argv(tmp_path, kb, query):
         path = tmp_path / "replaced.json"
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
         if document == "pref":
             return ["query", "compile", "--kb", str(kb), "--query", str(path),
+                    "--out", str(tmp_path / "out.json")]
+        if document == "compile":
+            return ["query", "compile", "--kb", str(path), "--query", str(DATA_DIR / "cars.pref"),
                     "--out", str(tmp_path / "out.json")]
         if document == "inspect":
             return ["inspect", str(path)]
@@ -650,6 +716,17 @@ BAD_INPUTS = {
     "tol-inf": _kb_build("--tol", "inf"),
     "clusters-negative": _kb_build("--clusters", "-3"),
     "fuzzifier-huge": _kb_build("--fuzzifier", "1e308"),
+    **{
+        f"{document}-{case}": _replaced(document, content)
+        for document in ("kb", "query", "inspect", "compile")
+        for case, content in {
+            "integer-over-digit-limit": '{"format_version": ' + "9" * 5000 + "}",
+            "nesting-over-recursion-limit": "[" * 100_000,
+        }.items()
+    },
+    "query-text-term-count-over-digit-limit": _eval_edited(
+        lambda doc: doc.update(query=doc["query"] + "terms " + "9" * 5000 + "\n")
+    ),
 }
 
 # what stderr must say, where exit 2 alone does not tell the cases apart
@@ -696,6 +773,16 @@ BAD_INPUT_MESSAGES = {
     "tol-inf": "ConfigError: tol must be positive and finite",
     "clusters-negative": "ConfigError: price: cluster count must be at least 2, got -3",
     "fuzzifier-huge": "ConfigError: fuzzifier 1e+308 is too large",
+    **{
+        f"{document}-{case}": f"fuzzycp: malformed document: {message}"
+        for document in ("kb", "query", "inspect", "compile")
+        for case, message in {
+            "integer-over-digit-limit": "Exceeds the limit (4300 digits)",
+            "nesting-over-recursion-limit": "maximum recursion depth exceeded",
+        }.items()
+    },
+    "query-text-term-count-over-digit-limit": "ConfigError: compiled query disagrees with its "
+                                              "cpnet in: query",
 }
 
 
@@ -1050,6 +1137,20 @@ def test_inspect_query_reports_dominance(compiled_query, capsys):
     out = capsys.readouterr().out
     assert "dominance: OK" in out
     assert "importance:" in out
+
+
+def test_benchmark_tracer_runs_a_stage(tmp_path, compiled_query):
+    # the benchmark's tracer wraps fuzzycp functions by name; a renamed or
+    # moved one fails here, not only in the benchmark's own tests
+    spans = tmp_path / "spans.jsonl"
+    proc = subprocess.run(
+        [sys.executable, str(BENCH_TRACER), "--spans", str(spans), "--trace-id", "1",
+         "--", "inspect", str(compiled_query)],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {json.loads(line)["name"] for line in spans.read_text().splitlines()}
+    assert {"cli.main", "cpnet.validate_cpnet", "ucp.assign_utilities"} <= names
 
 
 def test_inspect_truncated_document(tmp_path, compiled_query, capsys):

@@ -125,6 +125,21 @@ def test_validator_matches_brute_force_on_broken_nets():
         assert built == brute_force_valid(net.nodes, edges, cpt)
 
 
+def test_cycle_report_is_a_loop_of_edges():
+    rng = random.Random(102)
+    for _ in range(100):
+        net = random_cpnet(rng, max_nodes=6)
+        if not net.edges:
+            continue
+        parent, child = rng.choice(net.edges)
+        edges = net.edges + ((child, parent),)
+        with pytest.raises(ValidationError) as err:
+            CPNet(nodes=net.nodes, edges=edges, cpt=net.cpt)
+        [loop] = [v.subject.split(" -> ") for v in err.value.report if v.kind == "cycle"]
+        assert loop[0] == loop[-1] and len(set(loop)) == len(loop) - 1
+        assert set(zip(loop, loop[1:])) <= set(edges)
+
+
 def test_a_built_net_cannot_be_changed():
     net = chain_abc()
     with pytest.raises(AttributeError):

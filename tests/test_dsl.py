@@ -173,6 +173,14 @@ INVALID_PROGRAMS = [
         SemanticError, 1, 7, "at least 1",
     ),
     (
+        "terms 1²",
+        ParseError, 1, 7, "term count is not an integer",
+    ),
+    (
+        "terms " + "9" * 5000,
+        ParseError, 1, 7, "term count is not an integer",
+    ),
+    (
         "var x: attr a {\n    prefer r > g\n",
         ParseError, 3, 1, "end of input",
     ),
