@@ -136,8 +136,7 @@ def entry_point():
 
     A reader that closes stdout early (``| head``) ends the stage quietly
     with OK, as the Python docs' note on SIGPIPE advises: stdout goes to
-    the null device, so the final flush cannot fail again.  OK also
-    matches a large write that the reader cut short, which raises nothing.
+    the null device, so the final flush cannot fail again.
     """
     gc.disable()
     try:
@@ -216,7 +215,7 @@ def cmd_query_compile(args) -> int:
 def cmd_eval(args) -> int:
     from .kb import ingest_tabular
     from .query import load_query
-    from .scoring import print_tsv, rank
+    from .scoring import print_tsv, rank, write_stdout
 
     kb = kbdoc.KnowledgeBase.load(args.kb)
     compiled = load_query(args.query)
@@ -226,11 +225,11 @@ def cmd_eval(args) -> int:
     if args.format == "tsv":
         print_tsv(ranking)
     else:
-        _print_json(ranking)
+        write_stdout(_json_text(ranking))
     return OK
 
 
-def _print_json(ranking) -> None:
+def _json_text(ranking) -> str:
     rows = zip(ranking.record_index.tolist(), ranking.score.tolist(),
                ranking.term_scores.tolist(), ranking.clipped.tolist(),
                ranking.missing.tolist())
@@ -241,7 +240,7 @@ def _print_json(ranking) -> None:
         for position, (index, score, term_scores, clipped, missing) in enumerate(rows, 1)
     ]
     doc = {"format_version": 1, "term_count": ranking.term_scores.shape[1], "results": results}
-    print(json.dumps(doc, ensure_ascii=False, indent=2))
+    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
 def cmd_inspect(args) -> int:

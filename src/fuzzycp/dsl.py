@@ -127,12 +127,7 @@ class _Parser:
         tok = self.peek()
         found = "end of input" if tok.kind == "eof" else f"'{tok.text}'"
         listing = " or ".join(expected)
-        raise ParseError(
-            f"expected {listing}, found {found}",
-            tok.line,
-            tok.column,
-            expected=expected,
-        )
+        raise ParseError(f"expected {listing}, found {found}", tok.line, tok.column)
 
     # --- grammar ---------------------------------------------------------
 

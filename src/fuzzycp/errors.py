@@ -17,24 +17,9 @@ class ShapeError(FuzzycpError):
         super().__init__(message or f"row {row}: wrong number of cells")
 
 
-class ParseError(FuzzycpError):
-    """Unparseable input; carries a location when one is known.
-
-    ``line``/``column`` are 1-based for query text and 0-based row/column
-    indexes for tabular data (they index records, not characters).
-    """
-
-    def __init__(self, message, line=None, column=None, expected=None):
-        self.line = line
-        self.column = column
-        self.expected = tuple(expected) if expected else ()
-        if line is not None and column is not None:
-            message = f"{line}:{column}: {message}"
-        super().__init__(message)
-
-
-class SemanticError(FuzzycpError):
-    """Well-formed query text with an inconsistent meaning."""
+class _Located(FuzzycpError):
+    """An error that may carry a location, which then prefixes its message
+    as ``line:column:``."""
 
     def __init__(self, message, line=None, column=None):
         self.line = line
@@ -42,6 +27,18 @@ class SemanticError(FuzzycpError):
         if line is not None and column is not None:
             message = f"{line}:{column}: {message}"
         super().__init__(message)
+
+
+class ParseError(_Located):
+    """Unparseable input; carries a location when one is known.
+
+    ``line``/``column`` are 1-based for query text and 0-based row/column
+    indexes for tabular data (they index records, not characters).
+    """
+
+
+class SemanticError(_Located):
+    """Well-formed query text with an inconsistent meaning."""
 
 
 class DegenerateDataError(FuzzycpError):

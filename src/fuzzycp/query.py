@@ -7,19 +7,18 @@ important first.  A term's importance is its normalized utility, so the
 best outcome always opens the list with importance 1.
 
 The compiled-query document stores the net and, for readers, everything
-derived from it, the query text included.  Loading decodes only the net,
-takes the term count of the text's closing ``terms N`` line, and derives
-the rest again; it never parses the text.
+derived from it.  Loading decodes only the net and derives the rest again,
+with as many terms as the document stores.  Version 2 holds no query text;
+the text that version 1 printed from the net is ignored.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import re
 
 from .cpnet import OUTCOME_CAP, CPNet, PreferenceVariable, node_importance, topological_order
-from .dsl import QuerySpec, format_query, parse_query
+from .dsl import QuerySpec, parse_query
 from .errors import BindingError, CapacityError, ConfigError, DegenerateUtilityError
 from .kbdoc import KnowledgeBase, load_document
 from .record import Frozen, Record
@@ -76,8 +75,8 @@ def rewrite_query(
     lexicographically (topological node order, then domain position), which
     is exactly the enumeration order of ``enumerate_outcomes``.  T defaults
     to min(5, outcome count); a T above the outcome count or above
-    ``OUTCOME_CAP`` raises ``CapacityError``.  The query's text closes with
-    ``terms T``.
+    ``OUTCOME_CAP`` raises ``CapacityError``.  The query's spec takes T as
+    its term count.
     """
     _check_bindings(net, kb, bindings)
     terms = _rewrite(net, ucp, term_count)
@@ -174,14 +173,12 @@ def compile_query(
 ) -> WeightedQuery:
     """Parse, weight, and rewrite a query in one step.
 
-    The compiled query keeps the parsed text's own term count, which
-    ``term_count`` overrides for the rewriting only.
+    ``term_count`` overrides the text's own ``terms`` clause; the compiled
+    query's spec holds the number of terms it was given.
     """
     spec = parse_query(text)
-    ucp = assign_utilities(spec.net)
     requested = term_count if term_count is not None else spec.term_count
-    query = rewrite_query(spec.net, ucp, kb, spec.bindings, requested)
-    return WeightedQuery(spec, ucp, query.terms)
+    return rewrite_query(spec.net, assign_utilities(spec.net), kb, spec.bindings, requested)
 
 
 # --- compiled-query document ------------------------------------------------
@@ -225,8 +222,7 @@ def query_to_document(query: WeightedQuery) -> dict:
         for v in net.nodes
     }
     return {
-        "format_version": 1,
-        "query": format_query(query.spec),
+        "format_version": 2,
         "bindings": dict(query.bindings),
         "cpnet": {
             "nodes": nodes,
@@ -250,22 +246,22 @@ def query_from_document(doc: dict) -> WeightedQuery:
     """Rebuild a compiled query from its ``cpnet`` block alone.
 
     The bindings are the nodes' attributes; the rest is derived by the code
-    that compiled it, with T = the number of stored terms.  An entry that
-    loading reads and that has the wrong shape is a ConfigError naming it.
-    A stored block or query text that differs from its derivation is a
-    ConfigError naming every such block, so a document cannot say two
-    different things.
+    that compiled it, with T = the number of stored terms.  A version 1
+    document's ``query`` text is ignored.  An entry that loading reads and
+    that has the wrong shape is a ConfigError naming it.  A stored block
+    that differs from its derivation is a ConfigError naming every such
+    block, so a document cannot say two different things.
     """
-    if not isinstance(doc, dict) or doc.get("format_version") != 1:
-        raise ConfigError("not a compiled-query document of version 1")
+    if not isinstance(doc, dict) or doc.get("format_version") not in (1, 2):
+        raise ConfigError("not a compiled-query document of version 1 or 2")
     _check_shape(doc, _SHAPE, "")
     net, bindings = _decode_net(doc["cpnet"])
     ucp = assign_utilities(net)
-    spec = QuerySpec(net, bindings, _stored_term_count(doc.get("query")))
-    query = WeightedQuery(spec, ucp, _rewrite(net, ucp, len(doc["terms"])))
+    terms = _rewrite(net, ucp, len(doc["terms"]))
+    query = WeightedQuery(QuerySpec(net, bindings, len(terms)), ucp, terms)
 
     derived = query_to_document(query)
-    blocks = ("query", "bindings", "cpnet", "utilities", "max_total_utility", "importance")
+    blocks = ("bindings", "cpnet", "utilities", "max_total_utility", "importance")
     stale = [key for key in blocks if doc.get(key) != derived[key]]
     if [(t.get("assignment"), t.get("importance")) for t in doc["terms"]] != [
         (t["assignment"], t["importance"]) for t in derived["terms"]
@@ -319,16 +315,6 @@ def _decode_net(block: dict) -> tuple[CPNet, dict[str, str]]:
     nodes = tuple(PreferenceVariable(n["name"], tuple(n["domain"])) for n in block["nodes"])
     net = CPNet(nodes=nodes, edges=tuple(map(tuple, block["edges"])), cpt=cpt)
     return net, {n["name"]: n["attribute"] for n in block["nodes"]}
-
-
-def _stored_term_count(text) -> int | None:
-    """N of the text's closing ``terms N`` line, the one count the net
-    cannot supply; None when there is none."""
-    match = isinstance(text, str) and re.search(r"^terms ([1-9][0-9]*)\n\Z", text, re.M)
-    try:
-        return int(match.group(1)) if match else None
-    except ValueError:  # over 4300 digits, a count that no query text parses to
-        return None
 
 
 def dump_query(query: WeightedQuery) -> str:

@@ -22,7 +22,7 @@ the rows it keeps as one ``Ranking`` of arrays, best first.  ``project``
 and ``evaluate`` score one record with plain loops; they are the oracles
 ``rank`` is tested against, bit for bit, not a second production path.
 ``print_tsv`` writes a ``Ranking`` as the ``eval`` TSV straight from its
-arrays.
+arrays, through ``write_stdout``, the writer of both ``eval`` formats.
 """
 
 from __future__ import annotations
@@ -328,8 +328,29 @@ def print_tsv(ranking: Ranking) -> None:
         flags,
         np.full((n, 1), ord("\n"), dtype=np.uint8),
     ], axis=1)
-    sys.stdout.write("\t".join(header) + "\n")
-    sys.stdout.write(matrix[matrix != _PAD].tobytes().decode("utf-8", "surrogatepass"))
+    write_stdout("\t".join(header) + "\n")
+    write_stdout(matrix[matrix != _PAD].tobytes().decode("utf-8", "surrogatepass"))
+
+
+def write_stdout(text: str) -> None:
+    """Write ``text`` to stdout, encoded as ``sys.stdout.write`` would, and
+    flush it, so that a write the system cuts short raises its error.
+
+    A buffered writer returns a short count, without raising, from a large
+    write that fails part way (a file-size limit, a full disk, a closed
+    pipe); writing the rest raises the system's error.  A stream without a
+    byte buffer (a ``StringIO``) takes the text as it is.
+    """
+    stream = sys.stdout
+    raw = getattr(stream, "buffer", None)
+    if raw is None:
+        stream.write(text)
+        return
+    stream.flush()
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        data = data[raw.write(data):]
+    raw.flush()
 
 
 def _decimal(values: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
 import contextlib
 import copy
+import errno
 import gc
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -37,6 +40,9 @@ V1_KB = Path(__file__).resolve().parent / "data" / "cars_kb_v1.json"
 # column's largest magnitude of it.
 CARS_KB = Path(__file__).resolve().parent / "data" / "cars_kb.json"
 CENTROID_TOL = 1e-12
+# Written by the version 1 compiled-query format: ``query compile`` of
+# cars.pref against CARS_KB, run from the repository root.
+V1_QUERY = Path(__file__).resolve().parent / "data" / "cars_query_v1.json"
 # ``eval`` output of the bundled cars, against the KB_ARGS knowledge base
 # and the query compiled from cars.pref with default options
 GOLDEN = Path(__file__).resolve().parent / "data"
@@ -156,7 +162,7 @@ def test_kb_build_non_numeric_cell_is_data_error(tmp_path, capsys):
 
 def test_compile_writes_terms(compiled_query):
     doc = json.loads(compiled_query.read_text())
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert len(doc["terms"]) == 5
     assert doc["terms"][0]["importance"] == 1.0
 
@@ -405,6 +411,37 @@ def test_eval_stops_quietly_when_the_reader_closes_stdout(tmp_path, built_kb, co
     assert first.decode() == out.split("\n", 1)[0] + "\n"
 
 
+FILE_SIZE_LIMIT = 100 * 1024
+
+
+def _limit_file_size():
+    resource.setrlimit(resource.RLIMIT_FSIZE, (FILE_SIZE_LIMIT, FILE_SIZE_LIMIT))
+
+
+# A large write that a file-size limit cuts short returns without an error;
+# only writing the rest raises the system's error.
+@pytest.mark.parametrize("output", ["tsv", "json"])
+def test_eval_cut_short_by_a_file_size_limit_is_an_io_error(tmp_path, built_kb, compiled_query,
+                                                            capsys, output):
+    header, rows = (DATA_DIR / "cars.csv").read_text().split("\n", 1)
+    table = tmp_path / "many.csv"
+    table.write_text(header + "\n" + rows * 250)
+    argv = ["eval", "--kb", str(built_kb), "--query", str(compiled_query), "--data", str(table),
+            "--format", output]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.encode()) > 2 * FILE_SIZE_LIMIT
+    out = tmp_path / "out.txt"
+    with open(out, "wb") as stdout:
+        # the limit holds in the child alone
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzzycp", *argv], stdout=stdout, stderr=subprocess.PIPE,
+            text=True, env=child_env(), preexec_fn=_limit_file_size,
+        )
+    assert proc.returncode == 3
+    assert proc.stderr == f"fuzzycp: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+    assert out.stat().st_size == FILE_SIZE_LIMIT
+
+
 def test_eval_is_byte_deterministic(tmp_path, built_kb, compiled_query, capsys):
     args = [
         "eval", "--kb", str(built_kb), "--query", str(compiled_query),
@@ -527,6 +564,55 @@ def test_unknown_kb_version_is_data_error(tmp_path, built_kb, capsys):
     assert "ConfigError" in capsys.readouterr().err
 
 
+# --- compiled-query document versions ---------------------------------------
+
+
+def _query_outputs(query, capsys):
+    """What ``eval`` (TSV, and the top 5 as JSON) and ``inspect`` print
+    with the compiled query ``query`` and the fixed knowledge base."""
+    run = ["eval", "--kb", str(CARS_KB), "--query", str(query), "--data", str(DATA_DIR / "cars.csv")]
+    outputs = []
+    for argv in (run, run + ["--top", "5", "--format", "json"], ["inspect", str(query)]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    return outputs
+
+
+def test_v2_query_is_the_v1_query_without_its_text(tmp_path):
+    fresh = json.loads(_compile(CARS_KB, tmp_path / "q.json").read_text())
+    v1 = json.loads(V1_QUERY.read_text())
+    del v1["query"]
+    assert fresh == {**v1, "format_version": 2}
+
+
+def test_same_output_with_v1_or_v2_query(tmp_path, capsys):
+    fresh = _compile(CARS_KB, tmp_path / "q.json")
+    assert _query_outputs(V1_QUERY, capsys) == _query_outputs(fresh, capsys)
+
+
+def test_v1_query_text_is_ignored(tmp_path, capsys):
+    doc = json.loads(V1_QUERY.read_text())
+    doc["query"] = doc["query"].replace("prefer", "prefers", 1)
+    edited = tmp_path / "q_v1.json"
+    edited.write_text(json.dumps(doc))
+    assert _query_outputs(edited, capsys) == _query_outputs(V1_QUERY, capsys)
+
+
+def test_v1_query_with_an_edited_utility_is_stale(tmp_path, capsys):
+    doc = json.loads(V1_QUERY.read_text())
+    _bump_utility(doc)
+    edited = tmp_path / "q_v1.json"
+    edited.write_text(json.dumps(doc))
+    code = main([
+        "eval", "--kb", str(CARS_KB), "--query", str(edited),
+        "--data", str(DATA_DIR / "cars.csv"),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ConfigError: compiled query disagrees with its cpnet in: utilities" in captured.err
+
+
 # --- bad input ---------------------------------------------------------------
 
 
@@ -555,20 +641,9 @@ def _eval_edited(edit, document="query"):
     return argv
 
 
-def _reverse_first_prefer(doc):
-    first = doc["query"].index("prefer ") + len("prefer ")
-    end = doc["query"].index("\n", first)
-    order = " > ".join(reversed(doc["query"][first:end].split(" > ")))
-    doc["query"] = doc["query"][:first] + order + doc["query"][end:]
-
-
 def _bump_utility(doc):
     values = doc["utilities"]["cost"]["rows"][0]["values"]
     values["mid"] += 1
-
-
-def _break_query_text(doc):
-    doc["query"] = doc["query"].replace("prefer", "prefers", 1)
 
 
 def _set_first_model(key, value):
@@ -653,12 +728,10 @@ BAD_INPUTS = {
     "term-importance-not-a-number": _eval_edited(
         lambda doc: doc["terms"][1].update(importance="abc")
     ),
-    "query-text-disagrees-with-cpnet": _eval_edited(_reverse_first_prefer),
     "utility-edited": _eval_edited(_bump_utility),
     "kb-centroid-not-a-number": _set_first_model("centroids", "x"),
     "kb-fuzzifier-not-a-number": _set_first_model("fuzzifier", "x"),
     "kb-centroid-nan": _set_first_model("centroids", float("nan")),
-    "query-text-unparseable": _eval_edited(_break_query_text),
     "kb-attributes-not-a-list": _eval_edited(
         lambda doc: doc.update(attributes=5), document="kb"
     ),
@@ -724,14 +797,11 @@ BAD_INPUTS = {
             "nesting-over-recursion-limit": "[" * 100_000,
         }.items()
     },
-    "query-text-term-count-over-digit-limit": _eval_edited(
-        lambda doc: doc.update(query=doc["query"] + "terms " + "9" * 5000 + "\n")
-    ),
+    "pref-flat-utility": _replaced("pref", "var cost: attr price {\n    prefer low\n}\n"),
 }
 
 # what stderr must say, where exit 2 alone does not tell the cases apart
 BAD_INPUT_MESSAGES = {
-    "query-text-unparseable": "ConfigError: compiled query disagrees with its cpnet in: query",
     "kb-attributes-not-a-list": "ConfigError: 'attributes' must be a list of objects",
     "kb-labels-not-strings": "ConfigError: price: labels must be strings",
     "kb-labels-not-strings-inspect": "ConfigError: price: labels must be strings",
@@ -781,8 +851,7 @@ BAD_INPUT_MESSAGES = {
             "nesting-over-recursion-limit": "maximum recursion depth exceeded",
         }.items()
     },
-    "query-text-term-count-over-digit-limit": "ConfigError: compiled query disagrees with its "
-                                              "cpnet in: query",
+    "pref-flat-utility": "DegenerateUtilityError: utility scale is flat; cannot normalize",
 }
 
 

@@ -229,6 +229,10 @@ INVALID_PROGRAMS = [
         SemanticError, 2, 13, "depend on itself",
     ),
     (
+        "var cost: attr price {\n    prefer low > mid\n}\nvar x: attr a {\n    depends cost\n    when cost = low, cost = mid: prefer r > g\n}",
+        SemanticError, 6, 22, "constrained twice in one when clause",
+    ),
+    (
         "var x: a { prefer r > g }",
         ParseError, 1, 8, "expected 'attr'",
     ),

@@ -275,7 +275,7 @@ def test_compile_honors_explicit_term_count(car_kb):
 def test_document_round_trip(car_kb):
     query = compile_query(QUERY_TEXT, car_kb)
     doc = query_to_document(query)
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     back = query_from_document(json.loads(json.dumps(doc)))
     assert [t.assignment for t in back.terms] == [t.assignment for t in query.terms]
     assert [t.importance for t in back.terms] == [t.importance for t in query.terms]
