@@ -14,7 +14,8 @@ validation, binding), 3 I/O error.
 Each stage imports the layers it uses when it runs.  Only the two that
 read tables, ``kb build`` (``kb``) and ``eval`` (``kb`` and ``scoring``),
 load numpy; ``query compile`` and ``inspect`` work on documents alone
-(``kbdoc`` and ``query``).
+(``kbdoc`` and ``query``).  Only ``query compile`` reads query text, so
+only it loads the parser (``dsl``).
 """
 
 from __future__ import annotations

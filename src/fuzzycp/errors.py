@@ -57,7 +57,8 @@ class ConfigError(FuzzycpError):
 
 class MalformedDocumentError(FuzzycpError):
     """A document file that is not UTF-8 JSON, or whose JSON holds an integer
-    over the interpreter's digit limit or nesting over its recursion limit."""
+    over the interpreter's digit limit, nesting over its recursion limit, an
+    object that repeats a key, or a string with a lone surrogate."""
 
 
 class ValidationError(FuzzycpError):

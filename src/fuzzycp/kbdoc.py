@@ -199,6 +199,8 @@ class KnowledgeBase(Record):
             name = attr.get("name")
             if not isinstance(name, str):
                 raise ConfigError(f"attribute {i}: 'name' must be a string")
+            if name in models:
+                raise ConfigError(f"attribute {name!r} is listed twice")
             labels = attr.get("labels")
             if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
                 raise ConfigError(f"{name}: labels must be strings")
@@ -229,9 +231,32 @@ class KnowledgeBase(Record):
 
 def load_document(path):
     """The JSON value in the file at ``path``: the one reader of knowledge
-    bases and compiled queries, so every stage refuses the same files."""
+    bases and compiled queries, so every stage refuses the same files.
+
+    An object that repeats a key, or a string that holds a lone surrogate
+    (which no UTF-8 output can print), makes the document malformed, as in
+    I-JSON (RFC 7493).
+    """
     with open(path, encoding="utf-8") as f:
         try:
-            return json.load(f)
+            text = f.read()
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
+            if "\\u" in text:  # the text is UTF-8, so only an escape makes a surrogate
+                json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedDocumentError("a string holds a lone surrogate") from None
         except (ValueError, RecursionError) as exc:
             raise MalformedDocumentError(str(exc)) from None
+    return doc
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its key-value pairs, refused if a key repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise MalformedDocumentError(f"key {key!r} appears twice in one object")
+            seen.add(key)
+    return obj

@@ -1,7 +1,8 @@
-"""Compile a parsed preference net into weighted disjunctive form.
+"""Compile a preference net into weighted disjunctive form.
 
-A compiled query is a disjunction of conjunctive terms.  Each term is one
-complete outcome of the preference net (every variable paired with a
+A compiled query is the net weighted as a UCP-net, its variables bound to
+knowledge-base attributes, and a disjunction of conjunctive terms.  Each
+term is one complete outcome of the net (every variable paired with a
 value), and terms are the top-T outcomes by additive utility, most
 important first.  A term's importance is its normalized utility, so the
 best outcome always opens the list with importance 1.
@@ -18,7 +19,6 @@ import heapq
 import json
 
 from .cpnet import OUTCOME_CAP, CPNet, PreferenceVariable, node_importance, topological_order
-from .dsl import QuerySpec, parse_query
 from .errors import BindingError, CapacityError, ConfigError, DegenerateUtilityError
 from .kbdoc import KnowledgeBase, load_document
 from .record import Frozen, Record
@@ -35,30 +35,27 @@ class Term(Frozen):
 
 
 class WeightedQuery(Record):
-    """Disjunction of weighted terms plus everything needed to score records."""
+    """A UCP-net, its bindings (variable -> attribute) and its weighted terms."""
 
-    __slots__ = ("spec", "ucp", "terms")
+    __slots__ = ("ucp", "bindings", "terms")
 
-    def __init__(self, spec: QuerySpec, ucp: UCPNet, terms: tuple[Term, ...]):
-        self.spec = spec
+    def __init__(self, ucp: UCPNet, bindings: dict[str, str], terms: tuple[Term, ...]):
         self.ucp = ucp
+        self.bindings = bindings
         self.terms = tuple(terms)
-        names = {v.name for v in self.net.nodes}
+        domains = {v.name: v.domain for v in self.net.nodes}
         for term in self.terms:
-            if set(term.assignment) != names:
+            if term.assignment.keys() != domains.keys():
                 raise ConfigError("term does not assign every query variable")
+            if not all(value in domains[name] for name, value in term.assignment.items()):
+                raise ConfigError("term assigns a value outside its variable's domain")
         importances = [t.importance for t in self.terms]
         if any(b > a for a, b in zip(importances, importances[1:])):
             raise ConfigError("terms must be ordered by non-increasing importance")
 
     @property
     def net(self) -> CPNet:
-        return self.spec.net
-
-    @property
-    def bindings(self) -> dict[str, str]:
-        """Variable -> dataset attribute."""
-        return self.spec.bindings
+        return self.ucp.net
 
 
 def rewrite_query(
@@ -75,19 +72,20 @@ def rewrite_query(
     lexicographically (topological node order, then domain position), which
     is exactly the enumeration order of ``enumerate_outcomes``.  T defaults
     to min(5, outcome count); a T above the outcome count or above
-    ``OUTCOME_CAP`` raises ``CapacityError``.  The query's spec takes T as
-    its term count.
+    ``OUTCOME_CAP`` raises ``CapacityError``.  ``ucp`` must weight ``net``
+    itself, else ConfigError.
     """
+    if ucp.net != net:
+        raise ConfigError("the utilities were assigned to another net")
     _check_bindings(net, kb, bindings)
-    terms = _rewrite(net, ucp, term_count)
-    return WeightedQuery(QuerySpec(net, dict(bindings), len(terms)), ucp, terms)
+    return WeightedQuery(ucp, dict(bindings), _rewrite(ucp, term_count))
 
 
-def _rewrite(net, ucp, term_count) -> tuple[Term, ...]:
-    """The terms of ``rewrite_query`` after its knowledge-base check, which
-    loading a compiled query, with no knowledge base at hand, shares.  An
-    importance is the search's exact utility over the additive ceiling."""
-    outcome_count = net.outcome_count()
+def _rewrite(ucp: UCPNet, term_count) -> tuple[Term, ...]:
+    """The terms of ``rewrite_query`` after its checks, which loading a
+    compiled query, with no knowledge base at hand, shares.  An importance
+    is the search's exact utility over the additive ceiling."""
+    outcome_count = ucp.net.outcome_count()
     if term_count is None:
         term_count = min(5, outcome_count)
     if term_count < 1:
@@ -102,12 +100,12 @@ def _rewrite(net, ucp, term_count) -> tuple[Term, ...]:
     if ucp.max_total_utility <= 0:
         raise DegenerateUtilityError("utility scale is flat; cannot normalize")
     return tuple(
-        Term({v.name: outcome[v.name] for v in net.nodes}, utility / ucp.max_total_utility)
-        for outcome, utility in _top_outcomes(net, ucp, term_count)
+        Term({v.name: outcome[v.name] for v in ucp.net.nodes}, utility / ucp.max_total_utility)
+        for outcome, utility in _top_outcomes(ucp, term_count)
     )
 
 
-def _top_outcomes(net: CPNet, ucp: UCPNet, count: int) -> list[tuple[dict[str, str], int]]:
+def _top_outcomes(ucp: UCPNet, count: int) -> list[tuple[dict[str, str], int]]:
     """The ``count`` outcomes of highest utility with their utilities, best
     first.
 
@@ -121,6 +119,7 @@ def _top_outcomes(net: CPNet, ucp: UCPNet, count: int) -> list[tuple[dict[str, s
     enumeration order among equal utilities.  Sums are exact for integer
     utilities, which ``assign_utilities`` produces.
     """
+    net = ucp.net
     order = topological_order(net)
     position = {name: depth for depth, name in enumerate(order)}
     domains = [net.variable(name).domain for name in order]
@@ -148,6 +147,8 @@ def _top_outcomes(net: CPNet, ucp: UCPNet, count: int) -> list[tuple[dict[str, s
 
 
 def _check_bindings(net: CPNet, kb: KnowledgeBase, bindings: dict[str, str]) -> None:
+    """The binding rule of both compiling and ranking: every variable is
+    bound to an attribute of ``kb`` whose labels include its whole domain."""
     for variable in net.nodes:
         attribute = bindings.get(variable.name)
         if attribute is None:
@@ -173,9 +174,10 @@ def compile_query(
 ) -> WeightedQuery:
     """Parse, weight, and rewrite a query in one step.
 
-    ``term_count`` overrides the text's own ``terms`` clause; the compiled
-    query's spec holds the number of terms it was given.
+    ``term_count`` overrides the text's own ``terms`` clause.
     """
+    from .dsl import parse_query  # the one reader of query text; no other stage loads it
+
     spec = parse_query(text)
     requested = term_count if term_count is not None else spec.term_count
     return rewrite_query(spec.net, assign_utilities(spec.net), kb, spec.bindings, requested)
@@ -257,8 +259,7 @@ def query_from_document(doc: dict) -> WeightedQuery:
     _check_shape(doc, _SHAPE, "")
     net, bindings = _decode_net(doc["cpnet"])
     ucp = assign_utilities(net)
-    terms = _rewrite(net, ucp, len(doc["terms"]))
-    query = WeightedQuery(QuerySpec(net, bindings, len(terms)), ucp, terms)
+    query = WeightedQuery(ucp, bindings, _rewrite(ucp, len(doc["terms"])))
 
     derived = query_to_document(query)
     blocks = ("bindings", "cpnet", "utilities", "max_total_utility", "importance")

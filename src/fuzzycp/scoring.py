@@ -37,7 +37,7 @@ from .cpnet import node_importance
 from .errors import BindingError, ConfigError, DegenerateQueryError
 from .kb import Dataset
 from .kbdoc import KnowledgeBase
-from .query import WeightedQuery
+from .query import WeightedQuery, _check_bindings
 from .record import Frozen, Record
 
 
@@ -215,14 +215,19 @@ def rank(
 ) -> Ranking:
     """Score every record and sort best-first; ties keep the input order.
 
-    The query is checked against the knowledge base before any record is
-    scored: a term label that is not a cluster of its bound attribute is a
-    BindingError.  ``top_n`` (at least 1) keeps the first ``top_n`` rows of
-    the full ranking.
+    The query's bindings are checked against the knowledge base by the rule
+    that compiling applies, before any record is scored: a domain value that
+    is not a cluster of its bound attribute is a BindingError.  ``top_n``
+    (at least 1) keeps the first ``top_n`` rows of the full ranking.
     """
     if top_n is not None and top_n < 1:
         raise ConfigError(f"top_n must be at least 1, got {top_n}")
+    _check_bindings(query.net, kb, query.bindings)
+    if not query.terms:
+        raise DegenerateQueryError("query has no terms")
     variables = tuple(v.name for v in query.net.nodes)
+    if not variables:
+        raise DegenerateQueryError("term has no variables to aggregate")
     labels = _label_table(kb, query, variables)
     importance = node_importance(query.net)
     weights = [float(importance[name]) for name in variables]
@@ -252,30 +257,12 @@ def rank(
 
 
 def _label_table(kb: KnowledgeBase, query: WeightedQuery, variables) -> np.ndarray:
-    """Cluster index of the label term k picks for variable i, as a T x V table.
-
-    Raises when the query cannot be scored against ``kb`` at all.
-    """
-    if not query.terms:
-        raise DegenerateQueryError("query has no terms")
-    if not variables:
-        raise DegenerateQueryError("term has no variables to aggregate")
+    """Cluster index of the label term k picks for variable i, as a T x V
+    table, for a query whose bindings ``_check_bindings`` accepted."""
     table = np.empty((len(query.terms), len(variables)), dtype=np.intp)
     for i, name in enumerate(variables):
-        attribute = query.bindings.get(name)
-        if attribute not in kb.models:
-            raise BindingError(
-                f"variable {name!r} is bound to {attribute!r}, "
-                "which the knowledge base does not cover"
-            )
-        labels = kb.model(attribute).labels
-        for k, term in enumerate(query.terms):
-            wanted = term.assignment[name]
-            if wanted not in labels:
-                raise BindingError(
-                    f"no cluster labeled {wanted!r} for attribute {attribute!r}"
-                )
-            table[k, i] = labels.index(wanted)
+        labels = kb.model(query.bindings[name]).labels
+        table[:, i] = [labels.index(term.assignment[name]) for term in query.terms]
     return table
 
 

@@ -190,6 +190,32 @@ def test_compile_label_mismatch_is_binding_error(tmp_path, built_kb, capsys):
     assert "BindingError" in err and "cheap" in err
 
 
+def test_eval_refuses_a_missing_label_with_the_line_compile_prints(tmp_path, compiled_query,
+                                                                   capsys):
+    # a knowledge base whose price clusters have no "mid": compiling
+    # cars.pref against it, and evaluating the query compiled against
+    # another, break the one binding rule at the same variable
+    other = tmp_path / "other.json"
+    build = [arg.replace("low,mid,high", "low,medium,high") for arg in KB_ARGS]
+    assert main(build + ["--out", str(other)]) == 0
+    capsys.readouterr()
+    assert main([
+        "query", "compile", "--kb", str(other),
+        "--query", str(DATA_DIR / "cars.pref"), "--out", str(tmp_path / "q.json"),
+    ]) == 2
+    compiling = capsys.readouterr().err
+    assert main([
+        "eval", "--kb", str(other), "--query", str(compiled_query),
+        "--data", str(DATA_DIR / "cars.csv"),
+    ]) == 2
+    evaluating = capsys.readouterr()
+    assert compiling == evaluating.err == (
+        "fuzzycp: BindingError: attribute 'price' has no clusters labeled ['mid'] "
+        "(variable 'cost')\n"
+    )
+    assert evaluating.out == ""
+
+
 def test_compile_subset_domain_binds(tmp_path, built_kb):
     # a variable may use only some of the attribute's labels
     subset = tmp_path / "subset.pref"
@@ -710,6 +736,13 @@ def _inspect_edited_kb(edit):
     return argv
 
 
+# documents that hold a lone surrogate, which no UTF-8 output can print:
+# a knowledge-base label and a compiled query's variable name
+LONE_SURROGATE = {
+    "kb": CARS_KB.read_text().replace('"mid"', '"m\\ud800"'),
+    "query": V1_QUERY.read_text().replace("wear", "w\\ud800"),
+}
+
 BAD_INPUTS = {
     "terms-0": lambda tmp_path, kb, query: [
         "query", "compile", "--kb", str(kb),
@@ -764,6 +797,14 @@ BAD_INPUTS = {
     "kb-attribute-without-centroids": _eval_edited(
         lambda doc: doc["attributes"][0].pop("centroids"), document="kb"
     ),
+    "kb-attribute-listed-twice": _eval_edited(
+        lambda doc: doc["attributes"].append(doc["attributes"][0]), document="kb"
+    ),
+    "kb-lone-surrogate": _replaced("kb", LONE_SURROGATE["kb"]),
+    "compile-kb-lone-surrogate": _replaced("compile", LONE_SURROGATE["kb"]),
+    "inspect-kb-lone-surrogate": _replaced("inspect", LONE_SURROGATE["kb"]),
+    "query-lone-surrogate": _replaced("query", LONE_SURROGATE["query"]),
+    "inspect-query-lone-surrogate": _replaced("inspect", LONE_SURROGATE["query"]),
     "inspect-not-utf8": _replaced("inspect", b'{"format_version": 1, "x": "\xff"}'),
     "kb-not-utf8": _replaced("kb", b'{"format_version": 2, "attributes": ["\xff"]}'),
     "query-not-utf8": _replaced("query", b'{"format_version": 1, "x": "\xff"}'),
@@ -795,6 +836,7 @@ BAD_INPUTS = {
         for case, content in {
             "integer-over-digit-limit": '{"format_version": ' + "9" * 5000 + "}",
             "nesting-over-recursion-limit": "[" * 100_000,
+            "repeated-key": '{"format_version": 2, "attributes": [{"name": "p", "name": "q"}]}',
         }.items()
     },
     "pref-flat-utility": _replaced("pref", "var cost: attr price {\n    prefer low\n}\n"),
@@ -820,6 +862,7 @@ BAD_INPUT_MESSAGES = {
     "kb-attribute-without-labels": "ConfigError: price: labels must be strings",
     "kb-attribute-without-name": "ConfigError: attribute 0: 'name' must be a string",
     "kb-attribute-without-centroids": "ConfigError: price: centroids and fuzzifier must be numbers",
+    "kb-attribute-listed-twice": "ConfigError: attribute 'price' is listed twice",
     "inspect-not-utf8": "fuzzycp: malformed document: 'utf-8' codec can't decode",
     "kb-not-utf8": "fuzzycp: malformed document: 'utf-8' codec can't decode",
     "query-not-utf8": "fuzzycp: malformed document: 'utf-8' codec can't decode",
@@ -849,7 +892,12 @@ BAD_INPUT_MESSAGES = {
         for case, message in {
             "integer-over-digit-limit": "Exceeds the limit (4300 digits)",
             "nesting-over-recursion-limit": "maximum recursion depth exceeded",
+            "repeated-key": "key 'name' appears twice in one object",
         }.items()
+    },
+    **{
+        case: "fuzzycp: malformed document: a string holds a lone surrogate"
+        for case in BAD_INPUTS if case.endswith("lone-surrogate")
     },
     "pref-flat-utility": "DegenerateUtilityError: utility scale is flat; cannot normalize",
 }

@@ -9,7 +9,6 @@ from fuzzycp import (
     ConfigError,
     Dataset,
     DegenerateQueryError,
-    QuerySpec,
     Term,
     WeightedQuery,
     aggregate_term_score,
@@ -33,17 +32,18 @@ def query_with_importances(importances):
         Term(assignment={"x": "a"}, importance=u)
         for u in importances
     )
-    query = WeightedQuery(spec=QuerySpec(net, bindings), ucp=ucp, terms=terms)
+    query = WeightedQuery(ucp=ucp, bindings=bindings, terms=terms)
     return kb, query
 
 
 def bogus_label_query():
-    """A query whose only term wants a label the knowledge base lacks."""
-    net = single_node()
-    kb, bindings = kb_for_net(net)
+    """A query whose net, and so its best term, has a label the knowledge
+    base lacks."""
+    kb, bindings = kb_for_net(single_node())  # labels a, b
+    net = single_node(domain=("zz", "b"))
     query = WeightedQuery(
-        spec=QuerySpec(net, bindings),
         ucp=assign_utilities(net),
+        bindings=bindings,
         terms=(Term(assignment={"x": "zz"}, importance=1.0),),
     )
     return kb, query

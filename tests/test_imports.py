@@ -1,5 +1,6 @@
-"""The package and the document-only CLI stages load without numpy, and
-every public name resolves to the object its home module defines."""
+"""The package and the document-only CLI stages load without numpy, only
+``query compile`` loads the query parser, and every public name resolves to
+the object its home module defines."""
 
 import contextlib
 import io
@@ -80,6 +81,14 @@ def test_no_stage_loads_dataclasses(tmp_path, documents, stage):
     # dataclasses imports inspect, dis, ast and tokenize: start-up that the
     # plain record classes do without
     assert not _loads(_stage_code(stage, *documents, tmp_path), "dataclasses")
+
+
+@pytest.mark.parametrize(
+    "stage", ["import", "kb build", "query compile", "eval", "inspect kb", "inspect query"]
+)
+def test_only_query_compile_loads_the_parser(tmp_path, documents, stage):
+    loaded = _loads(_stage_code(stage, *documents, tmp_path), "fuzzycp.dsl")
+    assert loaded == (stage == "query compile")
 
 
 def test_table_stages_load_numpy(tmp_path):

@@ -22,6 +22,7 @@ from fuzzycp import (
     fuzzy_c_means,
     ingest_tabular,
 )
+from fuzzycp.errors import MalformedDocumentError
 from fuzzycp.kb import _membership_grid, _quantiles
 from helpers import (
     fcm_memberships,
@@ -542,6 +543,25 @@ def test_document_round_trip():
     assert doc["provenance"]["records"] == 4
     back = KnowledgeBase.from_document(doc)
     assert back.models == kb.models
+
+
+def test_document_with_an_attribute_listed_twice_is_a_config_error():
+    doc = _toy_kb().to_document()
+    doc["attributes"].append(dict(doc["attributes"][0], centroids=[1.0, 2.0]))
+    with pytest.raises(ConfigError, match="attribute 'size' is listed twice"):
+        KnowledgeBase.from_document(doc)
+
+
+def test_load_refuses_a_repeated_key(tmp_path):
+    # a second "centroids" key, scaled by 1.5, which json.loads lets win
+    kb = _toy_kb()
+    scaled = [1.5 * c for c in kb.model("size").centroids]
+    text = kb.dump().replace('"fuzzifier": ', f'"centroids": {json.dumps(scaled)}, "fuzzifier": ')
+    assert json.loads(text)["attributes"][0]["centroids"] == scaled
+    path = tmp_path / "kb.json"
+    path.write_text(text)
+    with pytest.raises(MalformedDocumentError, match="key 'centroids' appears twice"):
+        KnowledgeBase.load(path)
 
 
 def test_membership_of_centroid_is_one():

@@ -10,7 +10,9 @@ from fuzzycp import (
     ConfigError,
     CPNet,
     PreferenceVariable,
+    Term,
     ValidationError,
+    WeightedQuery,
     assign_utilities,
     compile_query,
     parse_query,
@@ -188,6 +190,25 @@ def test_unbound_variable_is_a_binding_error():
     ucp = assign_utilities(net)
     with pytest.raises(BindingError):
         rewrite_query(net, ucp, kb, {}, 2)
+
+
+def test_utilities_of_another_net_are_a_config_error():
+    net = single_node()
+    kb, bindings = kb_for_net(net)
+    # the same variable in the opposite order, whose terms would follow
+    # the utilities, and another variable, whose names the net lacks
+    for other in (single_node(domain=("b", "a")), single_node(name="y")):
+        with pytest.raises(ConfigError, match="assigned to another net"):
+            rewrite_query(net, assign_utilities(other), kb, bindings, 2)
+    # an equal net, built again, is the same net
+    query = rewrite_query(net, assign_utilities(single_node()), kb, bindings, 2)
+    assert query.terms == rewrite(net, 2).terms
+
+
+def test_a_term_outside_its_domain_is_a_config_error():
+    ucp = assign_utilities(single_node())
+    with pytest.raises(ConfigError, match="outside its variable's domain"):
+        WeightedQuery(ucp, {"x": "attr_x"}, [Term({"x": "zz"}, 1.0)])
 
 
 def test_relabeling_keeps_term_structure():

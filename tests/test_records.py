@@ -32,7 +32,6 @@ from fuzzycp.ucp import DominanceViolation
 X = PreferenceVariable("x", ("a", "b"))
 NET = CPNet((X,), (), {"x": {(): ("a", "b")}})
 UCP = assign_utilities(NET)
-SPEC = QuerySpec(NET, {"x": "attr_x"}, 1)
 TERM = Term({"x": "a"}, 1.0)
 ARRAY = np.array([[0.25, 0.75]])
 
@@ -45,7 +44,7 @@ RECORDS = {
     QuerySpec: lambda: QuerySpec(NET, {"x": "attr_x"}, 1),
     Token: lambda: Token("ident", "price", 1, 5),
     Term: lambda: Term({"x": "a"}, 1.0),
-    WeightedQuery: lambda: WeightedQuery(SPEC, UCP, [TERM]),
+    WeightedQuery: lambda: WeightedQuery(UCP, {"x": "attr_x"}, [TERM]),
     UCPNet: lambda: assign_utilities(NET),
     DominanceViolation: lambda: DominanceViolation("x", 1, 2),
     ClusterModel: lambda: ClusterModel("price", (1.0, 2.0), ("low", "high"), 2.0),
