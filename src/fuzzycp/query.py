@@ -77,7 +77,7 @@ def rewrite_query(
     """
     if ucp.net != net:
         raise ConfigError("the utilities were assigned to another net")
-    _check_bindings(net, kb, bindings)
+    check_bindings(net, kb, bindings)
     return WeightedQuery(ucp, dict(bindings), _rewrite(ucp, term_count))
 
 
@@ -146,7 +146,7 @@ def _top_outcomes(ucp: UCPNet, count: int) -> list[tuple[dict[str, str], int]]:
     return found
 
 
-def _check_bindings(net: CPNet, kb: KnowledgeBase, bindings: dict[str, str]) -> None:
+def check_bindings(net: CPNet, kb: KnowledgeBase, bindings: dict[str, str]) -> None:
     """The binding rule of both compiling and ranking: every variable is
     bound to an attribute of ``kb`` whose labels include its whole domain."""
     for variable in net.nodes:

@@ -34,10 +34,10 @@ from itertools import compress
 import numpy as np
 
 from .cpnet import node_importance
-from .errors import BindingError, ConfigError, DegenerateQueryError
+from .errors import ConfigError, DegenerateQueryError
 from .kb import Dataset
 from .kbdoc import KnowledgeBase
-from .query import WeightedQuery, _check_bindings
+from .query import WeightedQuery, check_bindings
 from .record import Frozen, Record
 
 
@@ -133,8 +133,11 @@ def project(
 
     ``record`` maps attribute names to values; a missing or non-finite
     value scores membership 0 for that variable under every term and is
-    flagged.  A term label with no matching cluster is a BindingError.
+    flagged.  The query's bindings are checked by the rule ``rank`` applies,
+    before any value is read: a domain value that is not a cluster of its
+    bound attribute is a BindingError.
     """
+    check_bindings(query.net, kb, query.bindings)
     variables = tuple(v.name for v in query.net.nodes)
     vectors: dict[str, dict[str, float] | None] = {}
     missing = []
@@ -152,16 +155,9 @@ def project(
     entries = np.zeros((len(query.terms), len(variables)))
     for k, term in enumerate(query.terms):
         for i, name in enumerate(variables):
-            wanted = term.assignment[name]
             degrees = vectors[name]
-            if degrees is None:
-                continue
-            if wanted not in degrees:
-                raise BindingError(
-                    f"no cluster labeled {wanted!r} for attribute "
-                    f"{query.bindings[name]!r}"
-                )
-            entries[k, i] = degrees[wanted]
+            if degrees is not None:
+                entries[k, i] = degrees[term.assignment[name]]
     return DataProjection(
         record_index=record_index,
         variables=variables,
@@ -222,7 +218,7 @@ def rank(
     """
     if top_n is not None and top_n < 1:
         raise ConfigError(f"top_n must be at least 1, got {top_n}")
-    _check_bindings(query.net, kb, query.bindings)
+    check_bindings(query.net, kb, query.bindings)
     if not query.terms:
         raise DegenerateQueryError("query has no terms")
     variables = tuple(v.name for v in query.net.nodes)
@@ -258,7 +254,7 @@ def rank(
 
 def _label_table(kb: KnowledgeBase, query: WeightedQuery, variables) -> np.ndarray:
     """Cluster index of the label term k picks for variable i, as a T x V
-    table, for a query whose bindings ``_check_bindings`` accepted."""
+    table, for a query whose bindings ``check_bindings`` accepted."""
     table = np.empty((len(query.terms), len(variables)), dtype=np.intp)
     for i, name in enumerate(variables):
         labels = kb.model(query.bindings[name]).labels
