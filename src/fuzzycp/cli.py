@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from itertools import compress
@@ -226,11 +225,11 @@ def cmd_eval(args) -> int:
     if args.format == "tsv":
         print_tsv(ranking)
     else:
-        write_stdout(_json_text(ranking))
+        write_stdout(kbdoc.document_text(_json_document(ranking)))
     return OK
 
 
-def _json_text(ranking) -> str:
+def _json_document(ranking) -> dict:
     rows = zip(ranking.record_index.tolist(), ranking.score.tolist(),
                ranking.term_scores.tolist(), ranking.clipped.tolist(),
                ranking.missing.tolist())
@@ -240,8 +239,7 @@ def _json_text(ranking) -> str:
          "missing": list(compress(ranking.variables, missing))}
         for position, (index, score, term_scores, clipped, missing) in enumerate(rows, 1)
     ]
-    doc = {"format_version": 1, "term_count": ranking.term_scores.shape[1], "results": results}
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    return {"format_version": 1, "term_count": ranking.term_scores.shape[1], "results": results}
 
 
 def cmd_inspect(args) -> int:

@@ -1,4 +1,4 @@
-"""The knowledge-base document, and the settings it is built with.
+"""The knowledge base, its build settings, and the JSON of every document.
 
 A knowledge base is one cluster model (centroids, labels, fuzzifier) per
 attribute, plus how it was built.  This module reads, checks and writes
@@ -184,49 +184,41 @@ class KnowledgeBase(Record):
     @classmethod
     def from_document(cls, doc: dict) -> "KnowledgeBase":
         """Read a version 2 document, or a version 1 one, whose per-record
-        membership rows are ignored: the centroids determine them.  An
-        entry of the wrong shape is a ConfigError that names it."""
-        if not isinstance(doc, dict) or doc.get("format_version") not in (1, 2):
-            raise ConfigError("not a knowledge-base document of version 1 or 2")
-        entries = doc.get("attributes")
-        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            raise ConfigError("'attributes' must be a list of objects")
+        membership rows are ignored: the centroids determine them.  A
+        missing ``provenance`` reads as {}.  An entry of the wrong shape is
+        a ConfigError that names it."""
+        check_document(doc, _SHAPE, "knowledge base")
         provenance = doc.get("provenance", {})
-        if not isinstance(provenance, dict):
-            raise ConfigError("'provenance' must be an object")
+        check_shape(provenance, dict, "knowledge base", "provenance")
         models = {}
-        for i, attr in enumerate(entries):
-            name = attr.get("name")
-            if not isinstance(name, str):
-                raise ConfigError(f"attribute {i}: 'name' must be a string")
+        for attr in doc["attributes"]:
+            name = attr["name"]
             if name in models:
                 raise ConfigError(f"attribute {name!r} is listed twice")
-            labels = attr.get("labels")
-            if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
-                raise ConfigError(f"{name}: labels must be strings")
             try:
-                centroids = tuple(float(v) for v in attr.get("centroids"))
-                fuzzifier = float(attr.get("fuzzifier"))
-            except (TypeError, ValueError):
-                raise ConfigError(f"{name}: centroids and fuzzifier must be numbers") from None
-            models[name] = ClusterModel(
-                attribute=name,
-                centroids=centroids,
-                labels=tuple(labels),
-                fuzzifier=fuzzifier,
-            )
+                centroids = tuple(map(float, attr["centroids"]))
+                fuzzifier = float(attr["fuzzifier"])
+            except OverflowError:  # an integer beyond every float
+                raise ConfigError(f"{name}: centroids and fuzzifier must be finite") from None
+            models[name] = ClusterModel(name, centroids, tuple(attr["labels"]), fuzzifier)
         return cls(models=models, provenance=dict(provenance))
 
-    def dump(self) -> str:
-        return json.dumps(self.to_document(), ensure_ascii=False, indent=2) + "\n"
-
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.dump())
+        save_document(self.to_document(), path)
 
     @classmethod
     def load(cls, path) -> "KnowledgeBase":
         return cls.from_document(load_document(path))
+
+
+def document_text(doc) -> str:
+    """The text of every JSON document fuzzycp writes."""
+    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+
+def save_document(doc, path) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(document_text(doc))
 
 
 def load_document(path):
@@ -260,3 +252,36 @@ def _unique_keys(pairs: list) -> dict:
                 raise MalformedDocumentError(f"key {key!r} appears twice in one object")
             seen.add(key)
     return obj
+
+
+def check_document(doc, shape: dict, document: str) -> None:
+    """Refuse, with a ConfigError, all but an object whose ``format_version``
+    is the JSON integer 1 or 2 and that has ``shape``."""
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if type(version) is not int or version not in (1, 2):
+        raise ConfigError(f"not a {document.replace(' ', '-')} document of version 1 or 2")
+    check_shape(doc, shape, document)
+
+
+NUMBER = (int, float)  # a JSON number: check_shape refuses a boolean, an int in Python
+_KINDS = {dict: "an object", list: "a list", str: "a string", NUMBER: "a number"}
+
+
+def check_shape(value, shape, document: str, path: str = "") -> None:
+    """Raise a ConfigError naming ``path`` in ``document`` unless ``value``
+    has ``shape``: ``dict``, ``list``, ``str`` or ``NUMBER``, [shape] for a
+    list of that shape, or {key: shape} for an object with those keys."""
+    kind = type(shape) if isinstance(shape, (dict, list)) else shape
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ConfigError(f"{document}: {path} must be {_KINDS[kind]}")
+    if isinstance(shape, dict):
+        for key, inner in shape.items():
+            check_shape(value.get(key), inner, document, f"{path}.{key}".lstrip("."))
+    elif isinstance(shape, list):
+        for i, item in enumerate(value):
+            check_shape(item, shape[0], document, f"{path}[{i}]")
+
+
+# What loading reads of a knowledge base, but its optional provenance.
+_ATTRIBUTE = {"name": str, "labels": [str], "centroids": [NUMBER], "fuzzifier": NUMBER}
+_SHAPE = {"attributes": [_ATTRIBUTE]}

@@ -16,11 +16,10 @@ the text that version 1 printed from the net is ignored.
 from __future__ import annotations
 
 import heapq
-import json
 
 from .cpnet import OUTCOME_CAP, CPNet, PreferenceVariable, node_importance, topological_order
 from .errors import BindingError, CapacityError, ConfigError, DegenerateUtilityError
-from .kbdoc import KnowledgeBase, load_document
+from .kbdoc import KnowledgeBase, check_document, check_shape, load_document, save_document
 from .record import Frozen, Record
 from .ucp import UCPNet, assign_utilities
 
@@ -254,27 +253,36 @@ def query_from_document(doc: dict) -> WeightedQuery:
     that differs from its derivation is a ConfigError naming every such
     block, so a document cannot say two different things.
     """
-    if not isinstance(doc, dict) or doc.get("format_version") not in (1, 2):
-        raise ConfigError("not a compiled-query document of version 1 or 2")
-    _check_shape(doc, _SHAPE, "")
+    check_document(doc, _SHAPE, "compiled query")
     net, bindings = _decode_net(doc["cpnet"])
     ucp = assign_utilities(net)
     query = WeightedQuery(ucp, bindings, _rewrite(ucp, len(doc["terms"])))
 
     derived = query_to_document(query)
-    blocks = ("bindings", "cpnet", "utilities", "max_total_utility", "importance")
-    stale = [key for key in blocks if doc.get(key) != derived[key]]
-    if [(t.get("assignment"), t.get("importance")) for t in doc["terms"]] != [
-        (t["assignment"], t["importance"]) for t in derived["terms"]
-    ]:
-        stale.append("terms")
+    # a stored term's other keys, like the weights of older versions, go unread
+    terms = [{"assignment": t.get("assignment"), "importance": t.get("importance")}
+             for t in doc["terms"]]
+    stored = {**doc, "terms": terms}
+    blocks = ("bindings", "cpnet", "utilities", "max_total_utility", "importance", "terms")
+    stale = [key for key in blocks if not _same_json(stored.get(key), derived[key])]
     if stale:
         raise ConfigError(f"compiled query disagrees with its cpnet in: {', '.join(stale)}")
     return query
 
 
-# What loading reads of a compiled query: a type, [shape] for a list of
-# that shape, or {key: shape} for an object with (at least) those keys.
+def _same_json(stored, derived) -> bool:
+    """``stored == derived`` for two JSON values, except that a boolean
+    equals no number, as ``True == 1`` would in Python."""
+    if isinstance(stored, dict):
+        return (isinstance(derived, dict) and stored.keys() == derived.keys()
+                and all(_same_json(stored[key], derived[key]) for key in stored))
+    if isinstance(stored, list):
+        return (isinstance(derived, list) and len(stored) == len(derived)
+                and all(map(_same_json, stored, derived)))
+    return stored == derived and isinstance(stored, bool) == isinstance(derived, bool)
+
+
+# What loading reads of a compiled query, in the form ``check_shape`` takes.
 _SHAPE = {
     "cpnet": {
         "nodes": [{"name": str, "domain": [str], "parents": [str], "attribute": str}],
@@ -283,21 +291,6 @@ _SHAPE = {
     },
     "terms": [dict],
 }
-_ROWS_SHAPE = [{"when": dict, "order": [str]}]
-_KINDS = {dict: "an object", list: "a list", str: "a string"}
-
-
-def _check_shape(value, shape, path: str) -> None:
-    """Raise a ConfigError that names ``path`` unless ``value`` has ``shape``."""
-    kind = type(shape) if isinstance(shape, (dict, list)) else shape
-    if not isinstance(value, kind):
-        raise ConfigError(f"compiled query: {path} must be {_KINDS[kind]}")
-    if isinstance(shape, dict):
-        for key, inner in shape.items():
-            _check_shape(value.get(key), inner, f"{path}.{key}".lstrip("."))
-    elif isinstance(shape, list):
-        for i, item in enumerate(value):
-            _check_shape(item, shape[0], f"{path}[{i}]")
 
 
 def _decode_net(block: dict) -> tuple[CPNet, dict[str, str]]:
@@ -308,7 +301,7 @@ def _decode_net(block: dict) -> tuple[CPNet, dict[str, str]]:
     parents = {n["name"]: tuple(n["parents"]) for n in block["nodes"]}
     cpt = {}
     for name, rows in block["cpt"].items():
-        _check_shape(rows, _ROWS_SHAPE, f"cpnet.cpt.{name}")
+        check_shape(rows, [{"when": dict, "order": [str]}], "compiled query", f"cpnet.cpt.{name}")
         keys = [tuple(row["when"].get(p) for p in parents.get(name, ())) for row in rows]
         if not all(isinstance(value, str) for key in keys for value in key):
             raise ConfigError(f"compiled query: a cpnet.cpt.{name} row misses a parent value")
@@ -318,13 +311,8 @@ def _decode_net(block: dict) -> tuple[CPNet, dict[str, str]]:
     return net, {n["name"]: n["attribute"] for n in block["nodes"]}
 
 
-def dump_query(query: WeightedQuery) -> str:
-    return json.dumps(query_to_document(query), ensure_ascii=False, indent=2) + "\n"
-
-
 def save_query(query: WeightedQuery, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dump_query(query))
+    save_document(query_to_document(query), path)
 
 
 def load_query(path) -> WeightedQuery:

@@ -301,18 +301,25 @@ def dag_as_net(names, edges) -> CPNet:
     return CPNet(nodes=nodes, edges=tuple(edges), cpt=cpt)
 
 
-def kb_for_net(net: CPNet, rng: random.Random | None = None):
+def kb_for_net(net: CPNet, rng: random.Random | None = None, attributes: int | None = None):
     """Synthetic knowledge base whose labels cover every variable's domain.
 
-    Each variable gets its own attribute named ``attr_<var>`` with one
-    cluster per domain value; centroids are ascending and, when an rng is
-    given, randomly spaced.  Returns (kb, bindings).
+    Each variable gets its own attribute named ``attr_<var>``, or, given
+    ``attributes``, the i-th variable shares ``attr_<i mod attributes>``
+    with the others bound there.  An attribute has one cluster per label,
+    and its labels are its variables' domains end to end; centroids are
+    ascending and, when an rng is given, randomly spaced.  Returns (kb,
+    bindings).
     """
-    models = {}
+    labels = {}
     bindings = {}
-    for v in net.nodes:
-        attribute = f"attr_{v.name}"
-        k = len(v.domain)
+    for i, v in enumerate(net.nodes):
+        attribute = f"attr_{v.name}" if attributes is None else f"attr_{i % attributes}"
+        labels[attribute] = labels.get(attribute, ()) + v.domain
+        bindings[v.name] = attribute
+    models = {}
+    for attribute, names in labels.items():
+        k = len(names)
         if rng is None:
             centroids = tuple(float(i) for i in range(k))
         else:
@@ -324,23 +331,27 @@ def kb_for_net(net: CPNet, rng: random.Random | None = None):
                 centroids.append(acc)
             centroids = tuple(centroids)
         models[attribute] = ClusterModel(
-            attribute=attribute, centroids=centroids, labels=v.domain, fuzzifier=2.0
+            attribute=attribute, centroids=centroids, labels=names, fuzzifier=2.0
         )
-        bindings[v.name] = attribute
     return KnowledgeBase(models=models, provenance={}), bindings
 
 
-def random_weighted_query(rng: random.Random, allow_missing=False):
+def random_weighted_query(rng: random.Random, allow_missing=False, share_attributes=False):
     """Random compiled query plus a record generator for it.
 
     Returns (kb, query, draw_record) where draw_record() yields attribute
     -> value maps roughly spanning the centroid range; when
     ``allow_missing`` is set some attributes are occasionally dropped.
+    With ``share_attributes``, several variables are now and then bound to
+    one attribute, as wide-net binds 9 variables to 3 attributes.
     """
     from fuzzycp import assign_utilities, rewrite_query
 
     net = random_cpnet(rng, max_nodes=4, max_domain=3, edge_prob=0.4)
-    kb, bindings = kb_for_net(net, rng)
+    shared = None
+    if share_attributes and rng.random() < 0.5:
+        shared = rng.randint(1, len(net.nodes))
+    kb, bindings = kb_for_net(net, rng, attributes=shared)
     ucp = assign_utilities(net)
     term_count = rng.randint(1, min(6, net.outcome_count()))
     query = rewrite_query(net, ucp, kb, bindings, term_count)

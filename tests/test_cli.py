@@ -680,6 +680,11 @@ def _set_first_model(key, value):
     return _eval_edited(edit, document="kb")
 
 
+def _centroids_to_strings(doc):
+    model = doc["attributes"][0]
+    model["centroids"] = [str(c) for c in model["centroids"]]
+
+
 def _string_labels_to_numbers(doc):
     model = doc["attributes"][0]
     model["labels"] = list(range(len(model["labels"])))
@@ -765,6 +770,24 @@ BAD_INPUTS = {
     "kb-centroid-not-a-number": _set_first_model("centroids", "x"),
     "kb-fuzzifier-not-a-number": _set_first_model("fuzzifier", "x"),
     "kb-centroid-nan": _set_first_model("centroids", float("nan")),
+    # values that are not JSON numbers, which a coercing reader once took
+    "kb-centroids-a-digit-string": _eval_edited(
+        lambda doc: doc["attributes"][0].update(centroids="159"), document="kb"
+    ),
+    "kb-centroids-numeric-strings": _eval_edited(_centroids_to_strings, document="kb"),
+    "kb-fuzzifier-numeric-string": _set_first_model("fuzzifier", "2"),
+    "kb-centroid-true": _set_first_model("centroids", True),
+    "kb-centroid-integer-beyond-float": _set_first_model("centroids", 10**400),
+    "kb-format-version-true": _eval_edited(
+        lambda doc: doc.update(format_version=True), document="kb"
+    ),
+    "query-format-version-float": _eval_edited(lambda doc: doc.update(format_version=2.0)),
+    "query-term-importance-true": _eval_edited(
+        lambda doc: doc["terms"][0].update(importance=True)
+    ),
+    "query-leaf-importance-true": _eval_edited(
+        lambda doc: doc["importance"].update(stretch=True)
+    ),
     "kb-attributes-not-a-list": _eval_edited(
         lambda doc: doc.update(attributes=5), document="kb"
     ),
@@ -844,9 +867,10 @@ BAD_INPUTS = {
 
 # what stderr must say, where exit 2 alone does not tell the cases apart
 BAD_INPUT_MESSAGES = {
-    "kb-attributes-not-a-list": "ConfigError: 'attributes' must be a list of objects",
-    "kb-labels-not-strings": "ConfigError: price: labels must be strings",
-    "kb-labels-not-strings-inspect": "ConfigError: price: labels must be strings",
+    "kb-attributes-not-a-list": "ConfigError: knowledge base: attributes must be a list",
+    "kb-labels-not-strings": "ConfigError: knowledge base: attributes[0].labels[0] must be a string",
+    "kb-labels-not-strings-inspect": "ConfigError: knowledge base: attributes[0].labels[0] must "
+                                     "be a string",
     "kb-document-a-list": "ConfigError: not a knowledge-base document of version 1 or 2",
     "query-document-a-list": "ConfigError: not a compiled-query document of version 1",
     "inspect-json-number": "fuzzycp: not a knowledge-base or compiled-query document",
@@ -858,10 +882,28 @@ BAD_INPUT_MESSAGES = {
     "query-without-terms": "ConfigError: compiled query: terms must be a list",
     "query-node-without-attribute": "ConfigError: compiled query: cpnet.nodes[0].attribute must be a string",
     "query-row-without-when": "ConfigError: compiled query: cpnet.cpt.cost[0].when must be an object",
-    "kb-provenance-not-an-object": "ConfigError: 'provenance' must be an object",
-    "kb-attribute-without-labels": "ConfigError: price: labels must be strings",
-    "kb-attribute-without-name": "ConfigError: attribute 0: 'name' must be a string",
-    "kb-attribute-without-centroids": "ConfigError: price: centroids and fuzzifier must be numbers",
+    "kb-provenance-not-an-object": "ConfigError: knowledge base: provenance must be an object",
+    "kb-attribute-without-labels": "ConfigError: knowledge base: attributes[0].labels must be a list",
+    "kb-attribute-without-name": "ConfigError: knowledge base: attributes[0].name must be a string",
+    "kb-attribute-without-centroids": "ConfigError: knowledge base: attributes[0].centroids must "
+                                      "be a list",
+    "kb-centroid-not-a-number": "ConfigError: knowledge base: attributes[0].centroids[0] must be "
+                                "a number",
+    "kb-fuzzifier-not-a-number": "ConfigError: knowledge base: attributes[0].fuzzifier must be a "
+                                 "number",
+    "kb-centroids-a-digit-string": "ConfigError: knowledge base: attributes[0].centroids must be "
+                                   "a list",
+    "kb-centroids-numeric-strings": "ConfigError: knowledge base: attributes[0].centroids[0] must "
+                                    "be a number",
+    "kb-fuzzifier-numeric-string": "ConfigError: knowledge base: attributes[0].fuzzifier must be "
+                                   "a number",
+    "kb-centroid-true": "ConfigError: knowledge base: attributes[0].centroids[0] must be a number",
+    "kb-centroid-integer-beyond-float": "ConfigError: price: centroids and fuzzifier must be finite",
+    "kb-format-version-true": "ConfigError: not a knowledge-base document of version 1 or 2",
+    "query-format-version-float": "ConfigError: not a compiled-query document of version 1 or 2",
+    "query-term-importance-true": "ConfigError: compiled query disagrees with its cpnet in: terms",
+    "query-leaf-importance-true": "ConfigError: compiled query disagrees with its cpnet in: "
+                                  "importance",
     "kb-attribute-listed-twice": "ConfigError: attribute 'price' is listed twice",
     "inspect-not-utf8": "fuzzycp: malformed document: 'utf-8' codec can't decode",
     "kb-not-utf8": "fuzzycp: malformed document: 'utf-8' codec can't decode",

@@ -378,7 +378,7 @@ def test_rank_matches_project_and_evaluate():
     rng = random.Random(94)
     compared = 0
     for trial in range(120):
-        kb, query, draw = random_weighted_query(rng, allow_missing=True)
+        kb, query, draw = random_weighted_query(rng, allow_missing=True, share_attributes=True)
         n = 0 if trial % 20 == 0 else rng.randint(1, 40)
         dataset = random_dataset(rng, kb, query, draw, n)
         full = rank(kb, query, dataset)

@@ -1,11 +1,14 @@
 """The package and the document-only CLI stages load without numpy, only
-``query compile`` loads the query parser, and every public name resolves to
-the object its home module defines."""
+``query compile`` loads the query parser, every public name resolves to
+the object its home module defines, and only ``kbdoc`` spells out the
+document format."""
 
+import ast
 import contextlib
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,3 +120,17 @@ def test_every_public_name_resolves_to_its_home_object():
     assert PUBLIC <= set(namespace)
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         fuzzycp.nonexistent
+
+
+def test_only_kbdoc_writes_indented_json():
+    # the document format has one writer, kbdoc.document_text: a json.dump
+    # or json.dumps with an indent anywhere else would be a second copy
+    writers = []
+    for path in sorted(Path(fuzzycp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("dump", "dumps")
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                    and any(k.arg == "indent" for k in node.keywords)):
+                writers.append(f"{path.name}:{node.lineno}")
+    assert [writer.split(":")[0] for writer in writers] == ["kbdoc.py"], writers

@@ -24,6 +24,7 @@ from fuzzycp import (
 )
 from fuzzycp.errors import MalformedDocumentError
 from fuzzycp.kb import _membership_grid, _quantiles
+from fuzzycp.kbdoc import document_text
 from helpers import (
     fcm_memberships,
     oracle_fcm,
@@ -530,14 +531,14 @@ def test_build_rejects_missing_values():
 
 
 def test_build_is_byte_deterministic():
-    a = _toy_kb(seed=21).dump()
-    b = _toy_kb(seed=21).dump()
+    a = document_text(_toy_kb(seed=21).to_document())
+    b = document_text(_toy_kb(seed=21).to_document())
     assert a == b
 
 
 def test_document_round_trip():
     kb = _toy_kb()
-    doc = json.loads(kb.dump())
+    doc = json.loads(document_text(kb.to_document()))
     assert doc["format_version"] == 2
     assert all("memberships" not in attr for attr in doc["attributes"])
     assert doc["provenance"]["records"] == 4
@@ -556,7 +557,8 @@ def test_load_refuses_a_repeated_key(tmp_path):
     # a second "centroids" key, scaled by 1.5, which json.loads lets win
     kb = _toy_kb()
     scaled = [1.5 * c for c in kb.model("size").centroids]
-    text = kb.dump().replace('"fuzzifier": ', f'"centroids": {json.dumps(scaled)}, "fuzzifier": ')
+    text = document_text(kb.to_document())
+    text = text.replace('"fuzzifier": ', f'"centroids": {json.dumps(scaled)}, "fuzzifier": ')
     assert json.loads(text)["attributes"][0]["centroids"] == scaled
     path = tmp_path / "kb.json"
     path.write_text(text)

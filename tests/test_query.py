@@ -22,7 +22,7 @@ from fuzzycp import (
     term_importance,
     topological_order,
 )
-from fuzzycp.query import dump_query
+from fuzzycp.kbdoc import document_text
 from helpers import brute_force_top_terms, kb_for_net, random_cpnet
 from test_cpnet import chain_abc, single_node
 
@@ -312,7 +312,7 @@ def test_document_round_trip(car_kb):
     for _ in range(300):
         net = random_cpnet(rng, max_nodes=6, max_domain=4)
         term_count = rng.randint(1, min(20, net.outcome_count()))
-        doc = json.loads(dump_query(rewrite(net, term_count, rng=rng)))
+        doc = json.loads(document_text(query_to_document(rewrite(net, term_count, rng=rng))))
         assert query_to_document(query_from_document(doc)) == doc
 
 
@@ -327,8 +327,8 @@ def test_document_names_every_stale_block(car_kb):
 
 
 def test_document_bytes_deterministic(car_kb):
-    a = dump_query(compile_query(QUERY_TEXT, car_kb))
-    b = dump_query(compile_query(QUERY_TEXT, car_kb))
+    a = document_text(query_to_document(compile_query(QUERY_TEXT, car_kb)))
+    b = document_text(query_to_document(compile_query(QUERY_TEXT, car_kb)))
     assert a == b
 
 
