@@ -58,25 +58,21 @@ class WeightedQuery(Record):
 
 
 def rewrite_query(
-    net: CPNet,
     ucp: UCPNet,
     kb: KnowledgeBase,
     bindings: dict[str, str],
     term_count: int | None = None,
 ) -> WeightedQuery:
-    """The net's top-T outcomes as terms, sorted by importance.
+    """The UCP-net's top-T outcomes as terms, sorted by importance.
 
     Every variable must be bound to a knowledge-base attribute whose labels
     include the variable's whole domain.  Ties in utility break
     lexicographically (topological node order, then domain position), which
     is exactly the enumeration order of ``enumerate_outcomes``.  T defaults
     to min(5, outcome count); a T above the outcome count or above
-    ``OUTCOME_CAP`` raises ``CapacityError``.  ``ucp`` must weight ``net``
-    itself, else ConfigError.
+    ``OUTCOME_CAP`` raises ``CapacityError``.
     """
-    if ucp.net != net:
-        raise ConfigError("the utilities were assigned to another net")
-    check_bindings(net, kb, bindings)
+    check_bindings(ucp.net, kb, bindings)
     return WeightedQuery(ucp, dict(bindings), _rewrite(ucp, term_count))
 
 
@@ -111,12 +107,12 @@ def _top_outcomes(ucp: UCPNet, count: int) -> list[tuple[dict[str, str], int]]:
     Best-first search over partial assignments in topological order, each
     held as its prefix of domain indices; a pop assigns the next node every
     value of its domain.  A prefix is keyed by its utility so far plus, for
-    every node it leaves unassigned, that node's largest row utility: an
-    upper bound on any completion, so complete outcomes leave the heap in
-    utility order.  Equal keys go to the lexicographically smaller prefix,
-    which never comes after any of its extensions; that reproduces the
-    enumeration order among equal utilities.  Sums are exact for integer
-    utilities, which ``assign_utilities`` produces.
+    every node it leaves unassigned, that node's maxspan, its largest
+    utility: an upper bound on any completion, so complete outcomes leave
+    the heap in utility order.  Equal keys go to the lexicographically
+    smaller prefix, which never comes after any of its extensions; that
+    reproduces the enumeration order among equal utilities.  Sums are exact,
+    since a UCP-net's utilities are multiples of its integer steps.
     """
     net = ucp.net
     order = topological_order(net)
@@ -127,8 +123,7 @@ def _top_outcomes(ucp: UCPNet, count: int) -> list[tuple[dict[str, str], int]]:
     # rest[d]: the most the nodes from depth d on can add
     rest = [0] * (len(order) + 1)
     for depth in reversed(range(len(order))):
-        best = max(max(row.values()) for row in tables[depth].values())
-        rest[depth] = rest[depth + 1] + best
+        rest[depth] = rest[depth + 1] + ucp.spans[order[depth]][1]
 
     heap = [(-rest[0], (), 0)]  # (-bound, prefix, utility of prefix)
     found = []
@@ -179,7 +174,7 @@ def compile_query(
 
     spec = parse_query(text)
     requested = term_count if term_count is not None else spec.term_count
-    return rewrite_query(spec.net, assign_utilities(spec.net), kb, spec.bindings, requested)
+    return rewrite_query(assign_utilities(spec.net), kb, spec.bindings, requested)
 
 
 # --- compiled-query document ------------------------------------------------

@@ -24,7 +24,7 @@ arithmetic is exact.
 
 from __future__ import annotations
 
-from .cpnet import CPNet, topological_order
+from .cpnet import CPNet, PreferenceVariable, topological_order
 from .errors import AssignmentError, DegenerateUtilityError
 from .record import Frozen, Record
 
@@ -32,28 +32,46 @@ UtilityRows = dict[tuple[str, ...], dict[str, float]]
 
 
 class UCPNet(Record):
-    """A CPNet plus utility tables, spans, and the additive utility ceiling.
+    """A CPNet plus one integer utility step per node.
 
-    ``tables`` maps node -> parent context -> value -> utility.
-    ``steps`` records the generation step per node.  ``spans`` holds
-    (minspan, maxspan) per node.
+    The rest is derived from the two, once, by the stepped scheme of the
+    module docstring, and is read-only:
+
+    - ``tables`` maps node -> parent context -> value -> utility: a row's
+      worst value gets 0 and each next-preferred value one step more;
+    - ``spans`` maps node -> (minspan, maxspan), which is
+      (step, (k - 1) * step) for a domain of k values, so a one-value
+      domain spans (step, 0) although its rows alone span (0, 0);
+    - ``max_total_utility`` is the additive ceiling, the sum of the
+      maxspans.
     """
 
-    __slots__ = ("net", "tables", "steps", "spans", "max_total_utility")
+    __slots__ = ("net", "steps", "_tables", "_spans", "_max_total_utility")
 
-    def __init__(
-        self,
-        net: CPNet,
-        tables: dict[str, UtilityRows],
-        steps: dict[str, int],
-        spans: dict[str, tuple[float, float]],
-        max_total_utility: float,
-    ):
+    def __init__(self, net: CPNet, steps: dict[str, int]):
         self.net = net
-        self.tables = tables
         self.steps = steps
-        self.spans = spans
-        self.max_total_utility = max_total_utility
+        self._tables: dict[str, UtilityRows] = {}
+        self._spans: dict[str, tuple[int, int]] = {}
+        for variable in net.nodes:
+            name, step = variable.name, steps[variable.name]
+            maxspan = _maxspan(variable, step)
+            # order is best-first: the best value gets the maxspan, the worst 0
+            self._tables[name] = {
+                context: {value: maxspan - position * step for position, value in enumerate(order)}
+                for context, order in net.cpt[name].items()
+            }
+            self._spans[name] = (step, maxspan)
+        self._max_total_utility = sum(maxspan for _, maxspan in self._spans.values())
+
+    tables = property(lambda self: self._tables)
+    spans = property(lambda self: self._spans)
+    max_total_utility = property(lambda self: self._max_total_utility)
+
+
+def _maxspan(variable: PreferenceVariable, step: int) -> int:
+    """A node's largest utility, and so its largest best-to-worst gap."""
+    return (len(variable.domain) - 1) * step
 
 
 def spans(rows) -> tuple[float, float]:
@@ -63,7 +81,8 @@ def spans(rows) -> tuple[float, float]:
     smallest absolute gap between preference-adjacent utilities anywhere;
     maxspan is the largest absolute best-to-worst difference of any row.
     Rows with a single utility contribute nothing, so an all-singleton
-    table spans (0, 0).
+    table spans (0, 0), where ``UCPNet.spans`` gives a one-value domain
+    (step, 0).
     """
     gaps = []
     extremes = []
@@ -76,37 +95,16 @@ def spans(rows) -> tuple[float, float]:
 
 
 def assign_utilities(net: CPNet) -> UCPNet:
-    """Generate a UCPNet whose utilities respect every cpt row's order.
+    """Weight ``net`` by the stepped scheme of the module docstring.
 
-    Uses the stepped scheme described in the module docstring, so every
-    node's minspan covers its children's maxspans by construction.
+    Only the steps are chosen here, each from the node's children's
+    maxspans, so every node's minspan covers them by construction.
     """
-    tables: dict[str, UtilityRows] = {}
     steps: dict[str, int] = {}
-    node_spans: dict[str, tuple[float, float]] = {}
     for name in reversed(topological_order(net)):
-        size = len(net.variable(name).domain)
-        step = max(1, sum(int(node_spans[c][1]) for c in net.child_names(name)))
-        rows: UtilityRows = {}
-        for context, order in net.cpt[name].items():
-            # order is best-first; the worst value lands on 0
-            rows[context] = {
-                value: (size - 1 - position) * step
-                for position, value in enumerate(order)
-            }
-        tables[name] = rows
-        steps[name] = step
-        node_spans[name] = (step, (size - 1) * step)
-    max_total = sum(
-        max(max(row.values()) for row in tables[v.name].values()) for v in net.nodes
-    )
-    return UCPNet(
-        net=net,
-        tables=tables,
-        steps=steps,
-        spans=node_spans,
-        max_total_utility=max_total,
-    )
+        children = net.child_names(name)
+        steps[name] = max(1, sum(_maxspan(net.variable(c), steps[c]) for c in children))
+    return UCPNet(net, steps)
 
 
 class DominanceViolation(Frozen):

@@ -354,7 +354,7 @@ def random_weighted_query(rng: random.Random, allow_missing=False, share_attribu
     kb, bindings = kb_for_net(net, rng, attributes=shared)
     ucp = assign_utilities(net)
     term_count = rng.randint(1, min(6, net.outcome_count()))
-    query = rewrite_query(net, ucp, kb, bindings, term_count)
+    query = rewrite_query(ucp, kb, bindings, term_count)
 
     def draw_record():
         record = {}

@@ -133,7 +133,7 @@ def test_criterion_5_rewriting_matches_brute_force():
             kb, bindings = kb_for_net(net, rng)
             ucp = F.assign_utilities(net)
             term_count = rng.randint(1, net.outcome_count())
-            query = F.rewrite_query(net, ucp, kb, bindings, term_count)
+            query = F.rewrite_query(ucp, kb, bindings, term_count)
 
             expected = brute_force_top_terms(ucp, term_count)
             assert [t.assignment for t in query.terms] == [dict(o) for o in expected]

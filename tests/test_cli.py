@@ -44,7 +44,8 @@ CENTROID_TOL = 1e-12
 # cars.pref against CARS_KB, run from the repository root.
 V1_QUERY = Path(__file__).resolve().parent / "data" / "cars_query_v1.json"
 # ``eval`` output of the bundled cars, against the KB_ARGS knowledge base
-# and the query compiled from cars.pref with default options
+# and the query compiled from cars.pref with default options, and
+# ``inspect`` output of that query
 GOLDEN = Path(__file__).resolve().parent / "data"
 
 KB_ARGS = [
@@ -1296,6 +1297,14 @@ def test_inspect_query_reports_dominance(compiled_query, capsys):
     out = capsys.readouterr().out
     assert "dominance: OK" in out
     assert "importance:" in out
+
+
+def test_inspect_query_output_is_golden(tmp_path, capsys):
+    # the steps, spans, utility rows and terms derived from the cars net
+    query = _compile(CARS_KB, tmp_path / "q.json")
+    capsys.readouterr()
+    assert main(["inspect", str(query)]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "cars_inspect_query.txt").read_bytes()
 
 
 def test_benchmark_tracer_runs_a_stage(tmp_path, compiled_query):

@@ -68,7 +68,7 @@ def test_projection_on_centroid_is_one():
     ucp = assign_utilities(net)
     from fuzzycp import rewrite_query
 
-    query = rewrite_query(net, ucp, kb, bindings, 2)
+    query = rewrite_query(ucp, kb, bindings, 2)
     proj = project(kb, query, {"attr_x": 0.0})
     # term 1 wants "a" (centroid 0.0), term 2 wants "b"
     assert proj.entries[0, 0] == pytest.approx(1.0)
@@ -80,7 +80,7 @@ def test_projection_midpoint_splits():
     kb, bindings = kb_for_net(net)
     from fuzzycp import rewrite_query
 
-    query = rewrite_query(net, assign_utilities(net), kb, bindings, 2)
+    query = rewrite_query(assign_utilities(net), kb, bindings, 2)
     proj = project(kb, query, {"attr_x": 0.5})
     assert proj.entries[0, 0] == pytest.approx(0.5)
     assert proj.entries[1, 0] == pytest.approx(0.5)
@@ -93,7 +93,7 @@ def test_projection_membership_formula():
     kb, bindings = kb_for_net(net)
     from fuzzycp import rewrite_query
 
-    query = rewrite_query(net, assign_utilities(net), kb, bindings, 2)
+    query = rewrite_query(assign_utilities(net), kb, bindings, 2)
     proj = project(kb, query, {"attr_x": 0.25})
     assert proj.entries[0, 0] == pytest.approx(0.9, abs=1e-12)
 
@@ -103,7 +103,7 @@ def test_projection_missing_value_degrades():
     kb, bindings = kb_for_net(net)
     from fuzzycp import rewrite_query
 
-    query = rewrite_query(net, assign_utilities(net), kb, bindings, 2)
+    query = rewrite_query(assign_utilities(net), kb, bindings, 2)
     proj = project(kb, query, {"attr_A": 0.0, "attr_C": 1.0})
     assert "B" in proj.missing
     b_column = proj.variables.index("B")
@@ -247,7 +247,7 @@ def ranked_fixture():
     kb, bindings = kb_for_net(net)
     from fuzzycp import rewrite_query
 
-    query = rewrite_query(net, assign_utilities(net), kb, bindings, 2)
+    query = rewrite_query(assign_utilities(net), kb, bindings, 2)
     return net, kb, query
 
 

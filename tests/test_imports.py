@@ -1,7 +1,7 @@
 """The package and the document-only CLI stages load without numpy, only
-``query compile`` loads the query parser, every public name resolves to
-the object its home module defines, and only ``kbdoc`` spells out the
-document format."""
+``kb build`` loads numpy.random, only ``query compile`` loads the query
+parser, every public name resolves to the object its home module defines,
+and only ``kbdoc`` spells out the document format."""
 
 import ast
 import contextlib
@@ -106,6 +106,15 @@ def test_kb_build_leaves_numpy_ma_unloaded(tmp_path):
     code = f"from fuzzycp.cli import main\nassert main({argv!r}) == 0"
     assert _loads(code, "numpy.random")
     assert not _loads(code, "numpy.ma")
+
+
+@pytest.mark.parametrize(
+    "stage", ["import", "query compile", "eval", "inspect kb", "inspect query"]
+)
+def test_only_kb_build_loads_numpy_random(tmp_path, documents, stage):
+    # numpy.random imports secrets, hmac and _hashlib; only fuzzy c-means'
+    # start noise draws from it
+    assert not _loads(_stage_code(stage, *documents, tmp_path), "numpy.random")
 
 
 def test_every_public_name_resolves_to_its_home_object():

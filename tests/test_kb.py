@@ -453,6 +453,18 @@ def test_fcm_reports_whether_it_converged():
     assert stopped.iterations == 1 and not stopped.converged
 
 
+def test_fcm_keeps_a_centroid_whose_every_membership_power_underflows(monkeypatch):
+    # a start at 1e100 gives every point a membership near 1e-200 there,
+    # whose square is 0: the cluster has no mass and must stay where it is
+    from fuzzycp import kb
+
+    monkeypatch.setattr(kb, "_quantiles", lambda points, counts, q: np.array([2.0, 7.0, 1e100]))
+    result = fuzzy_c_means(np.arange(10.0), 3)
+    assert result.converged
+    assert result.centroids[-1] == 1e100
+    assert np.all(np.isfinite(result.centroids))
+
+
 def test_build_names_unconverged_attributes():
     ds = ingest_tabular("a,b\n" + "\n".join(f"{i % 7},{i * i % 11}" for i in range(40)))
     assert build_knowledge_base(ds, KBConfig()).unconverged == ()

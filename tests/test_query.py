@@ -30,7 +30,7 @@ from test_cpnet import chain_abc, single_node
 def rewrite(net, term_count=None, rng=None):
     kb, bindings = kb_for_net(net, rng)
     ucp = assign_utilities(net)
-    return rewrite_query(net, ucp, kb, bindings, term_count)
+    return rewrite_query(ucp, kb, bindings, term_count)
 
 
 # --- the net parse_query builds ---------------------------------------------
@@ -151,7 +151,7 @@ def test_top_terms_of_a_net_too_large_to_enumerate():
     elapsed = []
     for _ in range(3):
         start = time.perf_counter()
-        query = rewrite_query(net, ucp, kb, bindings, 5)
+        query = rewrite_query(ucp, kb, bindings, 5)
         elapsed.append(time.perf_counter() - start)
     assert min(elapsed) < 0.05
     # the forward sweep gives every node its best value in its context
@@ -181,7 +181,7 @@ def test_label_mismatch_is_a_binding_error():
     kb, bindings = kb_for_net(chain_abc())  # kb without x's attribute
     ucp = assign_utilities(net)
     with pytest.raises(BindingError):
-        rewrite_query(net, ucp, kb, {"x": "attr_A"}, 2)
+        rewrite_query(ucp, kb, {"x": "attr_A"}, 2)
 
 
 def test_unbound_variable_is_a_binding_error():
@@ -189,20 +189,7 @@ def test_unbound_variable_is_a_binding_error():
     kb, _bindings = kb_for_net(net)
     ucp = assign_utilities(net)
     with pytest.raises(BindingError):
-        rewrite_query(net, ucp, kb, {}, 2)
-
-
-def test_utilities_of_another_net_are_a_config_error():
-    net = single_node()
-    kb, bindings = kb_for_net(net)
-    # the same variable in the opposite order, whose terms would follow
-    # the utilities, and another variable, whose names the net lacks
-    for other in (single_node(domain=("b", "a")), single_node(name="y")):
-        with pytest.raises(ConfigError, match="assigned to another net"):
-            rewrite_query(net, assign_utilities(other), kb, bindings, 2)
-    # an equal net, built again, is the same net
-    query = rewrite_query(net, assign_utilities(single_node()), kb, bindings, 2)
-    assert query.terms == rewrite(net, 2).terms
+        rewrite_query(ucp, kb, {}, 2)
 
 
 def test_a_term_outside_its_domain_is_a_config_error():
@@ -350,7 +337,7 @@ def test_load_validates_the_net_once(car_kb, monkeypatch):
     ucp, count = validations(assign_utilities, spec.net)
     assert count == 0
     bindings = {"cost": "price", "wear": "km"}
-    _, count = validations(rewrite_query, spec.net, ucp, car_kb, bindings)
+    _, count = validations(rewrite_query, ucp, car_kb, bindings)
     assert count == 0
     _, count = validations(node_importance, spec.net)
     assert count == 0

@@ -13,11 +13,15 @@ from fuzzycp import (
     check_dominance,
     enumerate_outcomes,
     outcome_utility,
+    parse_query,
+    query_from_document,
+    query_to_document,
+    rewrite_query,
     spans,
     term_importance,
     topological_order,
 )
-from helpers import random_cpnet
+from helpers import kb_for_net, random_cpnet
 from test_cpnet import chain_abc, single_node
 
 
@@ -137,6 +141,27 @@ def test_generated_spans_match_step_arithmetic():
             assert ucp.spans[v.name] == (step, (k - 1) * step)
 
 
+def test_a_one_value_domain_spans_its_step_and_its_rows_span_nothing():
+    # random_cpnet draws no such node; a compiled query holding one loads
+    net = parse_query(
+        """
+        var a: attr x { prefer only }
+        var b: attr y {
+            depends a
+            when a = only: prefer b1 > b2
+        }
+        """
+    ).net
+    ucp = assign_utilities(net)
+    assert ucp.tables["a"] == {(): {"only": 0}}
+    assert ucp.spans["a"] == (1, 0)
+    assert spans([list(row.values()) for row in ucp.tables["a"].values()]) == (0, 0)
+    assert check_dominance(ucp) == []
+    kb, bindings = kb_for_net(net)
+    query = rewrite_query(ucp, kb, bindings, 2)
+    assert query_from_document(query_to_document(query)) == query
+
+
 def test_hand_built_violation_is_reported():
     # parent spans (1, 1) but its child reaches maxspan 2
     nodes = (
@@ -151,19 +176,7 @@ def test_hand_built_violation_is_reported():
             "L": {("p1",): ("l1", "l2", "l3"), ("p2",): ("l3", "l2", "l1")},
         },
     )
-    ucp = UCPNet(
-        net=net,
-        tables={
-            "P": {(): {"p1": 1, "p2": 0}},
-            "L": {
-                ("p1",): {"l1": 2, "l2": 1, "l3": 0},
-                ("p2",): {"l3": 2, "l2": 1, "l1": 0},
-            },
-        },
-        steps={"P": 1, "L": 1},
-        spans={"P": (1, 1), "L": (1, 2)},
-        max_total_utility=3,
-    )
+    ucp = UCPNet(net=net, steps={"P": 1, "L": 1})
     violations = check_dominance(ucp)
     assert len(violations) == 1
     assert violations[0].node == "P"
