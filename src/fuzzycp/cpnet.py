@@ -21,13 +21,13 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 from .errors import CapacityError, ConfigError, ValidationError
-from .record import Frozen
+from .record import Record
 
 # the most outcomes enumerate_outcomes yields or rewrite_query returns as terms
 OUTCOME_CAP = 1_000_000
 
 
-class PreferenceVariable(Frozen):
+class PreferenceVariable(Record):
     __slots__ = ("name", "domain")
 
     def __init__(self, name: str, domain: tuple[str, ...]):
@@ -39,7 +39,7 @@ class PreferenceVariable(Frozen):
         self._set(name=name, domain=domain)
 
 
-class Violation(Frozen):
+class Violation(Record):
     """One broken invariant, identified by the node or edge it concerns."""
 
     __slots__ = ("kind", "subject", "message")
@@ -51,7 +51,7 @@ class Violation(Frozen):
         return f"{self.kind} at {self.subject}: {self.message}"
 
 
-class CPNet(Frozen):
+class CPNet(Record):
     """Preference graph plus conditional preference tables.
 
     ``nodes`` keeps declaration order, which breaks every tie in this

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 from .cpnet import CPNet, PreferenceVariable
 from .errors import ParseError, SemanticError
-from .record import Frozen
+from .record import Record
 
 KEYWORDS = frozenset({"var", "attr", "depends", "when", "prefer", "terms"})
 PUNCT = frozenset(":{},=>")
 
 
-class QuerySpec(Frozen):
+class QuerySpec(Record):
     """A parsed query; ``bindings`` maps variable -> dataset attribute, and
     ``term_count`` is None without a ``terms`` clause."""
 
@@ -45,7 +45,7 @@ class QuerySpec(Frozen):
         self._set(net=net, bindings=bindings, term_count=term_count)
 
 
-class Token(Frozen):
+class Token(Record):
     """``kind`` is "kw", "ident", "int", "punct" or "eof"."""
 
     __slots__ = ("kind", "text", "line", "column")

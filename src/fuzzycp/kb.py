@@ -60,7 +60,7 @@ from .kbdoc import (  # noqa: F401 (the document names stay importable from kb)
     KnowledgeBase,
     default_labels,
 )
-from .record import Frozen, Record
+from .record import Record
 
 
 class Dataset(Record):
@@ -76,10 +76,10 @@ class Dataset(Record):
     __hash__ = object.__hash__
 
     def __init__(self, attributes: list[str], records: np.ndarray):
-        self.attributes = attributes
-        self.records = np.asarray(records, dtype=float)
-        if self.records.ndim != 2 or self.records.shape[1] != len(self.attributes):
+        records = np.asarray(records, dtype=float)
+        if records.ndim != 2 or records.shape[1] != len(attributes):
             raise ShapeError(0, "records do not form a rectangle over the attributes")
+        self._set(attributes=attributes, records=records)
 
     @property
     def record_count(self) -> int:
@@ -214,7 +214,7 @@ def _as_text(source) -> str:
         raise ParseError(f"input is not UTF-8 text: {exc}") from None
 
 
-class FcmResult(Frozen):
+class FcmResult(Record):
     """Fuzzy c-means run, with its per-iteration objective trace.
 
     ``converged`` is false when it stopped at max_iter, still moving by tol
@@ -273,12 +273,17 @@ def fuzzy_c_means(
         raise DegenerateDataError(f"need at least {c} distinct values, found {len(points)}")
 
     rng = np.random.default_rng(seed)
-    centroids = _quantiles(points, counts, (np.arange(c) + 0.5) / c)
-    spread = points[-1] - points[0]
-    centroids = np.sort(centroids + rng.normal(0.0, 1e-3 * spread, size=c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # near the float limits these may overflow: a spread that does is
+        # refused below, a centroid that does, at the start or later, in the loop
+        spread = points[-1] - points[0]
+        centroids = _quantiles(points, counts, (np.arange(c) + 0.5) / c)
+        centroids = np.sort(centroids + rng.normal(0.0, 1e-3 * spread, size=c))
+        weighted_points = counts * points
+    if spread == math.inf:
+        raise ParseError(f"values {points[0]:g} and {points[-1]:g} are too far apart")
 
     counts = counts.astype(float)
-    weighted_points = counts * points
     trace = []
     iterations, converged = 0, False
     while not converged and iterations < max_iter:
@@ -292,10 +297,15 @@ def fuzzy_c_means(
         # a cluster can lose all weight only while another centroid sits on
         # every point; keep it where it is instead of dividing by zero
         safe_mass = np.where(mass > 0.0, mass, 1.0)
-        moment = weights @ weighted_points
-        new_centroids = np.where(mass > 0.0, moment / safe_mass, centroids)
-        weights *= (points - new_centroids[:, None]) ** 2
-        trace.append(float(np.sum(weights @ counts)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a centroid's weighted sum may overflow; so may the objective,
+            # whose squared distances do past 1e154, and nothing reads it
+            moment = weights @ weighted_points
+            new_centroids = np.where(mass > 0.0, moment / safe_mass, centroids)
+            weights *= (points - new_centroids[:, None]) ** 2
+            trace.append(float(np.sum(weights @ counts)))
+        if not np.isfinite(new_centroids).all():
+            raise ParseError("the values are too large: a centroid overflows")
         converged = bool(np.max(np.abs(new_centroids - centroids)) < tol)
         centroids = new_centroids
 
@@ -326,9 +336,14 @@ def _quantiles(points: np.ndarray, counts: np.ndarray, q: np.ndarray) -> np.ndar
 
 def _membership_grid(x: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:
     """Membership of every value to every centroid, one row per centroid;
-    columns sum to 1."""
-    u = np.abs(x - centroids[:, None])
+    columns sum to 1.  A value whose distance to every centroid overflows
+    has none: it is a ParseError whose ``line`` is its position in ``x``."""
+    with np.errstate(over="ignore"):
+        u = np.abs(x - centroids[:, None])
     dmin = u.min(axis=0)
+    if dmin.max(initial=0.0) == math.inf:
+        far = int(np.argmax(dmin))
+        raise ParseError(f"value {float(x[far])!r} is too far from every centroid", line=far)
     on_centroid = np.flatnonzero(dmin == 0.0)
     hits = u[:, on_centroid] == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -372,14 +387,17 @@ def build_knowledge_base(
                 line=bad,
                 column=idx,
             )
-        result = fuzzy_c_means(
-            column,
-            c,
-            m=config.fuzzifier,
-            tol=config.tol,
-            max_iter=config.max_iter,
-            seed=np.random.SeedSequence(entropy=config.seed, spawn_key=(idx,)),
-        )
+        try:
+            result = fuzzy_c_means(
+                column,
+                c,
+                m=config.fuzzifier,
+                tol=config.tol,
+                max_iter=config.max_iter,
+                seed=np.random.SeedSequence(entropy=config.seed, spawn_key=(idx,)),
+            )
+        except ParseError as exc:  # the column is finite, but its values overflow
+            raise ParseError(f"attribute {attribute!r}: {exc}") from None
         models[attribute] = ClusterModel(
             attribute=attribute,
             centroids=tuple(float(v) for v in result.centroids),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from .errors import ConfigError, DegenerateDataError, MalformedDocumentError, ParseError
-from .record import Frozen, Record
+from .record import Record
 
 DEFAULT_CLUSTERS = 3
 DEFAULT_FUZZIFIER = 2.0
@@ -31,7 +31,7 @@ def default_labels(c: int) -> tuple[str, ...]:
     return _DEFAULT_LABELS.get(c) or tuple(f"c{i}" for i in range(c))
 
 
-class ClusterModel(Frozen):
+class ClusterModel(Record):
     """Fuzzy segmentation of one attribute: centroids, strictly ascending,
     with linguistic labels."""
 
@@ -59,7 +59,7 @@ class ClusterModel(Frozen):
         self._set(attribute=attribute, centroids=centroids, labels=labels, fuzzifier=fuzzifier)
 
 
-class AttributeConfig(Frozen):
+class AttributeConfig(Record):
     """Per-attribute overrides for the knowledge-base build."""
 
     __slots__ = ("clusters", "labels")
@@ -68,7 +68,7 @@ class AttributeConfig(Frozen):
         self._set(clusters=clusters, labels=labels)
 
 
-class KBConfig(Frozen):
+class KBConfig(Record):
     """Knowledge-base build settings; ``per_attribute`` defaults to a new
     empty dict."""
 
@@ -126,9 +126,7 @@ class KnowledgeBase(Record):
         provenance: dict,
         unconverged: tuple[str, ...] = (),
     ):
-        self.models = models
-        self.provenance = provenance
-        self.unconverged = unconverged
+        self._set(models=models, provenance=provenance, unconverged=unconverged)
 
     def model(self, attribute: str) -> ClusterModel:
         try:
@@ -149,7 +147,9 @@ class KnowledgeBase(Record):
         a numpy array.
 
         Row r equals ``membership_of(attribute, values[r])``; a missing or
-        non-finite value belongs to no cluster (a row of zeros).
+        non-finite value belongs to no cluster (a row of zeros).  A finite
+        value whose distance to every centroid overflows is a ParseError
+        that names the attribute and the record (the row).
         """
         import numpy as np
 
@@ -159,9 +159,13 @@ class KnowledgeBase(Record):
         values = np.asarray(values, dtype=float)
         grid = np.zeros((len(model.centroids), values.size))
         finite = np.isfinite(values)
-        grid[:, finite] = _membership_grid(
-            values[finite], np.asarray(model.centroids), model.fuzzifier
-        )
+        try:
+            grid[:, finite] = _membership_grid(
+                values[finite], np.asarray(model.centroids), model.fuzzifier
+            )
+        except ParseError as exc:
+            row = np.flatnonzero(finite)[exc.line]
+            raise ParseError(f"attribute {attribute!r}, record {row}: {exc}") from None
         return grid.T
 
     def to_document(self) -> dict:
@@ -227,12 +231,13 @@ def load_document(path):
 
     An object that repeats a key, or a string that holds a lone surrogate
     (which no UTF-8 output can print), makes the document malformed, as in
-    I-JSON (RFC 7493).
+    I-JSON (RFC 7493); so do ``NaN``, ``Infinity`` and ``-Infinity``, which
+    Python's reader takes but JSON does not have.
     """
     with open(path, encoding="utf-8") as f:
         try:
             text = f.read()
-            doc = json.loads(text, object_pairs_hook=_unique_keys)
+            doc = json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
             if "\\u" in text:  # the text is UTF-8, so only an escape makes a surrogate
                 json.dumps(doc, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError:
@@ -240,6 +245,10 @@ def load_document(path):
         except (ValueError, RecursionError) as exc:
             raise MalformedDocumentError(str(exc)) from None
     return doc
+
+
+def _no_constant(name: str):
+    raise MalformedDocumentError(f"{name} is not a JSON value")
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -20,11 +20,11 @@ import heapq
 from .cpnet import OUTCOME_CAP, CPNet, PreferenceVariable, node_importance, topological_order
 from .errors import BindingError, CapacityError, ConfigError, DegenerateUtilityError
 from .kbdoc import KnowledgeBase, check_document, check_shape, load_document, save_document
-from .record import Frozen, Record
+from .record import Record
 from .ucp import UCPNet, assign_utilities
 
 
-class Term(Frozen):
+class Term(Record):
     """One conjunctive disjunct: a complete assignment and its importance."""
 
     __slots__ = ("assignment", "importance")
@@ -39,18 +39,17 @@ class WeightedQuery(Record):
     __slots__ = ("ucp", "bindings", "terms")
 
     def __init__(self, ucp: UCPNet, bindings: dict[str, str], terms: tuple[Term, ...]):
-        self.ucp = ucp
-        self.bindings = bindings
-        self.terms = tuple(terms)
-        domains = {v.name: v.domain for v in self.net.nodes}
-        for term in self.terms:
+        terms = tuple(terms)
+        domains = {v.name: v.domain for v in ucp.net.nodes}
+        for term in terms:
             if term.assignment.keys() != domains.keys():
                 raise ConfigError("term does not assign every query variable")
             if not all(value in domains[name] for name, value in term.assignment.items()):
                 raise ConfigError("term assigns a value outside its variable's domain")
-        importances = [t.importance for t in self.terms]
+        importances = [t.importance for t in terms]
         if any(b > a for a, b in zip(importances, importances[1:])):
             raise ConfigError("terms must be ordered by non-increasing importance")
+        self._set(ucp=ucp, bindings=bindings, terms=terms)
 
     @property
     def net(self) -> CPNet:

@@ -1,14 +1,15 @@
 """The base of fuzzycp's record classes.
 
 A record is a plain class that lists its fields in ``__slots__`` and sets
-them in its own ``__init__``, which takes the public fields (the slots
-whose names do not start with an underscore) in slot order.  ``repr``
-shows the public fields, equality compares them between records of the
-same class, and a copy is rebuilt from them.  A ``Record`` is mutable and
-therefore unhashable; a ``Frozen`` record refuses assignment and deletion
-once built, and hashes its public fields.  A record that holds numpy
-arrays, whose ``==`` does not give one truth value, sets ``__eq__`` and
-``__hash__`` back to ``object``'s, so that it is equal only to itself.
+them once, through ``_set``, in its own ``__init__``, which takes the
+public fields (the slots whose names do not start with an underscore) in
+slot order.  Once built, a record refuses assignment and deletion, so
+nothing it derived from its fields can go stale.  ``repr`` shows the
+public fields, equality compares them between records of the same class,
+the hash is that of the public fields (unhashable if one is a dict), and
+a copy is rebuilt from them.  A record that holds numpy arrays, whose
+``==`` does not give one truth value, sets ``__eq__`` and ``__hash__``
+back to ``object``'s, so that it is equal only to itself.
 """
 
 
@@ -31,10 +32,6 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._public()
-
-
-class Frozen(Record):
-    __slots__ = ()
 
     def __hash__(self):
         return hash(self._public())

@@ -38,7 +38,7 @@ from .errors import ConfigError, DegenerateQueryError
 from .kb import Dataset
 from .kbdoc import KnowledgeBase
 from .query import WeightedQuery, check_bindings
-from .record import Frozen, Record
+from .record import Record
 
 
 class DataProjection(Record):
@@ -63,10 +63,7 @@ class DataProjection(Record):
         entries: np.ndarray,
         missing: tuple[str, ...],
     ):
-        self.record_index = record_index
-        self.variables = variables
-        self.entries = entries
-        self.missing = missing
+        self._set(record_index=record_index, variables=variables, entries=entries, missing=missing)
 
 
 class Evaluation(Record):
@@ -77,12 +74,10 @@ class Evaluation(Record):
     )
 
     def __init__(self, term_scores: tuple[float, ...], clipped: tuple[float, ...], score: float):
-        self.term_scores = term_scores
-        self.clipped = clipped
-        self.score = score
+        self._set(term_scores=term_scores, clipped=clipped, score=score)
 
 
-class Ranking(Frozen):
+class Ranking(Record):
     """The rows ``rank`` returns, best first, as columns.
 
     Row r is place r + 1 of the full ranking.  Column i of ``missing`` is

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .cpnet import CPNet, PreferenceVariable, topological_order
 from .errors import AssignmentError, DegenerateUtilityError
-from .record import Frozen, Record
+from .record import Record
 
 UtilityRows = dict[tuple[str, ...], dict[str, float]]
 
@@ -49,20 +49,19 @@ class UCPNet(Record):
     __slots__ = ("net", "steps", "_tables", "_spans", "_max_total_utility")
 
     def __init__(self, net: CPNet, steps: dict[str, int]):
-        self.net = net
-        self.steps = steps
-        self._tables: dict[str, UtilityRows] = {}
-        self._spans: dict[str, tuple[int, int]] = {}
+        tables: dict[str, UtilityRows] = {}
+        spans: dict[str, tuple[int, int]] = {}
         for variable in net.nodes:
             name, step = variable.name, steps[variable.name]
             maxspan = _maxspan(variable, step)
             # order is best-first: the best value gets the maxspan, the worst 0
-            self._tables[name] = {
+            tables[name] = {
                 context: {value: maxspan - position * step for position, value in enumerate(order)}
                 for context, order in net.cpt[name].items()
             }
-            self._spans[name] = (step, maxspan)
-        self._max_total_utility = sum(maxspan for _, maxspan in self._spans.values())
+            spans[name] = (step, maxspan)
+        ceiling = sum(maxspan for _, maxspan in spans.values())
+        self._set(net=net, steps=steps, _tables=tables, _spans=spans, _max_total_utility=ceiling)
 
     tables = property(lambda self: self._tables)
     spans = property(lambda self: self._spans)
@@ -107,7 +106,7 @@ def assign_utilities(net: CPNet) -> UCPNet:
     return UCPNet(net, steps)
 
 
-class DominanceViolation(Frozen):
+class DominanceViolation(Record):
     __slots__ = ("node", "minspan", "required")
 
     def __init__(self, node: str, minspan: float, required: float):

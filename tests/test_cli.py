@@ -481,6 +481,47 @@ def test_eval_is_byte_deterministic(tmp_path, built_kb, compiled_query, capsys):
     assert outputs[0] == outputs[1]
 
 
+def _avx512_dispatch() -> list[str]:
+    """The AVX-512 targets that numpy dispatches kernels to on this host,
+    the only features ``NPY_DISABLE_CPU_FEATURES`` may name here."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [name for name in __cpu_dispatch__
+            if __cpu_features__.get(name) and (name == "X86_V4" or name.startswith("AVX512"))]
+
+
+@pytest.mark.parametrize("fuzzifier", ["2", "2.5"])
+def test_output_does_not_follow_avx512_dispatch(tmp_path, compiled_query, fuzzifier):
+    # numpy picks a float64 power kernel by CPU feature; the two differ in
+    # the last bit, except where an exponent of 2 makes the power a square
+    disabled = _avx512_dispatch()
+    if not disabled:
+        pytest.skip("numpy dispatches to no AVX-512 kernel on this host: nothing to disable")
+    outputs = []
+    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(disabled)}):
+        kb = tmp_path / f"kb{len(outputs)}.json"
+        stages = [KB_ARGS + ["--fuzzifier", fuzzifier, "--out", str(kb)],
+                  ["eval", "--kb", str(kb), "--query", str(compiled_query),
+                   "--data", str(DATA_DIR / "cars.csv")]]
+        runs = [subprocess.run([sys.executable, "-m", "fuzzycp", *argv], capture_output=True,
+                               text=True, env={**child_env(), **extra}) for argv in stages]
+        assert [run.returncode for run in runs] == [0, 0], runs[-1].stderr
+        assert "Warning" not in runs[0].stderr + runs[1].stderr
+        outputs.append((kb.read_text(), runs[1].stdout))
+    if fuzzifier == "2":
+        assert outputs[0] == outputs[1]
+        return
+    host, portable = (json.loads(text) for text, _ in outputs)
+    assert host["provenance"]["iterations"] == portable["provenance"]["iterations"]
+    dataset = ingest_tabular((DATA_DIR / "cars.csv").read_bytes())
+    for ours, theirs in zip(host["attributes"], portable["attributes"]):
+        scale = np.max(np.abs(dataset.column(ours["name"])))
+        difference = np.abs(np.subtract(ours["centroids"], theirs["centroids"]))
+        assert np.max(difference) <= CENTROID_TOL * scale, ours["name"]
+
+
 # scores where rint(x * 1e6) and %.6f may disagree, and where they meet
 TIES = [(k + 0.5) / 1e6 for k in (0, 1, 7812, 499999, 999998, 999999)]
 EDGES = [0.0, 1.0, 1 - 5e-7, 1 / 128, 3 / 256, 5e-324, 2.2250738585072014e-308, 5e-7]
@@ -708,6 +749,22 @@ def _on_table(command, *flags, content=None):
     return argv
 
 
+def _far_from_every_centroid(*flags):
+    """``eval`` of a 1e308 price against a knowledge base whose price
+    centroids lie near -1e308, so that every distance overflows."""
+
+    def far(doc):
+        doc["attributes"][0].update(centroids=[-1e308, -0.95e308, -0.9e308])
+
+    def argv(tmp_path, kb, query):
+        edited = _eval_edited(far, document="kb")(tmp_path, kb, query)
+        return _on_table("eval", *flags, content=b"price,km\n1e308,1\n5,200\n")(
+            tmp_path, edited[2], query
+        )
+
+    return argv
+
+
 def _replaced(document, content):
     """Evaluate with the knowledge base or compiled query replaced by a file
     holding ``content`` (JSON text, or bytes), or for ``document="inspect"``
@@ -824,6 +881,15 @@ BAD_INPUTS = {
     "kb-attribute-listed-twice": _eval_edited(
         lambda doc: doc["attributes"].append(doc["attributes"][0]), document="kb"
     ),
+    "kb-seed-nan": _eval_edited(
+        lambda doc: doc["provenance"].update(seed=float("nan")), document="kb"
+    ),
+    "kb-seed-nan-inspect": _inspect_edited_kb(
+        lambda doc: doc["provenance"].update(seed=float("nan"))
+    ),
+    "query-term-unread-key-infinity": _eval_edited(
+        lambda doc: doc["terms"][0].update(note=float("-inf"))
+    ),
     "kb-lone-surrogate": _replaced("kb", LONE_SURROGATE["kb"]),
     "compile-kb-lone-surrogate": _replaced("compile", LONE_SURROGATE["kb"]),
     "inspect-kb-lone-surrogate": _replaced("inspect", LONE_SURROGATE["kb"]),
@@ -846,6 +912,15 @@ BAD_INPUTS = {
     "tol-nan": _kb_build("--tol", "nan"),
     "max-iter-0": _kb_build("--max-iter", "0"),
     "kb-build-bare-cr-splits-a-row": _on_table("kb", content=b"a,b\n1,2\n3\r4,5\n"),
+    "kb-build-values-too-far-apart": _on_table("kb", content=b"a\n1e308\n-1e308\n5\n1\n2\n"),
+    "kb-build-weighted-sum-overflows": _on_table(
+        "kb", content=b"a\n" + b"1e306\n" * 1000 + b"0\n5e305\n1\n"
+    ),
+    "kb-build-start-overflows": _on_table(
+        "kb", content=b"a\n" + b"1.7976931348623157e308\n" * 1000 + b"0\n1\n"
+    ),
+    "eval-value-too-far-from-every-centroid": _far_from_every_centroid(),
+    "eval-json-value-too-far-from-every-centroid": _far_from_every_centroid("--format", "json"),
     "eval-bare-cr-splits-a-row": _on_table("eval", content=b"price,km\n1,2\n3\r4,5\n"),
     "eval-cell-over-csv-field-limit": _on_table(
         "eval", content=b"price,km\n1," + b"x" * 200_000 + b"\n"
@@ -906,6 +981,10 @@ BAD_INPUT_MESSAGES = {
     "query-leaf-importance-true": "ConfigError: compiled query disagrees with its cpnet in: "
                                   "importance",
     "kb-attribute-listed-twice": "ConfigError: attribute 'price' is listed twice",
+    "kb-seed-nan": "fuzzycp: malformed document: NaN is not a JSON value",
+    "kb-seed-nan-inspect": "fuzzycp: malformed document: NaN is not a JSON value",
+    "query-term-unread-key-infinity": "fuzzycp: malformed document: -Infinity is not a JSON "
+                                      "value",
     "inspect-not-utf8": "fuzzycp: malformed document: 'utf-8' codec can't decode",
     "kb-not-utf8": "fuzzycp: malformed document: 'utf-8' codec can't decode",
     "query-not-utf8": "fuzzycp: malformed document: 'utf-8' codec can't decode",
@@ -924,6 +1003,17 @@ BAD_INPUT_MESSAGES = {
     "max-iter-0": "ConfigError: max_iter must be at least 1",
     "kb-build-bare-cr-splits-a-row": "ShapeError: row 1: expected 2 cells, found 1",
     "eval-bare-cr-splits-a-row": "ShapeError: row 1: expected 2 cells, found 1",
+    "kb-build-values-too-far-apart": "ParseError: attribute 'a': values -1e+308 and 1e+308 are "
+                                     "too far apart",
+    **{
+        case: "ParseError: attribute 'a': the values are too large: a centroid overflows"
+        for case in ("kb-build-weighted-sum-overflows", "kb-build-start-overflows")
+    },
+    **{
+        case: "ParseError: attribute 'price', record 0: value 1e+308 is too far from every "
+              "centroid"
+        for case in BAD_INPUTS if case.endswith("value-too-far-from-every-centroid")
+    },
     "eval-cell-over-csv-field-limit": "ParseError: line 2 of the table: field larger",
     "seed-negative": "ConfigError: seed must be a non-negative integer, got -1",
     "tol-inf": "ConfigError: tol must be positive and finite",
@@ -962,6 +1052,19 @@ def test_bad_input_exits_2_without_traceback(tmp_path, built_kb, compiled_query,
     assert "Traceback" not in proc.stderr
     assert BAD_INPUT_MESSAGES.get(case, "") in proc.stderr
     assert proc.stdout == ""
+
+
+def test_kb_build_past_the_squared_float_range_prints_no_warning(tmp_path):
+    # the squared distances of FCM's objective overflow; the centroids do not
+    table = tmp_path / "wide.csv"
+    table.write_bytes(b"a\n1e160\n-1e160\n5\n1\n2\n3\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fuzzycp", "kb", "build", "--input", str(table),
+         "--out", str(tmp_path / "kb.json")],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("a: centroids [") and proc.stderr.count("\n") == 1
 
 
 # --- numeric flags -----------------------------------------------------------

@@ -188,7 +188,7 @@ def test_evaluate_hand_case():
 
 def test_evaluate_zero_terms_is_degenerate():
     kb, query = query_with_importances([1.0])
-    query.terms = ()
+    query = WeightedQuery(query.ucp, query.bindings, ())
     with pytest.raises(DegenerateQueryError):
         evaluate(projection_for([[0.5]]), query, {"x": 1})
 
@@ -218,7 +218,7 @@ def test_evaluate_monotone_in_memberships():
         i = rng.randrange(proj.entries.shape[1])
         bumped = proj.entries.copy()
         bumped[k, i] = min(1.0, bumped[k, i] + rng.uniform(0.0, 1.0))
-        proj.entries = bumped
+        proj = DataProjection(proj.record_index, proj.variables, bumped, proj.missing)
         assert evaluate(proj, query, importance).score >= base
 
 

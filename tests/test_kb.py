@@ -3,6 +3,7 @@ import io
 import json
 import random
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from fuzzycp import (
     AttributeConfig,
+    ClusterModel,
     ConfigError,
     DegenerateDataError,
     EmptyDatasetError,
@@ -465,6 +467,40 @@ def test_fcm_keeps_a_centroid_whose_every_membership_power_underflows(monkeypatc
     assert np.all(np.isfinite(result.centroids))
 
 
+def test_fcm_centroids_past_the_squared_float_range_scale_exactly():
+    # distances past 1e154 overflow when squared, which only the objective
+    # reads: the centroids are those of the column scaled by 2^-600, a
+    # scaling under which every step is exact, and no warning is raised
+    x = np.array([-1e160, 1.0, 2.0, 3.0, 5.0, 1e160, 1e159, -3e159])
+    k = 2.0 ** -600
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wide = fuzzy_c_means(x, 3, tol=1e154)
+    scaled = fuzzy_c_means(x * k, 3, tol=1e154 * k)
+    assert wide.iterations == scaled.iterations
+    assert np.array_equal(wide.centroids, scaled.centroids / k)
+    assert wide.objective_trace[0] == np.inf
+
+
+def test_build_names_values_too_far_apart():
+    ds = ingest_tabular("a\n1e308\n-1e308\n5\n1\n2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match=r"^attribute 'a': values -1e\+308 and 1e\+308 are "
+                                             "too far apart$"):
+            build_knowledge_base(ds, KBConfig())
+
+
+def test_build_names_a_weighted_sum_that_overflows():
+    # every value is finite, and so is their spread, but not their sum
+    ds = ingest_tabular("a\n" + "1e306\n" * 1000 + "0\n5e305\n1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="^attribute 'a': the values are too large: a "
+                                             "centroid overflows$"):
+            build_knowledge_base(ds, KBConfig())
+
+
 def test_build_names_unconverged_attributes():
     ds = ingest_tabular("a,b\n" + "\n".join(f"{i % 7},{i * i % 11}" for i in range(40)))
     assert build_knowledge_base(ds, KBConfig()).unconverged == ()
@@ -625,6 +661,29 @@ def test_membership_grid_matches_membership_of():
     for row, value in zip(grid[:3], values):
         assert np.array_equal(row, kb.membership_of("size", value))
     assert np.all(grid[3:] == 0.0)  # missing values belong to no cluster
+
+
+def test_membership_grid_names_a_value_too_far_from_every_centroid():
+    kb = KnowledgeBase({"x": ClusterModel("x", (-1e308, -0.9e308), ("low", "high"), 2.0)}, {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match=r"^attribute 'x', record 2: value 1e\+308 is too "
+                                             "far from every centroid$"):
+            kb.membership_grid("x", [float("nan"), -1e308, 1e308])
+
+
+def test_membership_grid_ignores_an_overflow_that_leaves_a_finite_distance():
+    # each value lies further from -1e308 than a float holds, so that
+    # membership is 0, and the others are those of the two other centroids
+    model = ClusterModel("x", (-1e308, 0.0, 1e308), ("low", "mid", "high"), 2.0)
+    kb = KnowledgeBase({"x": model}, {})
+    values = [9e307, 1e308, 8e307]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = kb.membership_grid("x", values)
+    assert np.array_equal(grid[:, 0], [0.0, 0.0, 0.0])
+    rest = _membership_grid(np.array(values), np.array([0.0, 1e308]), 2.0)
+    assert np.array_equal(grid[:, 1:], rest.T)
 
 
 def test_membership_rows_sum_to_one_out_of_sample():
