@@ -179,13 +179,10 @@ def cmd_kb_build(args) -> int:
     )
     kb = build_knowledge_base(dataset, config, source=args.input)
     kb.save(args.out)
-    iterations = kb.provenance.get("iterations", {})
     for name, model in kb.models.items():
         centroids = ", ".join(f"{c:.6f}" for c in model.centroids)
-        print(
-            f"{name}: centroids [{centroids}] after {iterations.get(name, '?')} iterations",
-            file=sys.stderr,
-        )
+        count = kb.provenance["iterations"][name]
+        print(f"{name}: centroids [{centroids}] after {count} iterations", file=sys.stderr)
     for name in kb.unconverged:
         print(f"fuzzycp: warning: {name}: fuzzy c-means did not converge within "
               f"--max-iter {args.max_iter}", file=sys.stderr)

@@ -31,6 +31,9 @@ class PreferenceVariable(Record):
     __slots__ = ("name", "domain")
 
     def __init__(self, name: str, domain: tuple[str, ...]):
+        # the names dsl reads, so that each one prints as one TSV cell and one line
+        if not (name[:1].isalpha() or name[:1] == "_") or not name.replace("_", "a").isalnum():
+            raise ConfigError(f"variable {name!r}: not a letter or _ then letters, digits or _")
         domain = tuple(domain)
         if not domain:
             raise ConfigError(f"variable {name!r} has an empty domain")
@@ -43,9 +46,6 @@ class Violation(Record):
     """One broken invariant, identified by the node or edge it concerns."""
 
     __slots__ = ("kind", "subject", "message")
-
-    def __init__(self, kind: str, subject: str, message: str):
-        self._set(kind=kind, subject=subject, message=message)
 
     def __str__(self):
         return f"{self.kind} at {self.subject}: {self.message}"

@@ -12,9 +12,9 @@ class EmptyDatasetError(FuzzycpError):
 class ShapeError(FuzzycpError):
     """A data row has the wrong number of cells."""
 
-    def __init__(self, row, message=None):
+    def __init__(self, row, message):
         self.row = row
-        super().__init__(message or f"row {row}: wrong number of cells")
+        super().__init__(message)
 
 
 class _Located(FuzzycpError):

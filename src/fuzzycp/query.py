@@ -27,10 +27,7 @@ from .ucp import UCPNet, assign_utilities
 class Term(Record):
     """One conjunctive disjunct: a complete assignment and its importance."""
 
-    __slots__ = ("assignment", "importance")
-
-    def __init__(self, assignment: dict[str, str], importance: float):
-        self._set(assignment=assignment, importance=importance)
+    __slots__ = ("assignment", "importance")  # a dict variable -> value, a float
 
 
 class WeightedQuery(Record):

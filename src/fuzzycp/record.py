@@ -1,23 +1,40 @@
 """The base of fuzzycp's record classes.
 
-A record is a plain class that lists its fields in ``__slots__`` and sets
-them once, through ``_set``, in its own ``__init__``, which takes the
-public fields (the slots whose names do not start with an underscore) in
-slot order.  Once built, a record refuses assignment and deletion, so
-nothing it derived from its fields can go stale.  ``repr`` shows the
-public fields, equality compares them between records of the same class,
-the hash is that of the public fields (unhashable if one is a dict), and
-a copy is rebuilt from them.  A record that holds numpy arrays, whose
-``==`` does not give one truth value, sets ``__eq__`` and ``__hash__``
-back to ``object``'s, so that it is equal only to itself.
+A record declares its fields once, in ``__slots__``.  ``Record.__init__``
+binds the public ones (not starting with ``_``), by position in slot
+order or by name, and refuses a missing, unknown, repeated or extra
+argument with a ``TypeError`` naming the fields.  A class writes its own
+``__init__``, through ``_set``, only to check or derive fields, to give
+defaults, or for ``dsl.Token``'s speed.  A built record refuses assignment
+and deletion, so nothing derived from its fields can go stale.  ``repr``,
+equality (between records of one class), the hash (none if a field is a
+dict) and copies all work from the public fields.  A record holding numpy
+arrays, whose ``==`` gives no single truth value, takes ``__eq__`` and
+``__hash__`` from ``object``: it is equal only to itself.
 """
 
 
 class Record:
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            wrong = [f"extra value {value!r}" for value in values[len(fields):]]
+            wrong += [f"{name} given twice" for name in named if name in fields[:len(values)]]
+            wrong += [f"unknown field {name}" for name in named if name not in fields]
+            wrong += [f"missing field {name}" for name in fields[len(values):] if name not in named]
+            if wrong:
+                raise TypeError(f"{type(self).__name__}({', '.join(fields)}): {'; '.join(wrong)}")
+            values += tuple(named[name] for name in fields[len(values):])
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+
     def _public(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -25,9 +42,7 @@ class Record:
         return self._public() == other._public()
 
     def __repr__(self):
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_"
-        )
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

@@ -56,15 +56,6 @@ class DataProjection(Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(
-        self,
-        record_index: int,
-        variables: tuple[str, ...],
-        entries: np.ndarray,
-        missing: tuple[str, ...],
-    ):
-        self._set(record_index=record_index, variables=variables, entries=entries, missing=missing)
-
 
 class Evaluation(Record):
     __slots__ = (
@@ -72,9 +63,6 @@ class Evaluation(Record):
         "clipped",  # min(S_k, U_k)
         "score",  # max over k
     )
-
-    def __init__(self, term_scores: tuple[float, ...], clipped: tuple[float, ...], score: float):
-        self._set(term_scores=term_scores, clipped=clipped, score=score)
 
 
 class Ranking(Record):
@@ -95,24 +83,6 @@ class Ranking(Record):
     )
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        variables: tuple[str, ...],
-        record_index: np.ndarray,
-        score: np.ndarray,
-        term_scores: np.ndarray,
-        clipped: np.ndarray,
-        missing: np.ndarray,
-    ):
-        self._set(
-            variables=variables,
-            record_index=record_index,
-            score=score,
-            term_scores=term_scores,
-            clipped=clipped,
-            missing=missing,
-        )
 
     def __len__(self) -> int:
         return len(self.record_index)

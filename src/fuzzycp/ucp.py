@@ -109,9 +109,6 @@ def assign_utilities(net: CPNet) -> UCPNet:
 class DominanceViolation(Record):
     __slots__ = ("node", "minspan", "required")
 
-    def __init__(self, node: str, minspan: float, required: float):
-        self._set(node=node, minspan=minspan, required=required)
-
     def __str__(self):
         return (
             f"{self.node}: minspan {self.minspan} is below the "

@@ -799,6 +799,24 @@ def _inspect_edited_kb(edit):
     return argv
 
 
+# variable names that would split a cell of the eval TSV or a line of inspect
+SPLITTING_NAMES = {"tab": "we\tar", "newline": "we\nar"}
+
+
+def _renamed(command, name):
+    """``eval`` or ``inspect`` of the compiled query with its variable
+    ``wear`` renamed ``name`` throughout."""
+
+    def argv(tmp_path, kb, query):
+        path = tmp_path / "renamed.json"
+        path.write_text(query.read_text().replace('"wear"', json.dumps(name)))
+        if command == "inspect":
+            return ["inspect", str(path)]
+        return ["eval", "--kb", str(kb), "--query", str(path), "--data", str(DATA_DIR / "cars.csv")]
+
+    return argv
+
+
 # documents that hold a lone surrogate, which no UTF-8 output can print:
 # a knowledge-base label and a compiled query's variable name
 LONE_SURROGATE = {
@@ -939,6 +957,11 @@ BAD_INPUTS = {
         }.items()
     },
     "pref-flat-utility": _replaced("pref", "var cost: attr price {\n    prefer low\n}\n"),
+    **{
+        f"{command}-variable-name-with-{what}": _renamed(command, name)
+        for command in ("eval", "inspect")
+        for what, name in SPLITTING_NAMES.items()
+    },
 }
 
 # what stderr must say, where exit 2 alone does not tell the cases apart
@@ -1033,6 +1056,11 @@ BAD_INPUT_MESSAGES = {
         for case in BAD_INPUTS if case.endswith("lone-surrogate")
     },
     "pref-flat-utility": "DegenerateUtilityError: utility scale is flat; cannot normalize",
+    **{
+        f"{command}-variable-name-with-{what}": f"ConfigError: variable {name!r}: not a letter"
+        for command in ("eval", "inspect")
+        for what, name in SPLITTING_NAMES.items()
+    },
 }
 
 

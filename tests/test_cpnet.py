@@ -4,6 +4,7 @@ import pytest
 
 from fuzzycp import (
     CapacityError,
+    ConfigError,
     CPNet,
     PreferenceVariable,
     ValidationError,
@@ -153,6 +154,14 @@ def test_a_built_net_cannot_be_changed():
     assert net.edges == (("A", "B"), ("B", "C"))
     assert net.cpt["B"][("a1",)] == ("b1", "b2")
     assert validate_cpnet(net) == []
+
+
+def test_a_variable_name_is_a_letter_or_underscore_then_letters_digits_or_underscores():
+    for name in ("x", "_", "_1", "X9_y", "prix_\u00e9", "\u4ef7\u683c2"):
+        assert PreferenceVariable(name, ("a", "b")).name == name
+    for name in ("", "we\tar", "we\nar", "a b", "a-b", "1x", "x.y", "a\u0301"):
+        with pytest.raises(ConfigError, match="not a letter or _ then letters, digits or _"):
+            PreferenceVariable(name, ("a", "b"))
 
 
 # --- importance --------------------------------------------------------------

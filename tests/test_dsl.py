@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fuzzycp import (
+    ConfigError,
     CPNet,
     ParseError,
     PreferenceVariable,
@@ -335,3 +336,19 @@ def test_when_conditions_normalize_to_depends_order():
 def test_terms_clause_parsed():
     spec = parse_query("var v: attr a { prefer x > y }\nterms 2")
     assert spec.term_count == 2
+
+
+def test_the_parser_reads_as_a_name_exactly_what_a_variable_accepts():
+    # names around each of the first 2^11 code points and a few beyond:
+    # a space that is no separator, a CJK letter, two digits that are not ASCII
+    chars = [*map(chr, range(0x800)), "\u200b", "\u4ef7", "\uff10", "\U0001d7d8"]
+    for name in (text for ch in chars for text in ("a" + ch, ch + "a")):
+        try:
+            read = parse_query(f"var {name}: attr c {{ prefer lo > hi }}").net.nodes[0].name
+        except (ParseError, SemanticError):
+            read = None
+        try:
+            accepted = PreferenceVariable(name, ("lo", "hi")).name
+        except ConfigError:
+            accepted = None
+        assert (read == name) == (accepted == name), repr(name)

@@ -1,12 +1,17 @@
 """The contract every record class keeps: a record refuses changes once
-built, equality and repr work over the public fields, and a record that
-holds arrays is equal only to itself."""
+built, equality and repr work over the public fields, a record that holds
+arrays is equal only to itself, and a class states its fields once."""
 
+import ast
 import copy
+import pickle
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fuzzycp
 from fuzzycp import (
     AttributeConfig,
     ClusterModel,
@@ -127,3 +132,66 @@ def test_equal_frozen_records_hash_alike():
 def test_records_of_other_classes_differ_on_equal_fields():
     assert Violation("a", "b", "c") != Token("a", "b", "c", None)
     assert KBConfig().per_attribute is not KBConfig().per_attribute
+
+
+# records that take Record's constructor, which binds the public fields
+PLAIN = [cls for cls in RECORDS if "__init__" not in vars(cls)]
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda cls: cls.__name__)
+def test_plain_record_constructor(cls):
+    record = RECORDS[cls]()
+    fields, values = _public(record), record._public()
+    by_position, by_name = cls(*values), cls(**dict(zip(fields, values)))
+    for built in (by_position, by_name, cls(*values[:1], **dict(zip(fields[1:], values[1:])))):
+        assert all(getattr(built, name) is value for name, value in zip(fields, values))
+    if cls not in BY_IDENTITY:
+        assert by_position == by_name == pickle.loads(pickle.dumps(by_name))
+
+    signature = f"{cls.__name__}({', '.join(fields)}): "
+    wrong = {
+        f"missing field {fields[-1]}": (values[:-1], {}),
+        "unknown field bogus": (values, {"bogus": 1}),
+        f"{fields[0]} given twice": (values, {fields[0]: values[0]}),
+        "extra value 'more'": ((*values, "more"), {}),
+    }
+    for message, (args, kwargs) in wrong.items():
+        with pytest.raises(TypeError, match=re.escape(signature) + ".*" + re.escape(message)):
+            cls(*args, **kwargs)
+
+
+def _copies_its_arguments(function: ast.FunctionDef) -> bool:
+    """Whether ``function`` has no default values and its only statement
+    passes its parameters, unchanged, to ``self._set``."""
+    args = function.args
+    params = [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs][1:]
+    if args.defaults or any(args.kw_defaults) or len(function.body) != 1:
+        return False
+    call = function.body[0].value if isinstance(function.body[0], ast.Expr) else None
+    return (
+        isinstance(call, ast.Call)
+        and ast.unparse(call.func) == "self._set"
+        and not call.args
+        and all(isinstance(k.value, ast.Name) and k.value.id == k.arg for k in call.keywords)
+        and sorted(k.arg for k in call.keywords) == sorted(params)
+    )
+
+
+def _constructors_that_only_copy(source_dir: Path) -> list[str]:
+    """The record classes under ``source_dir`` whose ``__init__`` only
+    stores its arguments, which ``Record.__init__`` does for them."""
+    found = []
+    for path in sorted(source_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and "Record" in map(ast.unparse, node.bases):
+                found += [
+                    f"{path.stem}.{node.name}"
+                    for function in node.body
+                    if isinstance(function, ast.FunctionDef) and function.name == "__init__"
+                    and _copies_its_arguments(function)
+                ]
+    return found
+
+
+def test_no_record_states_its_fields_twice():
+    assert _constructors_that_only_copy(Path(fuzzycp.__file__).parent) == []
