@@ -265,35 +265,29 @@ def _inspect_kb(doc) -> None:
 
 
 def _inspect_query(doc) -> None:
-    from .cpnet import node_importance
-    from .query import query_from_document
+    # what query_to_document derives, the one source of every stored block
+    from .query import query_from_document, query_to_document
 
-    compiled = query_from_document(doc)
-    net, ucp = compiled.net, compiled.ucp
-    print(f"compiled query over {len(net.nodes)} variables")
-    for node in net.nodes:
-        print(f"variable {node.name} (attr {compiled.bindings[node.name]}): "
-              f"domain {', '.join(node.domain)}")
-    if net.edges:
-        print("edges: " + ", ".join(f"{p} -> {c}" for p, c in net.edges))
-    else:
-        print("edges: none")
-    print("importance: " + ", ".join(f"{n}={g}" for n, g in node_importance(net).items()))
-    for node in net.nodes:
-        step = ucp.steps[node.name]
-        minspan, maxspan = ucp.spans[node.name]
-        print(f"utilities for {node.name} (step {step}, minspan {minspan}, "
-              f"maxspan {maxspan})")
-        parents = net.parent_names(node.name)
-        for key, row in ucp.tables[node.name].items():
-            context = ", ".join(f"{p}={v}" for p, v in zip(parents, key)) or "always"
-            cells = ", ".join(f"{value}={utility}" for value, utility in row.items())
+    view = query_to_document(query_from_document(doc))
+    nodes = view["cpnet"]["nodes"]
+    print(f"compiled query over {len(nodes)} variables")
+    for node in nodes:
+        print(f"variable {node['name']} (attr {node['attribute']}): "
+              f"domain {', '.join(node['domain'])}")
+    print("edges: " + (", ".join(f"{p} -> {c}" for p, c in view["cpnet"]["edges"]) or "none"))
+    print("importance: " + ", ".join(f"{n}={g}" for n, g in view["importance"].items()))
+    for name, block in view["utilities"].items():
+        print(f"utilities for {name} (step {block['step']}, minspan {block['minspan']}, "
+              f"maxspan {block['maxspan']})")
+        for row in block["rows"]:
+            context = ", ".join(f"{p}={v}" for p, v in row["when"].items()) or "always"
+            cells = ", ".join(f"{value}={utility}" for value, utility in row["values"].items())
             print(f"  [{context}] {cells}")
     print("dominance: OK")  # loading derived the utilities by assign_utilities, which ensures it
     print("terms:")
-    for k, term in enumerate(compiled.terms, start=1):
-        assignment = ", ".join(f"{n}={v}" for n, v in term.assignment.items())
-        print(f"  {k}. U={term.importance:.6f}  {assignment}")
+    for k, term in enumerate(view["terms"], start=1):
+        assignment = ", ".join(f"{n}={v}" for n, v in term["assignment"].items())
+        print(f"  {k}. U={term['importance']:.6f}  {assignment}")
 
 
 if __name__ == "__main__":

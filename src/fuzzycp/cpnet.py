@@ -31,10 +31,12 @@ class PreferenceVariable(Record):
     __slots__ = ("name", "domain")
 
     def __init__(self, name: str, domain: tuple[str, ...]):
-        # the names dsl reads, so that each one prints as one TSV cell and one line
-        if not (name[:1].isalpha() or name[:1] == "_") or not name.replace("_", "a").isalnum():
-            raise ConfigError(f"variable {name!r}: not a letter or _ then letters, digits or _")
         domain = tuple(domain)
+        # the names dsl reads, so that each one prints as one TSV cell and one line
+        for i, text in enumerate((name, *domain)):
+            if not (text[:1].isalpha() or text[:1] == "_") or not text.replace("_", "a").isalnum():
+                what = f"variable {name!r}" + (f", value {text!r}" if i else "")
+                raise ConfigError(f"{what}: not a letter or _ then letters, digits or _")
         if not domain:
             raise ConfigError(f"variable {name!r} has an empty domain")
         if len(set(domain)) != len(domain):

@@ -16,6 +16,9 @@ class ShapeError(FuzzycpError):
         self.row = row
         super().__init__(message)
 
+    def __reduce__(self):  # pickle and copy rebuild an error from its arguments
+        return type(self), (self.row, *self.args)
+
 
 class _Located(FuzzycpError):
     """An error that may carry a location, which then prefixes its message
@@ -71,6 +74,9 @@ class ValidationError(FuzzycpError):
         self.report = tuple(report)
         lines = "; ".join(str(v) for v in self.report)
         super().__init__(f"invalid preference net: {lines}")
+
+    def __reduce__(self):
+        return type(self), (self.report,)
 
 
 class CapacityError(FuzzycpError):

@@ -54,6 +54,9 @@ class ClusterModel(Record):
             raise DegenerateDataError(f"{attribute}: centroids are not strictly ascending")
         if len(set(labels)) != len(labels):
             raise ConfigError(f"{attribute}: duplicate labels")
+        for label in labels:  # so that inspect prints each label within its line
+            if "\t" in label or label.splitlines() not in ([label], []):
+                raise ConfigError(f"{attribute}: label {label!r} holds a tab or line break")
         if not 1.0 < fuzzifier < math.inf:
             raise ConfigError(f"{attribute}: fuzzifier must be finite and > 1")
         self._set(attribute=attribute, centroids=centroids, labels=labels, fuzzifier=fuzzifier)
@@ -220,6 +223,12 @@ def document_text(doc) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
+def canonical_json(value) -> str:
+    """One text per JSON value, whatever its key order: equal texts, same
+    JSON; so ``1`` is not ``1.0``, ``-0.0`` not ``0.0``, ``true`` no number."""
+    return json.dumps(value, ensure_ascii=False, sort_keys=True)
+
+
 def save_document(doc, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(document_text(doc))
@@ -239,7 +248,7 @@ def load_document(path):
             text = f.read()
             doc = json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
             if "\\u" in text:  # the text is UTF-8, so only an escape makes a surrogate
-                json.dumps(doc, ensure_ascii=False).encode("utf-8")
+                canonical_json(doc).encode("utf-8")
         except UnicodeEncodeError:
             raise MalformedDocumentError("a string holds a lone surrogate") from None
         except (ValueError, RecursionError) as exc:

@@ -19,7 +19,8 @@ import heapq
 
 from .cpnet import OUTCOME_CAP, CPNet, PreferenceVariable, node_importance, topological_order
 from .errors import BindingError, CapacityError, ConfigError, DegenerateUtilityError
-from .kbdoc import KnowledgeBase, check_document, check_shape, load_document, save_document
+from .kbdoc import KnowledgeBase, canonical_json, check_document, check_shape
+from .kbdoc import load_document, save_document
 from .record import Record
 from .ucp import UCPNet, assign_utilities
 
@@ -177,23 +178,21 @@ def compile_query(
 
 
 def query_to_document(query: WeightedQuery) -> dict:
+    """The compiled-query document: the one code that derives its view,
+    which ``save_query`` writes, loading compares and ``inspect`` prints."""
     net, ucp = query.net, query.ucp
-    nodes = []
-    for v in net.nodes:
-        nodes.append(
-            {
-                "name": v.name,
-                "attribute": query.bindings[v.name],
-                "domain": list(v.domain),
-                "parents": list(net.parent_names(v.name)),
-            }
-        )
+    nodes = [
+        {
+            "name": v.name,
+            "attribute": query.bindings[v.name],
+            "domain": list(v.domain),
+            "parents": list(net.parent_names(v.name)),
+        }
+        for v in net.nodes
+    ]
     cpt = {
         v.name: [
-            {
-                "when": dict(zip(net.parent_names(v.name), key)),
-                "order": list(order),
-            }
+            {"when": dict(zip(net.parent_names(v.name), key)), "order": list(order)}
             for key, order in net.cpt[v.name].items()
         ]
         for v in net.nodes
@@ -204,10 +203,7 @@ def query_to_document(query: WeightedQuery) -> dict:
             "minspan": ucp.spans[v.name][0],
             "maxspan": ucp.spans[v.name][1],
             "rows": [
-                {
-                    "when": dict(zip(net.parent_names(v.name), key)),
-                    "values": dict(row),
-                }
+                {"when": dict(zip(net.parent_names(v.name), key)), "values": dict(row)}
                 for key, row in ucp.tables[v.name].items()
             ],
         }
@@ -225,11 +221,7 @@ def query_to_document(query: WeightedQuery) -> dict:
         "max_total_utility": ucp.max_total_utility,
         "importance": node_importance(net),
         "terms": [
-            {
-                "assignment": dict(t.assignment),
-                "importance": t.importance,
-            }
-            for t in query.terms
+            {"assignment": dict(t.assignment), "importance": t.importance} for t in query.terms
         ],
     }
 
@@ -241,8 +233,8 @@ def query_from_document(doc: dict) -> WeightedQuery:
     that compiled it, with T = the number of stored terms.  A version 1
     document's ``query`` text is ignored.  An entry that loading reads and
     that has the wrong shape is a ConfigError naming it.  A stored block
-    that differs from its derivation is a ConfigError naming every such
-    block, so a document cannot say two different things.
+    that is not the same JSON as its derivation is a ConfigError naming
+    every such block, so a document cannot say two different things.
     """
     check_document(doc, _SHAPE, "compiled query")
     net, bindings = _decode_net(doc["cpnet"])
@@ -255,22 +247,11 @@ def query_from_document(doc: dict) -> WeightedQuery:
              for t in doc["terms"]]
     stored = {**doc, "terms": terms}
     blocks = ("bindings", "cpnet", "utilities", "max_total_utility", "importance", "terms")
-    stale = [key for key in blocks if not _same_json(stored.get(key), derived[key])]
+    stale = [key for key in blocks
+             if canonical_json(stored.get(key)) != canonical_json(derived[key])]
     if stale:
         raise ConfigError(f"compiled query disagrees with its cpnet in: {', '.join(stale)}")
     return query
-
-
-def _same_json(stored, derived) -> bool:
-    """``stored == derived`` for two JSON values, except that a boolean
-    equals no number, as ``True == 1`` would in Python."""
-    if isinstance(stored, dict):
-        return (isinstance(derived, dict) and stored.keys() == derived.keys()
-                and all(_same_json(stored[key], derived[key]) for key in stored))
-    if isinstance(stored, list):
-        return (isinstance(derived, list) and len(stored) == len(derived)
-                and all(map(_same_json, stored, derived)))
-    return stored == derived and isinstance(stored, bool) == isinstance(derived, bool)
 
 
 # What loading reads of a compiled query, in the form ``check_shape`` takes.

@@ -243,8 +243,8 @@ def _placed(groups: np.ndarray, at: int) -> np.ndarray:
 _UNITS = _placed(np.array([list(b"0."), list(b"1.")], dtype=np.uint8), 0)
 _THOUSANDTHS = _placed(_DIGIT_GROUPS, 2)
 _MILLIONTHS = _placed(_DIGIT_GROUPS, 5)
-# fills the unused bytes of the TSV matrix: no UTF-8 text holds it, while a
-# variable name read from a document may hold a NUL
+# fills the unused bytes of the TSV matrix: any byte that no cell holds
+# would do, and no UTF-8 text, whatever the characters of a name, holds 0xFF
 _PAD = 0xFF
 
 

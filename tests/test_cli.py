@@ -26,6 +26,7 @@ from fuzzycp import (
 from fuzzycp import scoring
 from fuzzycp.cli import main
 from fuzzycp.cpnet import OUTCOME_CAP
+from fuzzycp.query import load_query, query_to_document
 from fuzzycp.scoring import Ranking
 from helpers import child_env, percent_tsv, reference_ingest
 
@@ -658,6 +659,29 @@ def test_same_output_with_v1_or_v2_query(tmp_path, capsys):
     assert _query_outputs(V1_QUERY, capsys) == _query_outputs(fresh, capsys)
 
 
+def test_the_v1_query_loads_as_the_query_compiled_today(tmp_path):
+    fresh = json.loads(_compile(CARS_KB, tmp_path / "q.json").read_text())
+    assert query_to_document(load_query(V1_QUERY)) == fresh
+
+
+def _keys_reversed(value):
+    if isinstance(value, dict):
+        return {key: _keys_reversed(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [_keys_reversed(item) for item in value]
+    return value
+
+
+def test_a_query_with_every_objects_keys_reversed_prints_the_same(tmp_path, capsys):
+    fresh = _compile(CARS_KB, tmp_path / "q.json")
+    reversed_ = tmp_path / "reversed.json"
+    reversed_.write_text(json.dumps(_keys_reversed(json.loads(fresh.read_text())), indent=2))
+    assert reversed_.read_text() != fresh.read_text()
+    outputs = _query_outputs(reversed_, capsys)
+    assert outputs == _query_outputs(fresh, capsys)
+    assert outputs[2].encode() == (GOLDEN / "cars_inspect_query.txt").read_bytes()
+
+
 def test_v1_query_text_is_ignored(tmp_path, capsys):
     doc = json.loads(V1_QUERY.read_text())
     doc["query"] = doc["query"].replace("prefer", "prefers", 1)
@@ -803,16 +827,20 @@ def _inspect_edited_kb(edit):
 SPLITTING_NAMES = {"tab": "we\tar", "newline": "we\nar"}
 
 
-def _renamed(command, name):
-    """``eval`` or ``inspect`` of the compiled query with its variable
-    ``wear`` renamed ``name`` throughout."""
+def _renamed(command, old, new, document="query"):
+    """``eval`` or ``inspect`` of the compiled query (or of the knowledge
+    base, for ``document="kb"``) with the string ``old`` renamed ``new``
+    throughout."""
 
     def argv(tmp_path, kb, query):
+        paths = {"kb": kb, "query": query}
         path = tmp_path / "renamed.json"
-        path.write_text(query.read_text().replace('"wear"', json.dumps(name)))
+        path.write_text(paths[document].read_text().replace(json.dumps(old), json.dumps(new)))
+        paths[document] = path
         if command == "inspect":
             return ["inspect", str(path)]
-        return ["eval", "--kb", str(kb), "--query", str(path), "--data", str(DATA_DIR / "cars.csv")]
+        return ["eval", "--kb", str(paths["kb"]), "--query", str(paths["query"]),
+                "--data", str(DATA_DIR / "cars.csv")]
 
     return argv
 
@@ -958,9 +986,18 @@ BAD_INPUTS = {
     },
     "pref-flat-utility": _replaced("pref", "var cost: attr price {\n    prefer low\n}\n"),
     **{
-        f"{command}-variable-name-with-{what}": _renamed(command, name)
+        f"{command}-variable-name-with-{what}": _renamed(command, "wear", name)
         for command in ("eval", "inspect")
         for what, name in SPLITTING_NAMES.items()
+    },
+    # a domain value and a label that would split a line of inspect
+    **{
+        f"{command}-domain-value-with-newline": _renamed(command, "low", "l\nw")
+        for command in ("eval", "inspect")
+    },
+    **{
+        f"{command}-kb-label-with-newline": _renamed(command, "low", "l\no", document="kb")
+        for command in ("eval", "inspect")
     },
 }
 
@@ -1060,6 +1097,16 @@ BAD_INPUT_MESSAGES = {
         f"{command}-variable-name-with-{what}": f"ConfigError: variable {name!r}: not a letter"
         for command in ("eval", "inspect")
         for what, name in SPLITTING_NAMES.items()
+    },
+    **{
+        f"{command}-domain-value-with-newline": "ConfigError: variable 'cost', value 'l\\nw': "
+                                                "not a letter or _ then letters, digits or _"
+        for command in ("eval", "inspect")
+    },
+    **{
+        f"{command}-kb-label-with-newline": "ConfigError: price: label 'l\\no' holds a tab or "
+                                            "line break"
+        for command in ("eval", "inspect")
     },
 }
 

@@ -1,7 +1,7 @@
 """The package and the document-only CLI stages load without numpy, only
 ``kb build`` loads numpy.random, only ``query compile`` loads the query
 parser, every public name resolves to the object its home module defines,
-and only ``kbdoc`` spells out the document format."""
+and only ``kbdoc`` spells out the document format or imports ``json``."""
 
 import ast
 import contextlib
@@ -143,3 +143,20 @@ def test_only_kbdoc_writes_indented_json():
                     and any(k.arg == "indent" for k in node.keywords)):
                 writers.append(f"{path.name}:{node.lineno}")
     assert [writer.split(":")[0] for writer in writers] == ["kbdoc.py"], writers
+
+
+def test_only_kbdoc_imports_json():
+    # kbdoc reads, writes and compares every JSON value: an import of json
+    # anywhere else would be a second home for one of them
+    importers = []
+    for path in sorted(Path(fuzzycp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "json" for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert [importer.split(":")[0] for importer in importers] == ["kbdoc.py"], importers

@@ -313,6 +313,37 @@ def test_document_names_every_stale_block(car_kb):
     assert str(err.value).endswith("in: max_total_utility, importance, terms")
 
 
+def _leaf(doc):
+    return next(name for name, importance in doc["importance"].items() if importance == 1)
+
+
+# stored values that Python's == takes for the derived ones, each with the
+# block it is refused in: 1 for 1.0, 1.0 for an integer step, true for 1
+# and -0.0 for the 0.0 of the worst outcome, the last of all six terms
+RETYPED = {
+    "integer-first-term-importance": (
+        lambda doc: doc["terms"][0].update(importance=1), "terms"),
+    "float-step": (
+        lambda doc: doc["utilities"]["cost"].update(step=float(doc["utilities"]["cost"]["step"])),
+        "utilities"),
+    "true-node-importance": (lambda doc: doc["importance"].update({_leaf(doc): True}), "importance"),
+    "negative-zero-last-term-importance": (
+        lambda doc: doc["terms"][-1].update(importance=-0.0), "terms"),
+}
+
+
+@pytest.mark.parametrize("case", list(RETYPED))
+def test_a_stored_block_must_be_the_same_json_as_its_derivation(car_kb, case):
+    edit, block = RETYPED[case]
+    text = document_text(query_to_document(compile_query(QUERY_TEXT, car_kb, term_count=6)))
+    query_from_document(json.loads(text))
+    doc = json.loads(text)
+    edit(doc)
+    assert doc == json.loads(text)  # as Python compares them
+    with pytest.raises(ConfigError, match=f"disagrees with its cpnet in: {block}$"):
+        query_from_document(doc)
+
+
 def test_document_bytes_deterministic(car_kb):
     a = document_text(query_to_document(compile_query(QUERY_TEXT, car_kb)))
     b = document_text(query_to_document(compile_query(QUERY_TEXT, car_kb)))
