@@ -9,7 +9,8 @@ JSON document so it can be inspected and rerun independently:
     fuzzycp inspect       kb.json | q.json
 
 Exit codes: 0 success, 1 usage error, 2 data error (parse, semantic,
-validation, binding), 3 I/O error.
+validation, binding), 3 I/O error or memory ran out.  Stdout is UTF-8
+in every locale, as every document is: ``write_stdout`` is its one writer.
 
 Each stage imports the layers it uses when it runs.  Only the two that
 read tables, ``kb build`` (``kb``) and ``eval`` (``kb`` and ``scoring``),
@@ -24,7 +25,6 @@ import argparse
 import gc
 import os
 import sys
-from itertools import compress
 
 from . import kbdoc
 from .errors import ConfigError, FuzzycpError, MalformedDocumentError, ParseError
@@ -121,8 +121,8 @@ def main(argv=None) -> int:
         return DATA_ERROR
     except BrokenPipeError:
         raise  # not an I/O error: stdout's reader has all it wants
-    except OSError as exc:
-        print(f"fuzzycp: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:  # a resource ran out: a disk, a pipe, memory
+        print(f"fuzzycp: {str(exc) or 'out of memory'}", file=sys.stderr)
         return IO_ERROR
 
 
@@ -212,7 +212,7 @@ def cmd_query_compile(args) -> int:
 def cmd_eval(args) -> int:
     from .kb import ingest_tabular
     from .query import load_query
-    from .scoring import print_tsv, rank, write_stdout
+    from .scoring import json_bytes, rank, tsv_bytes
 
     kb = kbdoc.KnowledgeBase.load(args.kb)
     compiled = load_query(args.query)
@@ -220,74 +220,80 @@ def cmd_eval(args) -> int:
         dataset = ingest_tabular(f, has_header=not args.no_header, delimiter=args.delimiter)
     ranking = rank(kb, compiled, dataset, top_n=args.top)
     if args.format == "tsv":
-        print_tsv(ranking)
+        write_stdout(*tsv_bytes(ranking))
     else:
-        write_stdout(kbdoc.document_text(_json_document(ranking)))
+        write_stdout(json_bytes(ranking, compiled))
     return OK
 
 
-def _json_document(ranking) -> dict:
-    rows = zip(ranking.record_index.tolist(), ranking.score.tolist(),
-               ranking.term_scores.tolist(), ranking.clipped.tolist(),
-               ranking.missing.tolist())
-    results = [
-        {"record_index": index, "position": position, "eval": score,
-         "term_scores": term_scores, "clipped": clipped,
-         "missing": list(compress(ranking.variables, missing))}
-        for position, (index, score, term_scores, clipped, missing) in enumerate(rows, 1)
-    ]
-    return {"format_version": 1, "term_count": ranking.term_scores.shape[1], "results": results}
+def write_stdout(*chunks: bytes) -> None:
+    """Write the UTF-8 ``chunks`` to stdout's byte buffer, whatever the
+    locale, and flush it, so that a write the system cuts short raises.
+
+    A buffered writer returns a short count, without raising, from a large
+    write that fails part way (a file-size limit, a full disk, a closed
+    pipe); writing the rest raises the system's error.  A stream without a
+    byte buffer (a ``StringIO``) takes the decoded text.
+    """
+    stream = sys.stdout
+    raw = getattr(stream, "buffer", None)
+    if raw is None:
+        stream.write(b"".join(chunks).decode())
+        return
+    stream.flush()
+    for data in map(memoryview, chunks):
+        while data:
+            data = data[raw.write(data):]
+    raw.flush()
 
 
 def cmd_inspect(args) -> int:
     doc = kbdoc.load_document(args.path)
     keys = doc if isinstance(doc, dict) else {}
-    if "attributes" in keys:
-        _inspect_kb(doc)
-    elif "terms" in keys:
-        _inspect_query(doc)
-    else:
+    if "attributes" not in keys and "terms" not in keys:
         print("fuzzycp: not a knowledge-base or compiled-query document", file=sys.stderr)
         return DATA_ERROR
+    lines = _inspect_kb(doc) if "attributes" in keys else _inspect_query(doc)
+    write_stdout("".join(f"{line}\n" for line in lines).encode())
     return OK
 
 
-def _inspect_kb(doc) -> None:
+def _inspect_kb(doc):
     kb = kbdoc.KnowledgeBase.from_document(doc)
     prov = kb.provenance
-    print(f"knowledge base (source: {prov.get('source')}, seed: {prov.get('seed')})")
-    print(f"records: {prov.get('records', '?')}")
+    yield f"knowledge base (source: {prov.get('source')}, seed: {prov.get('seed')})"
+    yield f"records: {prov.get('records', '?')}"
     for name, model in kb.models.items():
-        print(f"attribute {name}")
-        print(f"  labels:    {', '.join(model.labels)}")
-        print(f"  centroids: {', '.join(f'{c:.6f}' for c in model.centroids)}")
-        print(f"  fuzzifier: {model.fuzzifier}")
+        yield f"attribute {name}"
+        yield f"  labels:    {', '.join(model.labels)}"
+        yield f"  centroids: {', '.join(f'{c:.6f}' for c in model.centroids)}"
+        yield f"  fuzzifier: {model.fuzzifier}"
 
 
-def _inspect_query(doc) -> None:
+def _inspect_query(doc):
     # what query_to_document derives, the one source of every stored block
     from .query import query_from_document, query_to_document
 
     view = query_to_document(query_from_document(doc))
     nodes = view["cpnet"]["nodes"]
-    print(f"compiled query over {len(nodes)} variables")
+    yield f"compiled query over {len(nodes)} variables"
     for node in nodes:
-        print(f"variable {node['name']} (attr {node['attribute']}): "
-              f"domain {', '.join(node['domain'])}")
-    print("edges: " + (", ".join(f"{p} -> {c}" for p, c in view["cpnet"]["edges"]) or "none"))
-    print("importance: " + ", ".join(f"{n}={g}" for n, g in view["importance"].items()))
+        yield (f"variable {node['name']} (attr {node['attribute']}): "
+               f"domain {', '.join(node['domain'])}")
+    yield "edges: " + (", ".join(f"{p} -> {c}" for p, c in view["cpnet"]["edges"]) or "none")
+    yield "importance: " + ", ".join(f"{n}={g}" for n, g in view["importance"].items())
     for name, block in view["utilities"].items():
-        print(f"utilities for {name} (step {block['step']}, minspan {block['minspan']}, "
-              f"maxspan {block['maxspan']})")
+        yield (f"utilities for {name} (step {block['step']}, minspan {block['minspan']}, "
+               f"maxspan {block['maxspan']})")
         for row in block["rows"]:
             context = ", ".join(f"{p}={v}" for p, v in row["when"].items()) or "always"
             cells = ", ".join(f"{value}={utility}" for value, utility in row["values"].items())
-            print(f"  [{context}] {cells}")
-    print("dominance: OK")  # loading derived the utilities by assign_utilities, which ensures it
-    print("terms:")
+            yield f"  [{context}] {cells}"
+    yield "dominance: OK"  # loading derived the utilities by assign_utilities, which ensures it
+    yield "terms:"
     for k, term in enumerate(view["terms"], start=1):
         assignment = ", ".join(f"{n}={v}" for n, v in term["assignment"].items())
-        print(f"  {k}. U={term['importance']:.6f}  {assignment}")
+        yield f"  {k}. U={term['importance']:.6f}  {assignment}"
 
 
 if __name__ == "__main__":

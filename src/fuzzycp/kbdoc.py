@@ -44,6 +44,7 @@ class ClusterModel(Record):
         labels: tuple[str, ...],
         fuzzifier: float,
     ):
+        one_line(attribute, "attribute")  # inspect prints it, and each label, within a line
         if len(centroids) != len(labels):
             raise ConfigError(
                 f"{attribute}: {len(labels)} labels for {len(centroids)} centroids"
@@ -54,9 +55,8 @@ class ClusterModel(Record):
             raise DegenerateDataError(f"{attribute}: centroids are not strictly ascending")
         if len(set(labels)) != len(labels):
             raise ConfigError(f"{attribute}: duplicate labels")
-        for label in labels:  # so that inspect prints each label within its line
-            if "\t" in label or label.splitlines() not in ([label], []):
-                raise ConfigError(f"{attribute}: label {label!r} holds a tab or line break")
+        for label in labels:
+            one_line(label, f"{attribute}: label")
         if not 1.0 < fuzzifier < math.inf:
             raise ConfigError(f"{attribute}: fuzzifier must be finite and > 1")
         self._set(attribute=attribute, centroids=centroids, labels=labels, fuzzifier=fuzzifier)
@@ -216,6 +216,13 @@ class KnowledgeBase(Record):
     @classmethod
     def load(cls, path) -> "KnowledgeBase":
         return cls.from_document(load_document(path))
+
+
+def one_line(text: str, what: str) -> str:
+    """``text``, or a ConfigError naming it ``what`` if a tab or line break splits it."""
+    if "\t" in text or text.splitlines() not in ([text], []):
+        raise ConfigError(f"{what} {text!r} holds a tab or line break")
+    return text
 
 
 def document_text(doc) -> str:

@@ -20,7 +20,7 @@ import heapq
 from .cpnet import OUTCOME_CAP, CPNet, PreferenceVariable, node_importance, topological_order
 from .errors import BindingError, CapacityError, ConfigError, DegenerateUtilityError
 from .kbdoc import KnowledgeBase, canonical_json, check_document, check_shape
-from .kbdoc import load_document, save_document
+from .kbdoc import load_document, one_line, save_document
 from .record import Record
 from .ucp import UCPNet, assign_utilities
 
@@ -280,7 +280,7 @@ def _decode_net(block: dict) -> tuple[CPNet, dict[str, str]]:
         cpt[name] = {key: tuple(row["order"]) for key, row in zip(keys, rows)}
     nodes = tuple(PreferenceVariable(n["name"], tuple(n["domain"])) for n in block["nodes"])
     net = CPNet(nodes=nodes, edges=tuple(map(tuple, block["edges"])), cpt=cpt)
-    return net, {n["name"]: n["attribute"] for n in block["nodes"]}
+    return net, {n["name"]: one_line(n["attribute"], "attribute") for n in block["nodes"]}
 
 
 def save_query(query: WeightedQuery, path) -> None:

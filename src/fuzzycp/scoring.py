@@ -21,14 +21,13 @@ per query variable, accumulated into an n x T matrix of S_k, and returns
 the rows it keeps as one ``Ranking`` of arrays, best first.  ``project``
 and ``evaluate`` score one record with plain loops; they are the oracles
 ``rank`` is tested against, bit for bit, not a second production path.
-``print_tsv`` writes a ``Ranking`` as the ``eval`` TSV straight from its
-arrays, through ``write_stdout``, the writer of both ``eval`` formats.
+``tsv_bytes`` and ``json_bytes`` render a ``Ranking`` as the bytes of the
+two ``eval`` formats, UTF-8 like every document; ``cli`` writes them.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from itertools import compress
 
 import numpy as np
@@ -36,7 +35,7 @@ import numpy as np
 from .cpnet import node_importance
 from .errors import ConfigError, DegenerateQueryError
 from .kb import Dataset
-from .kbdoc import KnowledgeBase
+from .kbdoc import KnowledgeBase, document_text
 from .query import WeightedQuery, check_bindings
 from .record import Record
 
@@ -76,9 +75,8 @@ class Ranking(Record):
     __slots__ = (
         "variables",  # query variables, in declaration order
         "record_index",  # (n,)
-        "score",  # (n,), max over k of clipped
+        "score",  # (n,), max over k of min(S_k, U_k)
         "term_scores",  # (n, T), S_k
-        "clipped",  # (n, T), min(S_k, U_k)
         "missing",  # (n, V) bool
     )
     __eq__ = object.__eq__
@@ -208,13 +206,10 @@ def rank(
         term_scores += grid[:, labels[:, i]] * weight
     term_scores /= sum(weights)
     np.clip(term_scores, 0.0, 1.0, out=term_scores)
-    clipped = np.minimum(term_scores, [t.importance for t in query.terms])
-    scores = clipped.max(axis=1)
+    scores = np.minimum(term_scores, [t.importance for t in query.terms]).max(axis=1)
 
     order = np.lexsort((np.arange(n), -scores))[:top_n]
-    return Ranking(
-        variables, order, scores[order], term_scores[order], clipped[order], missing[order]
-    )
+    return Ranking(variables, order, scores[order], term_scores[order], missing[order])
 
 
 def _label_table(kb: KnowledgeBase, query: WeightedQuery, variables) -> np.ndarray:
@@ -248,8 +243,8 @@ _MILLIONTHS = _placed(_DIGIT_GROUPS, 5)
 _PAD = 0xFF
 
 
-def print_tsv(ranking: Ranking) -> None:
-    """Write the ranking to stdout as TSV, one line per row of a uint8 matrix.
+def tsv_bytes(ranking: Ranking) -> tuple[bytes, bytes]:
+    """The ``eval`` TSV as header and body, the body a line per row of a uint8 matrix.
 
     Every cell has a fixed width, its unused bytes set to ``_PAD``; the
     body is the matrix without them.  The bytes equal those of the
@@ -261,8 +256,7 @@ def print_tsv(ranking: Ranking) -> None:
     tabs = np.full((n, term_count + 1, 1), ord("\t"), dtype=np.uint8)
     flagged = np.flatnonzero(ranking.missing.any(axis=1))
     names = _padded([
-        ";".join(f"missing:{name}" for name in compress(ranking.variables, row))
-        .encode("utf-8", "surrogatepass")
+        ";".join(f"missing:{name}" for name in compress(ranking.variables, row)).encode()
         for row in ranking.missing[flagged].tolist()
     ], width=1)
     flags = np.full((n, names.shape[1]), _PAD, dtype=np.uint8)
@@ -276,29 +270,22 @@ def print_tsv(ranking: Ranking) -> None:
         flags,
         np.full((n, 1), ord("\n"), dtype=np.uint8),
     ], axis=1)
-    write_stdout("\t".join(header) + "\n")
-    write_stdout(matrix[matrix != _PAD].tobytes().decode("utf-8", "surrogatepass"))
+    return ("\t".join(header) + "\n").encode(), matrix[matrix != _PAD].tobytes()
 
 
-def write_stdout(text: str) -> None:
-    """Write ``text`` to stdout, encoded as ``sys.stdout.write`` would, and
-    flush it, so that a write the system cuts short raises its error.
-
-    A buffered writer returns a short count, without raising, from a large
-    write that fails part way (a file-size limit, a full disk, a closed
-    pipe); writing the rest raises the system's error.  A stream without a
-    byte buffer (a ``StringIO``) takes the text as it is.
-    """
-    stream = sys.stdout
-    raw = getattr(stream, "buffer", None)
-    if raw is None:
-        stream.write(text)
-        return
-    stream.flush()
-    data = memoryview(text.encode(stream.encoding, stream.errors))
-    while data:
-        data = data[raw.write(data):]
-    raw.flush()
+def json_bytes(ranking: Ranking, query: WeightedQuery) -> bytes:
+    """The ``eval --format json`` document; min(S_k, U_k) is derived for each row."""
+    clipped = np.minimum(ranking.term_scores, [t.importance for t in query.terms])
+    rows = zip(ranking.record_index.tolist(), ranking.score.tolist(),
+               ranking.term_scores.tolist(), clipped.tolist(), ranking.missing.tolist())
+    results = [
+        {"record_index": index, "position": position, "eval": score,
+         "term_scores": term_scores, "clipped": clipped,
+         "missing": list(compress(ranking.variables, missing))}
+        for position, (index, score, term_scores, clipped, missing) in enumerate(rows, 1)
+    ]
+    doc = {"format_version": 1, "term_count": ranking.term_scores.shape[1], "results": results}
+    return document_text(doc).encode()
 
 
 def _decimal(values: np.ndarray) -> np.ndarray:

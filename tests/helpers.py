@@ -169,8 +169,9 @@ def reference_ingest(text, has_header=True, delimiter=","):
 
 
 def percent_tsv(ranking) -> str:
-    """The TSV ``eval`` writes for ``ranking``, by one ``%`` format over an
-    object table: the writer ``scoring.print_tsv`` replaced."""
+    """The TSV ``eval`` writes for ``ranking``, as text, by one ``%`` format
+    over an object table: the writer that ``scoring.tsv_bytes``, which
+    returns the UTF-8 bytes of this text, replaced."""
     n, term_count = ranking.term_scores.shape
     table = np.empty((n, term_count + 3), dtype=object)
     table[:, 0] = ranking.record_index

@@ -470,6 +470,92 @@ def test_eval_cut_short_by_a_file_size_limit_is_an_io_error(tmp_path, built_kb, 
     assert out.stat().st_size == FILE_SIZE_LIMIT
 
 
+# 1 GiB holds a stage's interpreter and numpy with room to spare, and not
+# the 1.5 GiB of S_k that 20,000 rows x 10,000 terms take
+ADDRESS_SPACE_LIMIT = 2**30
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
+
+
+def test_eval_out_of_memory_is_a_resource_error(tmp_path, built_kb):
+    # nine independent price variables: 3^9 outcomes, of which 10,000 are terms
+    pref = tmp_path / "wide.pref"
+    pref.write_text("".join(f"var v{i}: attr price {{\n    prefer low > mid > high\n}}\n"
+                            for i in range(9)) + "terms 10000\n")
+    query = tmp_path / "wide.json"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["query", "compile", "--kb", str(built_kb), "--query", str(pref),
+                     "--out", str(query)]) == 0
+    header, rows = (DATA_DIR / "cars.csv").read_text().split("\n", 1)
+    table = tmp_path / "many.csv"
+    table.write_text(header + "\n" + rows * (20_000 // rows.count("\n")))
+    # the limit holds in the child alone, and one BLAS thread keeps its
+    # start-up well inside it
+    proc = subprocess.run(
+        [sys.executable, "-m", "fuzzycp", "eval", "--kb", str(built_kb), "--query", str(query),
+         "--data", str(table)],
+        capture_output=True, text=True, env={**child_env(), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("fuzzycp: Unable to allocate"), proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_memory_error_without_text_says_memory_ran_out(monkeypatch, built_kb, compiled_query,
+                                                       capsys):
+    def rank(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(scoring, "rank", rank)
+    argv = ["eval", "--kb", str(built_kb), "--query", str(compiled_query),
+            "--data", str(DATA_DIR / "cars.csv")]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "fuzzycp: out of memory\n")
+
+
+# a non-ASCII variable (in flags, the JSON and inspect) and attribute (in inspect)
+LOCALE_STAGES = {
+    "eval": lambda kb, query, table: ["eval", "--kb", kb, "--query", query, "--data", table],
+    "eval-json": lambda kb, query, table: ["eval", "--kb", kb, "--query", query,
+                                           "--data", table, "--format", "json"],
+    "inspect-kb": lambda kb, query, table: ["inspect", kb],
+    "inspect-query": lambda kb, query, table: ["inspect", query],
+}
+
+
+@pytest.mark.parametrize("stage", list(LOCALE_STAGES))
+def test_stdout_is_utf8_in_every_locale(tmp_path, stage):
+    built, table = tmp_path / "voitures.csv", tmp_path / "manquants.csv"
+    rows = (DATA_DIR / "cars.csv").read_text().replace("km", "kilomètres", 1).split("\n")
+    built.write_text("\n".join(rows), encoding="utf-8")
+    for i in (2, 5, 9):  # empty km cells, so that the flags name the variable
+        rows[i] = rows[i].split(",")[0] + ","
+    table.write_text("\n".join(rows), encoding="utf-8")
+    pref = tmp_path / "q.pref"
+    pref.write_text((DATA_DIR / "cars.pref").read_text().replace("wear", "usé")
+                    .replace("attr km", "attr kilomètres"), encoding="utf-8")
+    kb, query = tmp_path / "kb.json", tmp_path / "q.json"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main([*KB_ARGS[:3], str(built), *KB_ARGS[4:-1], "kilomètres:2:low,high",
+                     "--out", str(kb)]) == 0
+        assert main(["query", "compile", "--kb", str(kb), "--query", str(pref),
+                     "--out", str(query)]) == 0
+    argv = [str(arg) for arg in LOCALE_STAGES[stage](kb, query, table)]
+    outputs = {}
+    for encoding in ("utf-8", "ascii", "latin-1"):
+        proc = subprocess.run([sys.executable, "-m", "fuzzycp", *argv], capture_output=True,
+                              env={**child_env(), "PYTHONIOENCODING": encoding})
+        assert (proc.returncode, proc.stderr) == (0, b""), (encoding, proc.stderr)
+        outputs[encoding] = proc.stdout
+    name = "kilomètres" if stage == "inspect-kb" else "usé"
+    assert name.encode() in outputs["utf-8"]
+    assert outputs["ascii"] == outputs["latin-1"] == outputs["utf-8"]
+
+
 def test_eval_is_byte_deterministic(tmp_path, built_kb, compiled_query, capsys):
     args = [
         "eval", "--kb", str(built_kb), "--query", str(compiled_query),
@@ -543,25 +629,24 @@ def _random_ranking(rng, n, term_count, specials):
     index = rng.integers(0, 2 * 10**6, size=n)
     index[: min(n, len(INDEXES))] = INDEXES[:n]
     missing = rng.random((n, len(variables))) < 0.3
-    return Ranking(variables, index, scores[:, 0], scores[:, 1:], scores[:, 1:], missing)
+    return Ranking(variables, index, scores[:, 0], scores[:, 1:], missing)
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_tsv_writer_equals_the_percent_format(capsys, seed):
+def test_tsv_writer_equals_the_percent_format(seed):
     rng = np.random.default_rng(seed)
     for n in (0, 1, 6, 50, 400):
         for term_count in (1, 5):
             specials = TIES + EDGES + (BEYOND if seed % 2 else [])
             ranking = _random_ranking(rng, n, term_count, specials)
-            scoring.print_tsv(ranking)
-            assert capsys.readouterr().out == percent_tsv(ranking), (n, term_count)
+            assert b"".join(scoring.tsv_bytes(ranking)) == percent_tsv(ranking).encode(), \
+                (n, term_count)
 
 
-def test_tsv_writer_needs_its_percent_cells(monkeypatch, capsys):
+def test_tsv_writer_needs_its_percent_cells(monkeypatch):
     ranking = _random_ranking(np.random.default_rng(0), 400, 5, TIES + EDGES)
     monkeypatch.setattr(scoring, "_printf_cells", lambda x, scaled: np.zeros(x.shape, bool))
-    scoring.print_tsv(ranking)
-    assert capsys.readouterr().out != percent_tsv(ranking)
+    assert b"".join(scoring.tsv_bytes(ranking)) != percent_tsv(ranking).encode()
 
 
 def test_kb_build_reads_carriage_return_line_ends(tmp_path):
@@ -999,6 +1084,15 @@ BAD_INPUTS = {
         f"{command}-kb-label-with-newline": _renamed(command, "low", "l\no", document="kb")
         for command in ("eval", "inspect")
     },
+    # an attribute name that would split a line of inspect
+    **{
+        f"{command}-{document}-attribute-with-newline": _renamed(command, "km", "k\nm", document)
+        for command in ("eval", "inspect")
+        for document in ("query", "kb")
+    },
+    "kb-build-attribute-with-newline": _on_table(
+        "kb", content=(DATA_DIR / "cars.csv").read_bytes().replace(b"km", b'"k\nm"', 1)
+    ),
 }
 
 # what stderr must say, where exit 2 alone does not tell the cases apart
@@ -1107,6 +1201,10 @@ BAD_INPUT_MESSAGES = {
         f"{command}-kb-label-with-newline": "ConfigError: price: label 'l\\no' holds a tab or "
                                             "line break"
         for command in ("eval", "inspect")
+    },
+    **{
+        case: "ConfigError: attribute 'k\\nm' holds a tab or line break"
+        for case in BAD_INPUTS if case.endswith("attribute-with-newline")
     },
 }
 

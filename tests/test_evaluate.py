@@ -342,7 +342,8 @@ def random_dataset(rng, kb, query, draw, n):
 
 
 def oracle_ranking(kb, query, dataset):
-    """The full ranking from ``project`` and ``evaluate``, record by record."""
+    """The full ranking from ``project`` and ``evaluate``, record by record,
+    and the rows' min(S_k, U_k) from ``Evaluation.clipped``."""
     importance = node_importance(query.net)
     variables = tuple(v.name for v in query.net.nodes)
     scored = []
@@ -352,12 +353,12 @@ def oracle_ranking(kb, query, dataset):
         scored.append((idx, evaluate(projection, query, importance), projection.missing))
     scored.sort(key=lambda item: (-item[1].score, item[0]))
     shape = (len(scored), len(query.terms))
-    return Ranking(
+    clipped = np.array([o.clipped for _, o, _ in scored]).reshape(shape)
+    return clipped, Ranking(
         variables=variables,
         record_index=np.array([idx for idx, _, _ in scored], dtype=np.intp),
         score=np.array([outcome.score for _, outcome, _ in scored]),
         term_scores=np.array([o.term_scores for _, o, _ in scored]).reshape(shape),
-        clipped=np.array([o.clipped for _, o, _ in scored]).reshape(shape),
         missing=np.array(
             [[name in missing for name in variables] for _, _, missing in scored], dtype=bool
         ).reshape(len(scored), len(variables)),
@@ -367,7 +368,7 @@ def oracle_ranking(kb, query, dataset):
 def assert_same_ranking(ranking, expected, rows=None):
     """Every column of ``ranking`` equals the first ``rows`` of ``expected``'s."""
     assert ranking.variables == expected.variables
-    for column in ("record_index", "score", "term_scores", "clipped", "missing"):
+    for column in ("record_index", "score", "term_scores", "missing"):
         got, want = getattr(ranking, column), getattr(expected, column)[:rows]
         assert got.dtype == want.dtype, column
         assert np.array_equal(got, want), column
@@ -382,7 +383,10 @@ def test_rank_matches_project_and_evaluate():
         n = 0 if trial % 20 == 0 else rng.randint(1, 40)
         dataset = random_dataset(rng, kb, query, draw, n)
         full = rank(kb, query, dataset)
-        assert_same_ranking(full, oracle_ranking(kb, query, dataset))
+        clipped, expected = oracle_ranking(kb, query, dataset)
+        assert_same_ranking(full, expected)
+        derived = np.minimum(full.term_scores, [t.importance for t in query.terms])
+        assert derived.dtype == clipped.dtype and np.array_equal(derived, clipped)
         top_n = rng.randint(1, len(full) + 2)
         assert_same_ranking(rank(kb, query, dataset, top_n=top_n), full, rows=top_n)
         compared += len(full)

@@ -160,3 +160,30 @@ def test_only_kbdoc_imports_json():
             if any(name.split(".")[0] == "json" for name in names):
                 importers.append(f"{path.name}:{node.lineno}")
     assert [importer.split(":")[0] for importer in importers] == ["kbdoc.py"], importers
+
+
+def test_only_write_stdout_writes_to_stdout():
+    # cli.write_stdout alone decides how stdout is encoded, UTF-8 in every
+    # locale: no other module imports sys, and in cli every print goes to
+    # stderr and nothing else writes to sys.stdout or its buffer
+    importers, writers = [], []
+    for path in sorted(Path(fuzzycp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for function in ast.walk(tree)
+                   if isinstance(function, ast.FunctionDef) and function.name == "write_stdout"
+                   for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import) and "sys" in [alias.name for alias in node.names]:
+                importers.append(where)
+            elif id(node) in allowed:
+                continue
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "print":
+                if not any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                           for k in node.keywords):
+                    writers.append(where)
+            elif isinstance(node, ast.Attribute) and ast.unparse(node).startswith(
+                    ("sys.stdout.write", "sys.stdout.buffer", "sys.__stdout__")):
+                writers.append(where)
+    assert [importer.split(":")[0] for importer in importers] == ["cli.py"], importers
+    assert writers == []

@@ -60,7 +60,7 @@ RECORDS = {
     FcmResult: lambda: FcmResult(ARRAY, (1.0, 0.5), 2, True),
     DataProjection: lambda: DataProjection(0, ("x",), ARRAY, ()),
     Evaluation: lambda: Evaluation((0.5,), (0.5,), 0.5),
-    Ranking: lambda: Ranking(("x",), ARRAY[0], ARRAY[0], ARRAY, ARRAY, ARRAY > 0.5),
+    Ranking: lambda: Ranking(("x",), ARRAY[0], ARRAY[0], ARRAY, ARRAY > 0.5),
 }
 # records that hold arrays, equal and hashed by identity
 BY_IDENTITY = {Dataset, FcmResult, DataProjection, Ranking}
