@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections.abc import Mapping
 from types import MappingProxyType
 
 from .errors import CapacityError, ConfigError, ValidationError
@@ -28,10 +27,10 @@ OUTCOME_CAP = 1_000_000
 
 
 class PreferenceVariable(Record):
-    __slots__ = ("name", "domain")
+    __slots__ = ("name", "domain")  # a str, a tuple of str
 
-    def __init__(self, name: str, domain: tuple[str, ...]):
-        domain = tuple(domain)
+    def _check(self):
+        name, domain = self.name, tuple(self.domain)
         # the names dsl reads, so that each one prints as one TSV cell and one line
         for i, text in enumerate((name, *domain)):
             if not (text[:1].isalpha() or text[:1] == "_") or not text.replace("_", "a").isalnum():
@@ -41,7 +40,7 @@ class PreferenceVariable(Record):
             raise ConfigError(f"variable {name!r} has an empty domain")
         if len(set(domain)) != len(domain):
             raise ConfigError(f"variable {name!r} repeats a domain value")
-        self._set(name=name, domain=domain)
+        self._set(domain=domain)
 
 
 class Violation(Record):
@@ -67,15 +66,11 @@ class CPNet(Record):
     """
 
     __slots__ = ("nodes", "edges", "cpt", "_by_name", "_parents", "_children", "_order")
+    # a tuple of PreferenceVariable, a tuple of (parent, child) name pairs, cpt as above
 
-    def __init__(
-        self,
-        nodes: tuple[PreferenceVariable, ...],
-        edges: tuple[tuple[str, str], ...],
-        cpt: Mapping[str, Mapping[tuple[str, ...], tuple[str, ...]]],
-    ):
-        nodes = tuple(nodes)
-        edges = tuple((p, c) for p, c in edges)
+    def _check(self):
+        nodes = tuple(self.nodes)
+        edges = tuple((p, c) for p, c in self.edges)
         parents: dict[str, dict[str, None]] = {}
         children: dict[str, dict[str, None]] = {}
         for parent, child in edges:
@@ -83,7 +78,7 @@ class CPNet(Record):
             children.setdefault(parent, {})[child] = None
         cpt = {
             node: MappingProxyType({tuple(k): tuple(v) for k, v in rows.items()})
-            for node, rows in cpt.items()
+            for node, rows in self.cpt.items()
         }
         by_name = {v.name: v for v in nodes}
         self._set(

@@ -39,10 +39,8 @@ class QuerySpec(Record):
     """A parsed query; ``bindings`` maps variable -> dataset attribute, and
     ``term_count`` is None without a ``terms`` clause."""
 
-    __slots__ = ("net", "bindings", "term_count")
-
-    def __init__(self, net: CPNet, bindings: dict[str, str], term_count: int | None = None):
-        self._set(net=net, bindings=bindings, term_count=term_count)
+    __slots__ = ("net", "bindings", "term_count")  # a CPNet, a dict, an int or None
+    _defaults = dict(term_count=None)
 
 
 class Token(Record):
@@ -51,7 +49,7 @@ class Token(Record):
     __slots__ = ("kind", "text", "line", "column")
 
     def __init__(self, kind: str, text: str, line: int, column: int):
-        # one per lexeme, so written straight to the slots, without _set's dict
+        # one per lexeme, so written straight to the slots, not through Record.__init__
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "line", line)

@@ -57,6 +57,7 @@ from .kbdoc import (
     KBConfig,
     KnowledgeBase,
     default_labels,
+    one_line,
 )
 from .record import Record
 
@@ -69,15 +70,15 @@ class Dataset(Record):
     are equal only if they are the same object.
     """
 
-    __slots__ = ("attributes", "records")
+    __slots__ = ("attributes", "records")  # a list of str, a float array
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, attributes: list[str], records: np.ndarray):
-        records = np.asarray(records, dtype=float)
-        if records.ndim != 2 or records.shape[1] != len(attributes):
+    def _check(self):
+        records = np.asarray(self.records, dtype=float)
+        if records.ndim != 2 or records.shape[1] != len(self.attributes):
             raise ShapeError(0, "records do not form a rectangle over the attributes")
-        self._set(attributes=attributes, records=records)
+        self._set(records=records)
 
     @property
     def record_count(self) -> int:
@@ -112,10 +113,10 @@ def ingest_tabular(source, has_header: bool = True, delimiter: str = ",") -> Dat
         raise ConfigError(f"delimiter must be one character, not a newline: {delimiter!r}")
     text = _as_text(source)
     # closed before the C reader runs: a StringIO holds a copy of the whole
-    # text, 4 bytes a character, and the header needs only its end
+    # text, 4 bytes a character, and the header needs only its line count
     with io.StringIO(text, newline="") as stream:
-        first = next(_csv_rows(stream, delimiter), None)
-        header_end = stream.tell()
+        reader = csv.reader(stream, delimiter=delimiter)
+        first = next(_csv_rows(reader), None)
     if first is None:
         raise EmptyDatasetError("input contains no rows")
 
@@ -124,19 +125,18 @@ def ingest_tabular(source, has_header: bool = True, delimiter: str = ",") -> Dat
         duplicates = {a for a in attributes if attributes.count(a) > 1}
         if duplicates:
             raise ParseError(f"duplicate attribute names in header: {sorted(duplicates)}")
-        body = text[header_end:]
     else:
         attributes = [f"col{i}" for i in range(len(first))]
-        body = text
-    width = len(attributes)
-    parsed = _c_reader(body, delimiter)
+    width, skip = len(attributes), reader.line_num if has_header else 0
+    parsed = _c_reader(text, delimiter, skip)
     if parsed is None:
-        filled = _nan_for_empty_cells(body, delimiter)
-        parsed = _c_reader(filled, delimiter) if filled != body else None
+        filled = _nan_for_empty_cells(text, delimiter)
+        parsed = _c_reader(filled, delimiter, skip) if filled != text else None
     if parsed is not None and parsed.shape[1] == width:
         return Dataset(attributes, parsed)
 
-    data_rows = list(_csv_rows(io.StringIO(text, newline=""), delimiter))[int(has_header):]
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    data_rows = list(_csv_rows(reader))[int(has_header):]
     parsed = np.empty((len(data_rows), width), dtype=float)
     for i, row in enumerate(data_rows):
         if len(row) != width:
@@ -155,50 +155,51 @@ def ingest_tabular(source, has_header: bool = True, delimiter: str = ",") -> Dat
     return Dataset(attributes, parsed)
 
 
-def _csv_rows(stream, delimiter: str):
-    """The non-empty rows of ``stream``; a line ``csv`` refuses (a cell over
-    its field size limit) is a ParseError."""
-    reader = csv.reader(stream, delimiter=delimiter)
+def _csv_rows(reader):
+    """The non-empty rows of the ``csv`` reader; a line it refuses (a cell
+    over its field size limit) is a ParseError."""
     try:
         yield from filter(None, reader)
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num} of the table: {exc}") from None
 
 
-def _c_reader(body: str, delimiter: str) -> np.ndarray | None:
-    """The rows of ``body`` by numpy's C reader, or None if it refuses or
-    warns about them."""
+def _c_reader(text: str, delimiter: str, skip: int) -> np.ndarray | None:
+    """The rows of ``text`` after its first ``skip`` lines by numpy's C
+    reader, or None if it refuses or warns about them."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             return np.loadtxt(
-                io.StringIO(body, newline=""), delimiter=delimiter, comments=None, ndmin=2
+                io.StringIO(text, newline=""), delimiter=delimiter, comments=None, ndmin=2,
+                skiprows=skip,
             )
     except (ValueError, Warning):
         return None
 
 
-def _nan_for_empty_cells(body: str, delimiter: str) -> str:
-    """``body`` with ``nan`` in every empty cell, for the C reader.
+def _nan_for_empty_cells(text: str, delimiter: str) -> str:
+    """``text`` with ``nan`` in every empty cell, for the C reader.
 
     An empty cell is a gap between two cell ends (a delimiter, a line end
-    or an end of ``body``) with a delimiter on at least one side; one
+    or an end of ``text``) with a delimiter on at least one side; one
     vectorised pass over the characters finds them all.  Empty lines stay
-    as they are: both readers skip them.  Cells in quotes may be rewritten
-    too, but the C reader refuses a quote, and the row parser then reads
-    the original text.
+    as they are: both readers skip them, and no line is added or removed,
+    so the header's line count still holds.  Cells in quotes may be
+    rewritten too, but the C reader refuses a quote, and the row parser
+    then reads the original text.
     """
     if delimiter == '"':  # csv reads two in a row as a quote, not as an empty cell
-        return body
-    chars = np.frombuffer(body.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    # padded by one end of body on each side: gap i lies between these i, i + 1
+        return text
+    chars = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    # padded by one end of text on each side: gap i lies between these i, i + 1
     sep = np.zeros(len(chars) + 2, dtype=bool)
     sep[1:-1] = chars == ord(delimiter)
     ends = sep.copy()
     ends[[0, -1]] = True
     ends[1:-1] |= (chars == ord("\n")) | (chars == ord("\r"))
     gaps = np.flatnonzero(ends[:-1] & ends[1:] & (sep[:-1] | sep[1:])).tolist()
-    return "nan".join(body[a:b] for a, b in zip([0, *gaps], [*gaps, len(body)]))
+    return "nan".join(text[a:b] for a, b in zip([0, *gaps], [*gaps, len(text)]))
 
 
 def _as_text(source) -> str:
@@ -365,7 +366,7 @@ def build_knowledge_base(
     iterations: dict[str, int] = {}
     unconverged = []
     for idx, attribute in enumerate(dataset.attributes):
-        c, labels = config.resolve(attribute)
+        c, labels = config.resolve(one_line(attribute, "attribute"))
         column = dataset.column(attribute)
         if np.any(~np.isfinite(column)):
             bad = int(np.flatnonzero(~np.isfinite(column))[0])

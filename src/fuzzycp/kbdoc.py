@@ -36,14 +36,10 @@ class ClusterModel(Record):
     with linguistic labels."""
 
     __slots__ = ("attribute", "centroids", "labels", "fuzzifier")
+    # a str, a tuple of float, a tuple of str, a float
 
-    def __init__(
-        self,
-        attribute: str,
-        centroids: tuple[float, ...],
-        labels: tuple[str, ...],
-        fuzzifier: float,
-    ):
+    def _check(self):
+        attribute, centroids, labels, fuzzifier = self._public()
         one_line(attribute, "attribute")  # inspect prints it, and each label, within a line
         if len(centroids) != len(labels):
             raise ConfigError(
@@ -59,16 +55,13 @@ class ClusterModel(Record):
             one_line(label, f"{attribute}: label")
         if not 1.0 < fuzzifier < math.inf:
             raise ConfigError(f"{attribute}: fuzzifier must be finite and > 1")
-        self._set(attribute=attribute, centroids=centroids, labels=labels, fuzzifier=fuzzifier)
 
 
 class AttributeConfig(Record):
     """Per-attribute overrides for the knowledge-base build."""
 
-    __slots__ = ("clusters", "labels")
-
-    def __init__(self, clusters: int | None = None, labels: tuple[str, ...] | None = None):
-        self._set(clusters=clusters, labels=labels)
+    __slots__ = ("clusters", "labels")  # an int or None, a tuple of str or None
+    _defaults = dict(clusters=None, labels=None)
 
 
 class KBConfig(Record):
@@ -76,26 +69,13 @@ class KBConfig(Record):
     empty dict."""
 
     __slots__ = ("clusters", "labels", "fuzzifier", "tol", "max_iter", "seed", "per_attribute")
+    # an int, a tuple of str or None, a float, a float, an int, an int, a dict of AttributeConfig
+    _defaults = dict(clusters=DEFAULT_CLUSTERS, labels=None, fuzzifier=DEFAULT_FUZZIFIER,
+                     tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=0, per_attribute=None)
 
-    def __init__(
-        self,
-        clusters: int = DEFAULT_CLUSTERS,
-        labels: tuple[str, ...] | None = None,
-        fuzzifier: float = DEFAULT_FUZZIFIER,
-        tol: float = DEFAULT_TOL,
-        max_iter: int = DEFAULT_MAX_ITER,
-        seed: int = 0,
-        per_attribute: dict[str, AttributeConfig] | None = None,
-    ):
-        self._set(
-            clusters=clusters,
-            labels=labels,
-            fuzzifier=fuzzifier,
-            tol=tol,
-            max_iter=max_iter,
-            seed=seed,
-            per_attribute={} if per_attribute is None else per_attribute,
-        )
+    def _check(self):
+        if self.per_attribute is None:
+            self._set(per_attribute={})
 
     def resolve(self, attribute: str) -> tuple[int, tuple[str, ...] | None]:
         """The attribute's cluster count and configured labels, checked
@@ -122,14 +102,8 @@ class KnowledgeBase(Record):
     """
 
     __slots__ = ("models", "provenance", "unconverged")
-
-    def __init__(
-        self,
-        models: dict[str, ClusterModel],
-        provenance: dict,
-        unconverged: tuple[str, ...] = (),
-    ):
-        self._set(models=models, provenance=provenance, unconverged=unconverged)
+    # a dict attribute -> ClusterModel, a dict, a tuple of str
+    _defaults = dict(unconverged=())
 
     def model(self, attribute: str) -> ClusterModel:
         try:
@@ -199,7 +173,7 @@ class KnowledgeBase(Record):
         check_shape(provenance, dict, "knowledge base", "provenance")
         models = {}
         for attr in doc["attributes"]:
-            name = attr["name"]
+            name = one_line(attr["name"], "attribute")
             if name in models:
                 raise ConfigError(f"attribute {name!r} is listed twice")
             try:

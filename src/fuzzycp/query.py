@@ -34,11 +34,11 @@ class Term(Record):
 class WeightedQuery(Record):
     """A UCP-net, its bindings (variable -> attribute) and its weighted terms."""
 
-    __slots__ = ("ucp", "bindings", "terms")
+    __slots__ = ("ucp", "bindings", "terms")  # a UCPNet, a dict, a tuple of Term
 
-    def __init__(self, ucp: UCPNet, bindings: dict[str, str], terms: tuple[Term, ...]):
-        terms = tuple(terms)
-        domains = {v.name: v.domain for v in ucp.net.nodes}
+    def _check(self):
+        terms = tuple(self.terms)
+        domains = {v.name: v.domain for v in self.ucp.net.nodes}
         for term in terms:
             if term.assignment.keys() != domains.keys():
                 raise ConfigError("term does not assign every query variable")
@@ -47,7 +47,7 @@ class WeightedQuery(Record):
         importances = [t.importance for t in terms]
         if any(b > a for a, b in zip(importances, importances[1:])):
             raise ConfigError("terms must be ordered by non-increasing importance")
-        self._set(ucp=ucp, bindings=bindings, terms=terms)
+        self._set(terms=terms)
 
     @property
     def net(self) -> CPNet:

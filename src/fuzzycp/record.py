@@ -2,10 +2,12 @@
 
 A record declares its fields once, in ``__slots__``.  ``Record.__init__``
 binds the public ones (not starting with ``_``), by position in slot
-order or by name, and refuses a missing, unknown, repeated or extra
-argument with a ``TypeError`` naming the fields.  A class writes its own
-``__init__``, through ``_set``, only to check or derive fields, to give
-defaults, or for ``dsl.Token``'s speed.  A built record refuses assignment
+order or by name, takes a left-out field from the class's ``_defaults``,
+and refuses a missing, unknown, repeated or extra argument with a
+``TypeError`` naming the fields.  It then calls the class's ``_check``
+hook, which may refuse the input, normalize a field or derive private
+slots, through ``_set``.  Only ``dsl.Token``, built once per lexeme,
+writes its own ``__init__``, for speed.  A built record refuses assignment
 and deletion, so nothing derived from its fields can go stale.  ``repr``,
 equality (between records of one class), the hash (none if a field is a
 dict) and copies all work from the public fields.  A record holding numpy
@@ -16,6 +18,7 @@ arrays, whose ``==`` gives no single truth value, takes ``__eq__`` and
 
 class Record:
     __slots__ = ()
+    _defaults = {}  # field -> the value a build that leaves it out gets
 
     def __init_subclass__(cls):
         cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
@@ -23,15 +26,20 @@ class Record:
     def __init__(self, *values, **named):
         fields = self._fields
         if named or len(values) != len(fields):
+            given, rest = {**self._defaults, **named}, fields[len(values):]
             wrong = [f"extra value {value!r}" for value in values[len(fields):]]
             wrong += [f"{name} given twice" for name in named if name in fields[:len(values)]]
             wrong += [f"unknown field {name}" for name in named if name not in fields]
-            wrong += [f"missing field {name}" for name in fields[len(values):] if name not in named]
+            wrong += [f"missing field {name}" for name in rest if name not in given]
             if wrong:
                 raise TypeError(f"{type(self).__name__}({', '.join(fields)}): {'; '.join(wrong)}")
-            values += tuple(named[name] for name in fields[len(values):])
+            values += tuple(given[name] for name in rest)
         for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Refuse, normalize or derive, once the fields are bound."""
 
     def _public(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -58,6 +66,6 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _set(self, **fields) -> None:
-        """Set the fields, once, from ``__init__``."""
+        """Set the fields, once, from ``_check``."""
         for name, value in fields.items():
             object.__setattr__(self, name, value)

@@ -48,20 +48,20 @@ class UCPNet(Record):
 
     __slots__ = ("net", "steps", "_tables", "_spans", "_max_total_utility")
 
-    def __init__(self, net: CPNet, steps: dict[str, int]):
+    def _check(self):
         tables: dict[str, UtilityRows] = {}
         spans: dict[str, tuple[int, int]] = {}
-        for variable in net.nodes:
-            name, step = variable.name, steps[variable.name]
+        for variable in self.net.nodes:
+            name, step = variable.name, self.steps[variable.name]
             maxspan = _maxspan(variable, step)
             # order is best-first: the best value gets the maxspan, the worst 0
             tables[name] = {
                 context: {value: maxspan - position * step for position, value in enumerate(order)}
-                for context, order in net.cpt[name].items()
+                for context, order in self.net.cpt[name].items()
             }
             spans[name] = (step, maxspan)
         ceiling = sum(maxspan for _, maxspan in spans.values())
-        self._set(net=net, steps=steps, _tables=tables, _spans=spans, _max_total_utility=ceiling)
+        self._set(_tables=tables, _spans=spans, _max_total_utility=ceiling)
 
     tables = property(lambda self: self._tables)
     spans = property(lambda self: self._spans)

@@ -900,6 +900,12 @@ def _replaced(document, content):
     return argv
 
 
+def _split_name_beyond_float(doc):
+    """The first attribute renamed ``k\nm``, with a centroid beyond every float."""
+    doc["attributes"][0].update(name="k\nm")
+    doc["attributes"][0]["centroids"][0] = 10**400
+
+
 def _inspect_edited_kb(edit):
     def argv(tmp_path, kb, query):
         edited_kb = _eval_edited(edit, document="kb")(tmp_path, kb, query)[2]
@@ -1093,6 +1099,18 @@ BAD_INPUTS = {
     "kb-build-attribute-with-newline": _on_table(
         "kb", content=(DATA_DIR / "cars.csv").read_bytes().replace(b"km", b'"k\nm"', 1)
     ),
+    # ... and in the first column, where a message would name it before any model is built
+    **{
+        f"kb-build-{flag[2:]}-attribute-with-newline": _on_table(
+            "kb", flag, value,
+            content=(DATA_DIR / "cars.csv").read_bytes().replace(b"price", b'"k\nm"', 1),
+        )
+        for flag, value in (("--clusters", "1"), ("--labels", "a,b,c,d"))
+    },
+    "eval-kb-beyond-float-attribute-with-newline": _eval_edited(
+        _split_name_beyond_float, document="kb"
+    ),
+    "inspect-kb-beyond-float-attribute-with-newline": _inspect_edited_kb(_split_name_beyond_float),
 }
 
 # what stderr must say, where exit 2 alone does not tell the cases apart

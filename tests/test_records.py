@@ -1,6 +1,7 @@
 """The contract every record class keeps: a record refuses changes once
 built, equality and repr work over the public fields, a record that holds
-arrays is equal only to itself, and a class states its fields once."""
+arrays is equal only to itself, and a class states its fields once, with
+its defaults and checks, and no constructor of its own."""
 
 import ast
 import copy
@@ -32,6 +33,7 @@ from fuzzycp import (
     assign_utilities,
 )
 from fuzzycp.dsl import Token
+from fuzzycp.kbdoc import DEFAULT_CLUSTERS, DEFAULT_FUZZIFIER, DEFAULT_MAX_ITER, DEFAULT_TOL
 from fuzzycp.ucp import DominanceViolation
 
 X = PreferenceVariable("x", ("a", "b"))
@@ -134,8 +136,9 @@ def test_records_of_other_classes_differ_on_equal_fields():
     assert KBConfig().per_attribute is not KBConfig().per_attribute
 
 
-# records that take Record's constructor, which binds the public fields
-PLAIN = [cls for cls in RECORDS if "__init__" not in vars(cls)]
+# records that Record's constructor builds from their fields as given,
+# with no default and no _check hook
+PLAIN = [Violation, Term, DominanceViolation, FcmResult, DataProjection, Evaluation, Ranking]
 
 
 @pytest.mark.parametrize("cls", PLAIN, ids=lambda cls: cls.__name__)
@@ -160,6 +163,64 @@ def test_plain_record_constructor(cls):
             cls(*args, **kwargs)
 
 
+# records whose defaults or _check hook Record's constructor applies
+CHECKED = [
+    PreferenceVariable, CPNet, QuerySpec, WeightedQuery, UCPNet,
+    ClusterModel, AttributeConfig, KBConfig, KnowledgeBase, Dataset,
+]
+
+
+def test_checked_classes_have_a_default_or_a_hook():
+    assert set(RECORDS) == {*PLAIN, *CHECKED, Token}
+    for cls in CHECKED:
+        assert cls._defaults or "_check" in vars(cls), cls.__name__
+    assert not any(cls._defaults or "_check" in vars(cls) for cls in PLAIN)
+
+
+@pytest.mark.parametrize("cls", CHECKED, ids=lambda cls: cls.__name__)
+def test_checked_record_constructor(cls):
+    record = RECORDS[cls]()
+    fields, values = _public(record), record._public()
+    builds = [
+        cls(*values),
+        cls(**dict(zip(fields, values))),
+        cls(*values[:1], **dict(zip(fields[1:], values[1:]))),
+    ]
+    for built in builds:
+        assert type(built) is cls and repr(built) == repr(record)
+        if cls not in BY_IDENTITY:
+            assert built == record
+
+    signature = f"{cls.__name__}({', '.join(fields)}): "
+    wrong = {
+        "unknown field bogus": (values, {"bogus": 1}),
+        f"{fields[0]} given twice": (values, {fields[0]: values[0]}),
+        "extra value 'more'": ((*values, "more"), {}),
+    }
+    required = [name for name in fields if name not in cls._defaults]
+    if required:
+        named = {name: value for name, value in zip(fields, values) if name != required[-1]}
+        wrong[f"missing field {required[-1]}"] = ((), named)
+    for message, (args, kwargs) in wrong.items():
+        with pytest.raises(TypeError, match=re.escape(signature) + ".*" + re.escape(message)):
+            cls(*args, **kwargs)
+
+
+def test_left_out_fields_take_their_defaults():
+    assert KBConfig()._public() == (
+        DEFAULT_CLUSTERS, None, DEFAULT_FUZZIFIER, DEFAULT_TOL, DEFAULT_MAX_ITER, 0, {}
+    )
+    assert KBConfig(per_attribute=None).per_attribute == {}
+    assert KBConfig().per_attribute is not KBConfig().per_attribute
+    assert AttributeConfig()._public() == (None, None)
+    assert AttributeConfig(labels=("a", "b")) == AttributeConfig(None, ("a", "b"))
+    assert KnowledgeBase({}, {}).unconverged == ()
+    assert QuerySpec(NET, {"x": "attr_x"}).term_count is None
+    # and a hook normalizes the fields it is given
+    assert PreferenceVariable("x", ["a", "b"]).domain == ("a", "b")
+    assert Dataset(["p"], [[1], [2]]).records.dtype == float
+
+
 def _copies_its_arguments(function: ast.FunctionDef) -> bool:
     """Whether ``function`` has no default values and its only statement
     passes its parameters, unchanged, to ``self._set``."""
@@ -177,21 +238,23 @@ def _copies_its_arguments(function: ast.FunctionDef) -> bool:
     )
 
 
-def _constructors_that_only_copy(source_dir: Path) -> list[str]:
-    """The record classes under ``source_dir`` whose ``__init__`` only
-    stores its arguments, which ``Record.__init__`` does for them."""
-    found = []
+def _record_constructors(source_dir: Path) -> dict[str, ast.FunctionDef]:
+    """The ``__init__`` of each record class under ``source_dir`` that
+    writes one, by ``module.Class``."""
+    found = {}
     for path in sorted(source_dir.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ClassDef) and "Record" in map(ast.unparse, node.bases):
-                found += [
-                    f"{path.stem}.{node.name}"
+                found.update(
+                    (f"{path.stem}.{node.name}", function)
                     for function in node.body
                     if isinstance(function, ast.FunctionDef) and function.name == "__init__"
-                    and _copies_its_arguments(function)
-                ]
+                )
     return found
 
 
 def test_no_record_states_its_fields_twice():
-    assert _constructors_that_only_copy(Path(fuzzycp.__file__).parent) == []
+    constructors = _record_constructors(Path(fuzzycp.__file__).parent)
+    # the tokenizer builds a Token per lexeme, so it writes its slots itself
+    assert list(constructors) == ["dsl.Token"]
+    assert not _copies_its_arguments(constructors["dsl.Token"])
