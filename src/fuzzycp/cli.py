@@ -194,8 +194,8 @@ def cmd_query_compile(args) -> int:
 
     kb = kbdoc.KnowledgeBase.load(args.kb)
     try:
-        # text mode, for the universal newlines the parser's line numbers count
-        with open(args.query, encoding="utf-8") as f:
+        # text mode, for the newlines the parser's line numbers count; utf-8-sig drops a BOM
+        with open(args.query, encoding="utf-8-sig") as f:
             text = f.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{args.query}: query text is not UTF-8: {exc}") from None

@@ -1,6 +1,10 @@
 """Parser for the preference-query language.
 
-Grammar (whitespace insignificant, ``#`` comments run to end of line):
+Blanks (space, tab, CR, LF) and ``#`` comments to the end of the line only
+separate lexemes.  A word is a run of letters, digits and ``_``: a keyword
+or IDENT if it starts with a letter or ``_``, an INT if with a digit.
+
+Grammar:
 
     query    := { var_decl } [ "terms" INT ]
     var_decl := "var" IDENT ":" "attr" IDENT "{"
@@ -27,12 +31,13 @@ ValidationError, which has no position.
 
 from __future__ import annotations
 
+import re
+
 from .cpnet import CPNet, PreferenceVariable
 from .errors import ParseError, SemanticError
 from .record import Record
 
 KEYWORDS = frozenset({"var", "attr", "depends", "when", "prefer", "terms"})
-PUNCT = frozenset(":{},=>")
 
 
 class QuerySpec(Record):
@@ -43,78 +48,46 @@ class QuerySpec(Record):
     _defaults = dict(term_count=None)
 
 
-class Token(Record):
-    """``kind`` is "kw", "ident", "int", "punct" or "eof"."""
-
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        # one per lexeme, so written straight to the slots, not through Record.__init__
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
+_LEXEME = re.compile(
+    r"(?P<skip>[ \t\r\n]+|#[^\n]*)|(?P<punct>[:{},=>])|(?P<word>\w+)|(?P<eof>\Z)|.", re.DOTALL
+)
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in PUNCT:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-        elif ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            kind = "kw" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += i - start
-        elif ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            tokens.append(Token("int", text[start:i], line, col))
-            col += i - start
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+def _kind(tok: re.Match) -> str | None:
+    """kw, ident, int, punct or eof; None for a character that starts no lexeme."""
+    if tok.lastgroup != "word":
+        return tok.lastgroup
+    head = tok[0][0]
+    if head.isalpha() or head == "_":
+        return "kw" if tok[0] in KEYWORDS else "ident"
+    return "int" if head.isdigit() else None
+
+
+def _where(tok: re.Match) -> tuple[int, int]:
+    """The 1-based line and column where ``tok`` starts."""
+    text, start = tok.string, tok.start()
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[re.Match]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> re.Match:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def advance(self) -> re.Match:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok.lastgroup != "eof":
             self.pos += 1
         return tok
 
     def at(self, kind: str, text: str | None = None) -> bool:
         tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
+        return _kind(tok) == kind and (text is None or tok[0] == text)
 
-    def expect(self, kind: str, text: str | None = None, expected: str | None = None) -> Token:
+    def expect(self, kind: str, text: str | None = None, expected: str | None = None) -> re.Match:
         tok = self.peek()
         if not self.at(kind, text):
             want = expected or (f"'{text}'" if text else kind)
@@ -123,9 +96,9 @@ class _Parser:
 
     def fail(self, expected: tuple[str, ...]):
         tok = self.peek()
-        found = "end of input" if tok.kind == "eof" else f"'{tok.text}'"
+        found = "end of input" if tok.lastgroup == "eof" else f"'{tok[0]}'"
         listing = " or ".join(expected)
-        raise ParseError(f"expected {listing}, found {found}", tok.line, tok.column)
+        raise ParseError(f"expected {listing}, found {found}", *_where(tok))
 
     # --- grammar ---------------------------------------------------------
 
@@ -138,12 +111,14 @@ class _Parser:
             self.advance()
             tok = self.expect("int", expected="an integer")
             try:
-                term_count = int(tok.text)
-            except ValueError:  # a digit int() refuses, such as '²', or over 4300 digits
+                if not tok[0].isdecimal():  # as '12ab', '1_000' (which int() reads) or '1²'
+                    raise ValueError
+                term_count = int(tok[0])
+            except ValueError:  # or over 4300 digits
                 raise ParseError("term count is not an integer Python can read",
-                                 tok.line, tok.column) from None
+                                 *_where(tok)) from None
             if term_count < 1:
-                raise SemanticError("term count must be at least 1", tok.line, tok.column)
+                raise SemanticError("term count must be at least 1", *_where(tok))
         if not self.at("eof"):
             self.fail(("'var'", "'terms'", "end of input"))
         return _analyze(raw_vars, term_count)
@@ -155,7 +130,7 @@ class _Parser:
         self.expect("kw", "attr")
         attribute = self.expect("ident", expected="an attribute name")
         self.expect("punct", "{")
-        parents: list[Token] = []
+        parents: list[re.Match] = []
         if self.at("kw", "depends"):
             self.advance()
             parents.append(self.expect("ident", expected="a parent variable name"))
@@ -170,7 +145,7 @@ class _Parser:
 
     def pref(self):
         start = self.peek()
-        conds: list[tuple[Token, Token]] = []
+        conds: list[tuple[re.Match, re.Match]] = []
         if self.at("kw", "when"):
             self.advance()
             conds.append(self.cond())
@@ -185,7 +160,7 @@ class _Parser:
             order.append(self.expect("ident", expected="a value name"))
         return start, conds, order
 
-    def cond(self) -> tuple[Token, Token]:
+    def cond(self) -> tuple[re.Match, re.Match]:
         var = self.expect("ident", expected="a parent variable name")
         self.expect("punct", "=")
         value = self.expect("ident", expected="a value name")
@@ -194,118 +169,113 @@ class _Parser:
 
 def _analyze(raw_vars, term_count) -> QuerySpec:
     """Semantic pass; raw declarations still carry their tokens."""
-    declared: dict[str, Token] = {}
+    declared: dict[str, re.Match] = {}
     for name_tok, _attr, _parents, _rows in raw_vars:
-        if name_tok.text in declared:
+        if name_tok[0] in declared:
             raise SemanticError(
-                f"duplicate variable {name_tok.text!r}", name_tok.line, name_tok.column
+                f"duplicate variable {name_tok[0]!r}", *_where(name_tok)
             )
-        declared[name_tok.text] = name_tok
+        declared[name_tok[0]] = name_tok
 
     domains: dict[str, tuple[str, ...]] = {}
     for name_tok, _attr, _parents, rows in raw_vars:
         _start, _conds, order = rows[0]
-        domains[name_tok.text] = tuple(t.text for t in order)
+        domains[name_tok[0]] = tuple(t[0] for t in order)
 
     nodes, edges, cpt, bindings = [], [], {}, {}
     for name_tok, attr_tok, parent_toks, rows in raw_vars:
-        name = name_tok.text
+        name = name_tok[0]
         parents = []
         for ptok in parent_toks:
-            if ptok.text == name:
+            if ptok[0] == name:
                 raise SemanticError(
-                    f"variable {name!r} cannot depend on itself", ptok.line, ptok.column
+                    f"variable {name!r} cannot depend on itself", *_where(ptok)
                 )
-            if ptok.text not in declared:
+            if ptok[0] not in declared:
                 raise SemanticError(
-                    f"unknown parent {ptok.text!r}", ptok.line, ptok.column
+                    f"unknown parent {ptok[0]!r}", *_where(ptok)
                 )
-            if ptok.text in parents:
+            if ptok[0] in parents:
                 raise SemanticError(
-                    f"duplicate parent {ptok.text!r}", ptok.line, ptok.column
+                    f"duplicate parent {ptok[0]!r}", *_where(ptok)
                 )
-            parents.append(ptok.text)
+            parents.append(ptok[0])
 
         domain = domains[name]
         table = {}
         for start, conds, order_toks in rows:
             seen_values = set()
             for tok in order_toks:
-                if tok.text in seen_values:
+                if tok[0] in seen_values:
                     raise SemanticError(
-                        f"value {tok.text!r} listed twice in one order",
-                        tok.line,
-                        tok.column,
+                        f"value {tok[0]!r} listed twice in one order",
+                        *_where(tok),
                     )
-                seen_values.add(tok.text)
-            order = tuple(t.text for t in order_toks)
+                seen_values.add(tok[0])
+            order = tuple(t[0] for t in order_toks)
             if sorted(order) != sorted(domain):
                 raise SemanticError(
                     f"order {order!r} is not a permutation of the domain of {name!r}",
-                    start.line,
-                    start.column,
+                    *_where(start),
                 )
             if parents and not conds:
                 raise SemanticError(
                     f"{name!r} has dependencies; every preference needs a when clause",
-                    start.line,
-                    start.column,
+                    *_where(start),
                 )
             if conds and not parents:
                 raise SemanticError(
                     f"{name!r} has no dependencies; remove the when clause",
-                    start.line,
-                    start.column,
+                    *_where(start),
                 )
             by_parent: dict[str, str] = {}
             for var_tok, val_tok in conds:
-                if var_tok.text not in parents:
+                if var_tok[0] not in parents:
                     raise SemanticError(
-                        f"{var_tok.text!r} is not a parent of {name!r}",
-                        var_tok.line,
-                        var_tok.column,
+                        f"{var_tok[0]!r} is not a parent of {name!r}",
+                        *_where(var_tok),
                     )
-                if var_tok.text in by_parent:
+                if var_tok[0] in by_parent:
                     raise SemanticError(
-                        f"parent {var_tok.text!r} constrained twice in one when clause",
-                        var_tok.line,
-                        var_tok.column,
+                        f"parent {var_tok[0]!r} constrained twice in one when clause",
+                        *_where(var_tok),
                     )
-                if val_tok.text not in domains[var_tok.text]:
+                if val_tok[0] not in domains[var_tok[0]]:
                     raise SemanticError(
-                        f"{val_tok.text!r} is not a value of {var_tok.text!r}",
-                        val_tok.line,
-                        val_tok.column,
+                        f"{val_tok[0]!r} is not a value of {var_tok[0]!r}",
+                        *_where(val_tok),
                     )
-                by_parent[var_tok.text] = val_tok.text
+                by_parent[var_tok[0]] = val_tok[0]
             if parents and set(by_parent) != set(parents):
                 missing = [p for p in parents if p not in by_parent]
                 raise SemanticError(
                     f"when clause must assign every parent; missing {missing}",
-                    start.line,
-                    start.column,
+                    *_where(start),
                 )
             key = tuple(by_parent[p] for p in parents)
             if key in table:
                 raise SemanticError(
                     f"duplicate preference row for context {dict(zip(parents, key))!r}",
-                    start.line,
-                    start.column,
+                    *_where(start),
                 )
             table[key] = order
 
         nodes.append(PreferenceVariable(name, domain))
         edges.extend((parent, name) for parent in parents)
         cpt[name] = table
-        bindings[name] = attr_tok.text
+        bindings[name] = attr_tok[0]
     net = CPNet(nodes=tuple(nodes), edges=tuple(edges), cpt=cpt)
     return QuerySpec(net, bindings, term_count)
 
 
 def parse_query(text: str) -> QuerySpec:
     """Parse query text into its net, or raise; syntax and meaning errors
-    carry a precise location."""
-    return _Parser(_tokenize(text)).query()
+    carry a precise location.  The pattern's matches are the tokens."""
+    tokens = [tok for tok in _LEXEME.finditer(text) if tok.lastgroup != "skip"]
+    for tok in tokens:
+        if _kind(tok) is None:
+            raise ParseError(f"unexpected character {tok[0][0]!r}", *_where(tok))
+    return _Parser(tokens).query()
 
 
 def format_query(spec: QuerySpec) -> str:

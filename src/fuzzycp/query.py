@@ -18,7 +18,8 @@ from __future__ import annotations
 import heapq
 
 from .cpnet import OUTCOME_CAP, CPNet, PreferenceVariable, node_importance, topological_order
-from .errors import BindingError, CapacityError, ConfigError, DegenerateUtilityError
+from .errors import BindingError, CapacityError, ConfigError
+from .errors import DegenerateQueryError, DegenerateUtilityError
 from .kbdoc import KnowledgeBase, canonical_json, check_document, check_shape
 from .kbdoc import load_document, one_line, save_document
 from .record import Record
@@ -170,6 +171,8 @@ def compile_query(
     from .dsl import parse_query  # the one reader of query text; no other stage loads it
 
     spec = parse_query(text)
+    if not spec.net.nodes:
+        raise DegenerateQueryError("query declares no variables")
     requested = term_count if term_count is not None else spec.term_count
     return rewrite_query(assign_utilities(spec.net), kb, spec.bindings, requested)
 

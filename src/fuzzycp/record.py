@@ -6,13 +6,13 @@ order or by name, takes a left-out field from the class's ``_defaults``,
 and refuses a missing, unknown, repeated or extra argument with a
 ``TypeError`` naming the fields.  It then calls the class's ``_check``
 hook, which may refuse the input, normalize a field or derive private
-slots, through ``_set``.  Only ``dsl.Token``, built once per lexeme,
-writes its own ``__init__``, for speed.  A built record refuses assignment
-and deletion, so nothing derived from its fields can go stale.  ``repr``,
-equality (between records of one class), the hash (none if a field is a
-dict) and copies all work from the public fields.  A record holding numpy
-arrays, whose ``==`` gives no single truth value, takes ``__eq__`` and
-``__hash__`` from ``object``: it is equal only to itself.
+slots, through ``_set``.  No record writes its own ``__init__``.  A built
+record refuses assignment and deletion, so nothing derived from its fields
+can go stale.  ``repr``, equality (between records of one class), the hash
+(none if a field is a dict) and copies all work from the public fields.  A
+record holding numpy arrays, whose ``==`` gives no single truth value,
+takes ``__eq__`` and ``__hash__`` from ``object``: it is equal only to
+itself.
 """
 
 

@@ -231,6 +231,18 @@ def test_compile_subset_domain_binds(tmp_path, built_kb):
     assert [t["assignment"]["x"] for t in doc["terms"]] == ["low", "high"]
 
 
+def test_compile_drops_a_byte_order_mark(tmp_path, built_kb, compiled_query):
+    # as the table reader does; editors on some systems write one before UTF-8 text
+    marked = tmp_path / "marked.pref"
+    marked.write_bytes(b"\xef\xbb\xbf" + (DATA_DIR / "cars.pref").read_bytes())
+    out = tmp_path / "marked.json"
+    assert main([
+        "query", "compile", "--kb", str(built_kb),
+        "--query", str(marked), "--out", str(out),
+    ]) == 0
+    assert out.read_bytes() == compiled_query.read_bytes()
+
+
 def test_compile_term_count_beyond_outcomes(tmp_path, built_kb, capsys):
     code = main([
         "query", "compile", "--kb", str(built_kb),
@@ -1076,6 +1088,9 @@ BAD_INPUTS = {
         }.items()
     },
     "pref-flat-utility": _replaced("pref", "var cost: attr price {\n    prefer low\n}\n"),
+    # the parser reads both; a query needs a variable to compile
+    "pref-empty": _replaced("pref", ""),
+    "pref-terms-only": _replaced("pref", "terms 5\n"),
     **{
         f"{command}-variable-name-with-{what}": _renamed(command, "wear", name)
         for command in ("eval", "inspect")
@@ -1205,6 +1220,10 @@ BAD_INPUT_MESSAGES = {
         for case in BAD_INPUTS if case.endswith("lone-surrogate")
     },
     "pref-flat-utility": "DegenerateUtilityError: utility scale is flat; cannot normalize",
+    **{
+        case: "DegenerateQueryError: query declares no variables"
+        for case in ("pref-empty", "pref-terms-only")
+    },
     **{
         f"{command}-variable-name-with-{what}": f"ConfigError: variable {name!r}: not a letter"
         for command in ("eval", "inspect")

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -352,3 +353,65 @@ def test_the_parser_reads_as_a_name_exactly_what_a_variable_accepts():
         except ConfigError:
             accepted = None
         assert (read == name) == (accepted == name), repr(name)
+
+
+def _lexemes(text: str) -> list[str]:
+    """The lexemes of a valid program: its words and punctuation, read
+    with its comments and blanks left out."""
+    return re.findall(r"\w+|\S", re.sub(r"#[^\n]*", "", text))
+
+
+def _gap(rng: random.Random) -> str:
+    """One or more blanks and comments; a comment ends its line."""
+    pieces = [" ", "\t", "\r", "\n", "# var x: attr a { @½\n", "#\n"]
+    return "".join(rng.choice(pieces) for _ in range(rng.randint(1, 4)))
+
+
+@pytest.mark.parametrize("text", VALID_PROGRAMS)
+def test_blanks_and_comments_between_lexemes_leave_the_spec_equal(text):
+    rng = random.Random(text)
+    spec = parse_query(text)
+    for _ in range(20):
+        spaced = "".join(_gap(rng) + lexeme for lexeme in _lexemes(text)) + _gap(rng)
+        assert parse_query(spaced) == spec, repr(spaced)
+
+
+@pytest.mark.parametrize("char", ["@", "½", "\x0b", "\xa0", "\ufeff"])
+def test_a_character_that_starts_no_lexeme_is_reported_where_it_stands(char):
+    rng = random.Random(char)
+    for text in VALID_PROGRAMS:
+        # offsets outside comments, and where the character is not the
+        # tail of a word ('½' is a digit of no integer, but a word character)
+        offsets = [
+            offset for offset in range(len(text) + 1)
+            if "#" not in text[:offset].rsplit("\n", 1)[-1]
+            and not (offset and re.match(r"\w", text[offset - 1]) and re.match(r"\w", char))
+        ]
+        for offset in rng.sample(offsets, min(5, len(offsets))):
+            lines = text[:offset].split("\n")
+            with pytest.raises(ParseError) as err:
+                parse_query(text[:offset] + char + text[offset:])
+            assert (err.value.line, err.value.column) == (len(lines), len(lines[-1]) + 1)
+            assert f"unexpected character {char!r}" in str(err.value)
+
+
+# Where this scanner reads invalid text differently from the character loop
+# it replaced: (program, line, column, message piece)
+SCANNER_CHANGES = [
+    # a word that starts with a digit is one lexeme, read as an integer
+    ("terms 12ab", 1, 7, "term count is not an integer Python can read"),
+    ("terms 1_000", 1, 7, "term count is not an integer Python can read"),
+    ("var x: attr a { prefer 2c0 }", 1, 24, "expected a value name, found '2c0'"),
+    ("terms 1½", 1, 7, "term count is not an integer Python can read"),
+    # end of input after a final comment is placed at the end of the text
+    ("var x: attr a {\n prefer r > g # no brace", 2, 25, "found end of input"),
+]
+
+
+@pytest.mark.parametrize("case", SCANNER_CHANGES)
+def test_scanner_changes_to_errors_in_invalid_text(case):
+    text, line, column, fragment = case
+    with pytest.raises(ParseError) as err:
+        parse_query(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert fragment in str(err.value)

@@ -9,6 +9,7 @@ from fuzzycp import (
     CapacityError,
     ConfigError,
     CPNet,
+    DegenerateQueryError,
     PreferenceVariable,
     Term,
     ValidationError,
@@ -278,6 +279,12 @@ def test_compile_query_end_to_end(car_kb):
 def test_compile_honors_explicit_term_count(car_kb):
     query = compile_query(QUERY_TEXT, car_kb, term_count=2)
     assert len(query.terms) == 2
+
+
+@pytest.mark.parametrize("text", ["", "# nothing\n", "terms 5"])
+def test_a_query_without_variables_is_refused_before_its_terms(car_kb, text):
+    with pytest.raises(DegenerateQueryError, match="^query declares no variables$"):
+        compile_query(text, car_kb, term_count=None if text else 3)
 
 
 def test_document_round_trip(car_kb):

@@ -32,7 +32,6 @@ from fuzzycp import (
     WeightedQuery,
     assign_utilities,
 )
-from fuzzycp.dsl import Token
 from fuzzycp.kbdoc import DEFAULT_CLUSTERS, DEFAULT_FUZZIFIER, DEFAULT_MAX_ITER, DEFAULT_TOL
 from fuzzycp.ucp import DominanceViolation
 
@@ -49,7 +48,6 @@ RECORDS = {
     Violation: lambda: Violation("cpt", "x", "no preference table"),
     CPNet: lambda: CPNet([X], [], {"x": {(): ["a", "b"]}}),
     QuerySpec: lambda: QuerySpec(NET, {"x": "attr_x"}, 1),
-    Token: lambda: Token("ident", "price", 1, 5),
     Term: lambda: Term({"x": "a"}, 1.0),
     WeightedQuery: lambda: WeightedQuery(UCP, {"x": "attr_x"}, [TERM]),
     UCPNet: lambda: assign_utilities(NET),
@@ -126,13 +124,12 @@ def test_records_with_equal_distinct_arrays_answer_equality():
 
 
 def test_equal_frozen_records_hash_alike():
-    for cls in (PreferenceVariable, Violation, Token, DominanceViolation, ClusterModel,
-                AttributeConfig):
+    for cls in (PreferenceVariable, Violation, DominanceViolation, ClusterModel, AttributeConfig):
         assert hash(RECORDS[cls]()) == hash(RECORDS[cls]())
 
 
 def test_records_of_other_classes_differ_on_equal_fields():
-    assert Violation("a", "b", "c") != Token("a", "b", "c", None)
+    assert Violation("a", "b", "c") != DominanceViolation("a", "b", "c")
     assert KBConfig().per_attribute is not KBConfig().per_attribute
 
 
@@ -171,7 +168,7 @@ CHECKED = [
 
 
 def test_checked_classes_have_a_default_or_a_hook():
-    assert set(RECORDS) == {*PLAIN, *CHECKED, Token}
+    assert set(RECORDS) == {*PLAIN, *CHECKED}
     for cls in CHECKED:
         assert cls._defaults or "_check" in vars(cls), cls.__name__
     assert not any(cls._defaults or "_check" in vars(cls) for cls in PLAIN)
@@ -221,23 +218,6 @@ def test_left_out_fields_take_their_defaults():
     assert Dataset(["p"], [[1], [2]]).records.dtype == float
 
 
-def _copies_its_arguments(function: ast.FunctionDef) -> bool:
-    """Whether ``function`` has no default values and its only statement
-    passes its parameters, unchanged, to ``self._set``."""
-    args = function.args
-    params = [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs][1:]
-    if args.defaults or any(args.kw_defaults) or len(function.body) != 1:
-        return False
-    call = function.body[0].value if isinstance(function.body[0], ast.Expr) else None
-    return (
-        isinstance(call, ast.Call)
-        and ast.unparse(call.func) == "self._set"
-        and not call.args
-        and all(isinstance(k.value, ast.Name) and k.value.id == k.arg for k in call.keywords)
-        and sorted(k.arg for k in call.keywords) == sorted(params)
-    )
-
-
 def _record_constructors(source_dir: Path) -> dict[str, ast.FunctionDef]:
     """The ``__init__`` of each record class under ``source_dir`` that
     writes one, by ``module.Class``."""
@@ -254,7 +234,4 @@ def _record_constructors(source_dir: Path) -> dict[str, ast.FunctionDef]:
 
 
 def test_no_record_states_its_fields_twice():
-    constructors = _record_constructors(Path(fuzzycp.__file__).parent)
-    # the tokenizer builds a Token per lexeme, so it writes its slots itself
-    assert list(constructors) == ["dsl.Token"]
-    assert not _copies_its_arguments(constructors["dsl.Token"])
+    assert _record_constructors(Path(fuzzycp.__file__).parent) == {}
