@@ -170,7 +170,7 @@ def cmd_kb_build(args) -> int:
         dataset = ingest_tabular(f, has_header=not args.no_header, delimiter=args.delimiter)
     config = kbdoc.KBConfig(
         clusters=args.clusters,
-        labels=tuple(args.labels.split(",")) if args.labels else None,
+        labels=tuple(args.labels.split(",")) if args.labels is not None else None,
         fuzzifier=args.fuzzifier,
         tol=args.tol,
         max_iter=args.max_iter,

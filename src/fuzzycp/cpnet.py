@@ -92,7 +92,8 @@ class CPNet(Record):
         )
         report = validate_cpnet(self)
         if report:
-            raise ValidationError(report)
+            lines = "; ".join(map(str, report))
+            raise ValidationError(f"invalid preference net: {lines}", report=tuple(report))
 
     def variable(self, name: str) -> PreferenceVariable:
         return self._by_name[name]

@@ -1,8 +1,19 @@
-"""Exception hierarchy shared by all fuzzycp modules."""
+"""Exception hierarchy shared by all fuzzycp modules.
+
+An error is built as ``Error(message, **details)``, each detail an
+attribute, so pickle and copy rebuild it by Python's own rule.  A message
+locates what it refuses by ``line:column:``, a 1-based position in query
+text, or by ``attribute 'a', record r:``, a table cell whose ``record`` is
+the 0-based index that ``eval`` prints as ``record_index``.
+"""
 
 
 class FuzzycpError(Exception):
     """Base class for every error raised by this package."""
+
+    def __init__(self, message, **details):
+        super().__init__(message)
+        self.__dict__.update(details)
 
 
 class EmptyDatasetError(FuzzycpError):
@@ -10,34 +21,23 @@ class EmptyDatasetError(FuzzycpError):
 
 
 class ShapeError(FuzzycpError):
-    """A data row has the wrong number of cells."""
-
-    def __init__(self, row, message):
-        self.row = row
-        super().__init__(message)
-
-    def __reduce__(self):  # pickle and copy rebuild an error from its arguments
-        return type(self), (self.row, *self.args)
+    """A data row has the wrong number of cells; ``record`` is its index."""
 
 
 class _Located(FuzzycpError):
-    """An error that may carry a location, which then prefixes its message
-    as ``line:column:``."""
+    """An error that may carry a 1-based position in query text, which
+    then prefixes its message as ``line:column:``."""
 
-    def __init__(self, message, line=None, column=None):
-        self.line = line
-        self.column = column
+    def __init__(self, message, line=None, column=None, **details):
         if line is not None and column is not None:
             message = f"{line}:{column}: {message}"
-        super().__init__(message)
+            details.update(line=line, column=column)
+        super().__init__(message, **details)
 
 
 class ParseError(_Located):
-    """Unparseable input; carries a location when one is known.
-
-    ``line``/``column`` are 1-based for query text and 0-based row/column
-    indexes for tabular data (they index records, not characters).
-    """
+    """Unparseable input: query text with its ``line``/``column`` when
+    known, or a table cell with its ``record`` and ``attribute``."""
 
 
 class SemanticError(_Located):
@@ -69,14 +69,6 @@ class ValidationError(FuzzycpError):
 
     ``report`` holds the individual violations.
     """
-
-    def __init__(self, report):
-        self.report = tuple(report)
-        lines = "; ".join(str(v) for v in self.report)
-        super().__init__(f"invalid preference net: {lines}")
-
-    def __reduce__(self):
-        return type(self), (self.report,)
 
 
 class CapacityError(FuzzycpError):

@@ -77,7 +77,7 @@ class Dataset(Record):
     def _check(self):
         records = np.asarray(self.records, dtype=float)
         if records.ndim != 2 or records.shape[1] != len(self.attributes):
-            raise ShapeError(0, "records do not form a rectangle over the attributes")
+            raise ShapeError("records do not form a rectangle over the attributes")
         self._set(records=records)
 
     @property
@@ -140,7 +140,7 @@ def ingest_tabular(source, has_header: bool = True, delimiter: str = ",") -> Dat
     parsed = np.empty((len(data_rows), width), dtype=float)
     for i, row in enumerate(data_rows):
         if len(row) != width:
-            raise ShapeError(i, f"row {i}: expected {width} cells, found {len(row)}")
+            raise ShapeError(f"record {i}: expected {width} cells, found {len(row)}", record=i)
         for j, cell in enumerate(row):
             cell = cell.strip()
             if cell == "":
@@ -150,7 +150,8 @@ def ingest_tabular(source, has_header: bool = True, delimiter: str = ",") -> Dat
                 parsed[i, j] = float(cell)
             except ValueError:
                 raise ParseError(
-                    f"cannot parse {cell!r} as a number", line=i, column=j
+                    f"attribute {attributes[j]!r}, record {i}: cannot parse {cell!r} as a number",
+                    record=i, attribute=attributes[j],
                 ) from None
     return Dataset(attributes, parsed)
 
@@ -205,7 +206,7 @@ def _nan_for_empty_cells(text: str, delimiter: str) -> str:
 def _as_text(source) -> str:
     data = source if isinstance(source, (bytes, str)) else source.read()
     if isinstance(data, str):
-        return data.lstrip("\ufeff")
+        return data.removeprefix("\ufeff")
     try:
         # utf-8-sig strips a byte-order mark, common in exported CSVs
         return data.decode("utf-8-sig")
@@ -323,13 +324,13 @@ def _quantiles(points: np.ndarray, counts: np.ndarray, q: np.ndarray) -> np.ndar
 def _membership_grid(x: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:
     """Membership of every value to every centroid, one row per centroid;
     columns sum to 1.  A value whose distance to every centroid overflows
-    has none: it is a ParseError whose ``line`` is its position in ``x``."""
+    has none: it is a ParseError whose ``record`` is its position in ``x``."""
     with np.errstate(over="ignore"):
         u = np.abs(x - centroids[:, None])
     dmin = u.min(axis=0)
     if dmin.max(initial=0.0) == math.inf:
         far = int(np.argmax(dmin))
-        raise ParseError(f"value {float(x[far])!r} is too far from every centroid", line=far)
+        raise ParseError(f"value {float(x[far])!r} is too far from every centroid", record=far)
     on_centroid = np.flatnonzero(dmin == 0.0)
     hits = u[:, on_centroid] == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -371,9 +372,8 @@ def build_knowledge_base(
         if np.any(~np.isfinite(column)):
             bad = int(np.flatnonzero(~np.isfinite(column))[0])
             raise ParseError(
-                f"attribute {attribute!r} has a missing or non-finite value",
-                line=bad,
-                column=idx,
+                f"attribute {attribute!r}, record {bad}: missing or non-finite value",
+                record=bad, attribute=attribute,
             )
         try:
             result = fuzzy_c_means(

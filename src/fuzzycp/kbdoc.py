@@ -52,6 +52,8 @@ class ClusterModel(Record):
         if len(set(labels)) != len(labels):
             raise ConfigError(f"{attribute}: duplicate labels")
         for label in labels:
+            if not label:
+                raise ConfigError(f"{attribute}: a label is empty")
             one_line(label, f"{attribute}: label")
         if not 1.0 < fuzzifier < math.inf:
             raise ConfigError(f"{attribute}: fuzzifier must be finite and > 1")
@@ -141,8 +143,10 @@ class KnowledgeBase(Record):
                 values[finite], np.asarray(model.centroids), model.fuzzifier
             )
         except ParseError as exc:
-            row = np.flatnonzero(finite)[exc.line]
-            raise ParseError(f"attribute {attribute!r}, record {row}: {exc}") from None
+            row = int(np.flatnonzero(finite)[exc.record])
+            raise ParseError(
+                f"attribute {attribute!r}, record {row}: {exc}", record=row, attribute=attribute
+            ) from None
         return grid.T
 
     def to_document(self) -> dict:
@@ -218,13 +222,14 @@ def save_document(doc, path) -> None:
 def load_document(path):
     """The JSON value in the file at ``path``: the one reader of knowledge
     bases and compiled queries, so every stage refuses the same files.
+    A UTF-8 byte-order mark before the text is dropped, as RFC 8259 allows.
 
     An object that repeats a key, or a string that holds a lone surrogate
     (which no UTF-8 output can print), makes the document malformed, as in
     I-JSON (RFC 7493); so do ``NaN``, ``Infinity`` and ``-Infinity``, which
     Python's reader takes but JSON does not have.
     """
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         try:
             text = f.read()
             doc = json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant)

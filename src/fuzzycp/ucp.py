@@ -129,23 +129,19 @@ def check_dominance(ucp: UCPNet) -> list[DominanceViolation]:
 
 def outcome_utility(ucp: UCPNet, assignment) -> float:
     """Additive utility of a complete assignment; with ``term_importance``
-    a test oracle for the sums the top-T search of ``query`` keeps."""
-    total = 0.0
+    a test oracle for the sums the top-T search of ``query`` keeps.  Every
+    value is checked before any row is read, a parent's listed after its
+    child's too; the tables hold a row for every context of domain values."""
     for variable in ucp.net.nodes:
         if variable.name not in assignment:
             raise AssignmentError(f"assignment misses variable {variable.name!r}")
-        value = assignment[variable.name]
-        if value not in variable.domain:
-            raise AssignmentError(
-                f"{value!r} is not in the domain of {variable.name!r}"
-            )
+        if assignment[variable.name] not in variable.domain:
+            value = assignment[variable.name]
+            raise AssignmentError(f"{value!r} is not in the domain of {variable.name!r}")
+    total = 0.0
+    for variable in ucp.net.nodes:
         key = tuple(assignment[p] for p in ucp.net.parent_names(variable.name))
-        try:
-            total += ucp.tables[variable.name][key][value]
-        except KeyError:
-            raise AssignmentError(
-                f"no utility row for {variable.name!r} under context {key!r}"
-            ) from None
+        total += ucp.tables[variable.name][key][assignment[variable.name]]
     return total
 
 

@@ -158,13 +158,18 @@ def reference_ingest(text, has_header=True, delimiter=","):
     records = np.empty((len(rows), len(attributes)))
     for i, row in enumerate(rows):
         if len(row) != len(attributes):
-            raise ShapeError(i, f"row {i}: expected {len(attributes)} cells, found {len(row)}")
+            raise ShapeError(
+                f"record {i}: expected {len(attributes)} cells, found {len(row)}", record=i
+            )
         for j, cell in enumerate(row):
             cell = cell.strip()
             try:
                 records[i, j] = float(cell) if cell else math.nan
             except ValueError:
-                raise ParseError(f"cannot parse {cell!r} as a number", line=i, column=j) from None
+                raise ParseError(
+                    f"attribute {attributes[j]!r}, record {i}: cannot parse {cell!r} as a number",
+                    record=i, attribute=attributes[j],
+                ) from None
     return attributes, records
 
 

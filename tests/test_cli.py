@@ -156,7 +156,7 @@ def test_kb_build_non_numeric_cell_is_data_error(tmp_path, capsys):
                  "--clusters", "2"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "1:1" in err  # row 1, column 1
+    assert "ParseError: attribute 'b', record 1: cannot parse 'oops' as a number" in err
 
 
 # --- query compile -----------------------------------------------------------
@@ -241,6 +241,29 @@ def test_compile_drops_a_byte_order_mark(tmp_path, built_kb, compiled_query):
         "--query", str(marked), "--out", str(out),
     ]) == 0
     assert out.read_bytes() == compiled_query.read_bytes()
+
+
+def test_documents_with_a_byte_order_mark_read_as_without(tmp_path, built_kb, compiled_query,
+                                                          capsys):
+    # RFC 8259 lets a JSON reader ignore one, and tables and query text drop it too
+    marked = {}
+    for name, path in (("kb", built_kb), ("query", compiled_query)):
+        marked[name] = tmp_path / f"marked-{path.name}"
+        marked[name].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+    def outputs(kb, query):
+        compiled = tmp_path / "recompiled.json"
+        assert main(["query", "compile", "--kb", str(kb),
+                     "--query", str(DATA_DIR / "cars.pref"), "--out", str(compiled)]) == 0
+        assert main(["eval", "--kb", str(kb), "--query", str(query),
+                     "--data", str(DATA_DIR / "cars.csv")]) == 0
+        assert main(["inspect", str(kb)]) == 0
+        assert main(["inspect", str(query)]) == 0
+        return compiled.read_bytes(), capsys.readouterr()
+
+    plain = outputs(built_kb, compiled_query)
+    assert outputs(marked["kb"], marked["query"]) == plain
+    assert plain[1].out.count("\n") > 20
 
 
 def test_compile_term_count_beyond_outcomes(tmp_path, built_kb, capsys):
@@ -1126,6 +1149,34 @@ BAD_INPUTS = {
         _split_name_beyond_float, document="kb"
     ),
     "inspect-kb-beyond-float-attribute-with-newline": _inspect_edited_kb(_split_name_beyond_float),
+    # a label no query could bind
+    "kb-build-labels-empty": _kb_build("--labels", ""),
+    "kb-build-labels-one-empty": _kb_build("--clusters", "4", "--labels", "a,b,,d"),
+    # a float literal beyond every float, which Python's reader takes as inf
+    "kb-centroid-float-beyond-float": _replaced(
+        "kb", CARS_KB.read_text().replace("8.589506693254277", "1e400", 1)
+    ),
+    "kb-centroids-descending": _eval_edited(
+        lambda doc: doc["attributes"][0]["centroids"].reverse(), document="kb"
+    ),
+    "kb-label-repeated": _eval_edited(
+        lambda doc: doc["attributes"][0].update(labels=["low", "low", "high"]), document="kb"
+    ),
+    "kb-fuzzifier-1": _set_first_model("fuzzifier", 1.0),
+    "query-edge-repeated": _eval_edited(
+        lambda doc: doc["cpnet"]["edges"].append(doc["cpnet"]["edges"][0])
+    ),
+    "query-node-repeated": _eval_edited(
+        lambda doc: doc["cpnet"]["nodes"].append(doc["cpnet"]["nodes"][0])
+    ),
+    "query-node-without-cpt": _eval_edited(lambda doc: doc["cpnet"]["cpt"].pop("stretch")),
+    "query-domain-value-repeated": _eval_edited(
+        lambda doc: doc["cpnet"]["nodes"][0]["domain"].append("low")
+    ),
+    # two values one float step apart: both centroids round onto 1.0
+    "kb-build-clusters-collapse": _on_table(
+        "kb", "--clusters", "2", content=b"a\n" + b"1\n" * 100 + b"1.0000000000000002\n" * 2
+    ),
 }
 
 # what stderr must say, where exit 2 alone does not tell the cases apart
@@ -1188,8 +1239,8 @@ BAD_INPUT_MESSAGES = {
     "eval-delimiter-newline": "ConfigError: delimiter must be one character",
     "tol-nan": "ConfigError: tol must be positive",
     "max-iter-0": "ConfigError: max_iter must be at least 1",
-    "kb-build-bare-cr-splits-a-row": "ShapeError: row 1: expected 2 cells, found 1",
-    "eval-bare-cr-splits-a-row": "ShapeError: row 1: expected 2 cells, found 1",
+    "kb-build-bare-cr-splits-a-row": "ShapeError: record 1: expected 2 cells, found 1",
+    "eval-bare-cr-splits-a-row": "ShapeError: record 1: expected 2 cells, found 1",
     "kb-build-values-too-far-apart": "ParseError: attribute 'a': values -1e+308 and 1e+308 are "
                                      "too far apart",
     **{
@@ -1243,6 +1294,20 @@ BAD_INPUT_MESSAGES = {
         case: "ConfigError: attribute 'k\\nm' holds a tab or line break"
         for case in BAD_INPUTS if case.endswith("attribute-with-newline")
     },
+    "kb-build-labels-empty": "ConfigError: price: 1 labels configured for 3 clusters",
+    "kb-build-labels-one-empty": "ConfigError: price: a label is empty",
+    "kb-centroid-float-beyond-float": "ConfigError: price: centroids must be finite",
+    "kb-centroids-descending": "DegenerateDataError: price: centroids are not strictly ascending",
+    "kb-label-repeated": "ConfigError: price: duplicate labels",
+    "kb-fuzzifier-1": "ConfigError: price: fuzzifier must be finite and > 1",
+    "query-edge-repeated": "ValidationError: invalid preference net: edge at cost->wear: "
+                           "duplicate edge",
+    "query-node-repeated": "ValidationError: invalid preference net: node at cost: declared "
+                           "more than once",
+    "query-node-without-cpt": "ValidationError: invalid preference net: cpt at stretch: no "
+                              "preference table",
+    "query-domain-value-repeated": "ConfigError: variable 'cost' repeats a domain value",
+    "kb-build-clusters-collapse": "DegenerateDataError: clusters collapsed onto the same centroid",
 }
 
 

@@ -6,10 +6,12 @@ import pytest
 
 from fuzzycp import (
     BindingError,
+    CPNet,
     ConfigError,
     Dataset,
     DegenerateQueryError,
     Term,
+    UCPNet,
     WeightedQuery,
     aggregate_term_score,
     assign_utilities,
@@ -134,6 +136,11 @@ def test_aggregate_all_ones():
 def test_aggregate_empty_is_degenerate():
     with pytest.raises(DegenerateQueryError):
         aggregate_term_score([], [])
+
+
+def test_aggregate_zero_weights_is_degenerate():
+    with pytest.raises(DegenerateQueryError, match="^importance weights sum to zero$"):
+        aggregate_term_score([0.5, 0.7], [0, 0])
 
 
 def test_aggregate_sums_left_to_right():
@@ -299,6 +306,21 @@ def test_rank_rejects_unknown_term_label():
     # checked before scoring, so even an empty dataset fails
     with pytest.raises(BindingError):
         rank(kb, bogus, Dataset(["attr_x"], np.empty((0, 1))))
+
+
+def test_rank_without_terms_is_degenerate():
+    _net, kb, query = ranked_fixture()
+    query = WeightedQuery(query.ucp, query.bindings, ())
+    with pytest.raises(DegenerateQueryError, match="^query has no terms$"):
+        rank(kb, query, Dataset(["attr_x"], np.array([[0.1]])))
+
+
+def test_rank_without_variables_is_degenerate():
+    _net, kb, _query = ranked_fixture()
+    ucp = UCPNet(CPNet(nodes=(), edges=(), cpt={}), steps={})
+    query = WeightedQuery(ucp, {}, (Term({}, 1.0),))
+    with pytest.raises(DegenerateQueryError, match="^term has no variables to aggregate$"):
+        rank(kb, query, Dataset(["attr_x"], np.array([[0.1]])))
 
 
 @pytest.mark.parametrize("top_n", [0, -1, -3])

@@ -1,7 +1,8 @@
 """The package and the document-only CLI stages load without numpy, only
 ``kb build`` loads numpy.random, only ``query compile`` loads the query
 parser, every public name resolves to the object its home module defines,
-and only ``kbdoc`` spells out the document format or imports ``json``."""
+only ``kbdoc`` spells out the document format or imports ``json``, and
+every module is Python 3.10, the oldest version ``pyproject.toml`` allows."""
 
 import ast
 import contextlib
@@ -187,3 +188,10 @@ def test_only_write_stdout_writes_to_stdout():
                 writers.append(where)
     assert [importer.split(":")[0] for importer in importers] == ["cli.py"], importers
     assert writers == []
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject.toml promises requires-python >= 3.10: no syntax of a later
+    # version, such as except*, may appear
+    for path in sorted(Path(fuzzycp.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=(3, 10))

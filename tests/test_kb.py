@@ -13,6 +13,7 @@ from fuzzycp import (
     AttributeConfig,
     ClusterModel,
     ConfigError,
+    Dataset,
     DegenerateDataError,
     EmptyDatasetError,
     FuzzycpError,
@@ -56,14 +57,28 @@ def test_ingest_empty_stream():
 def test_ingest_ragged_rows():
     with pytest.raises(ShapeError) as err:
         ingest_tabular("a,b\n1,2\n1,2,3\n")
-    assert err.value.row == 1
+    assert err.value.record == 1
+    assert str(err.value) == "record 1: expected 2 cells, found 3"
 
 
 def test_ingest_non_numeric_cell():
     with pytest.raises(ParseError) as err:
         ingest_tabular("a,b\n1,2\n3,oops\n")
-    assert err.value.line == 1
-    assert err.value.column == 1
+    assert (err.value.record, err.value.attribute) == (1, "b")
+    assert str(err.value) == "attribute 'b', record 1: cannot parse 'oops' as a number"
+    assert not hasattr(err.value, "line") and not hasattr(err.value, "column")
+
+
+def test_dataset_refuses_records_that_are_not_a_rectangle():
+    with pytest.raises(ShapeError, match="^records do not form a rectangle over the "
+                                         "attributes$") as err:
+        Dataset(["a", "b"], [[1.0]])
+    assert vars(err.value) == {}  # no record is at fault
+
+
+def test_dataset_column_of_an_unknown_attribute():
+    with pytest.raises(ConfigError, match="^unknown attribute 'z'$"):
+        Dataset(["a"], [[1.0]]).column("z")
 
 
 def test_ingest_without_header_synthesizes_names():
@@ -104,6 +119,12 @@ def test_ingest_empty_cell_is_missing():
 def test_ingest_strips_byte_order_mark():
     ds = ingest_tabular(b"\xef\xbb\xbfprice\n10\n")
     assert ds.attributes == ["price"]
+
+
+def test_ingest_drops_one_byte_order_mark_from_text_as_from_bytes():
+    text = "\ufeff\ufeffx,y\n1,2\n"
+    assert ingest_tabular(text).attributes == ["\ufeffx", "y"]
+    assert ingest_tabular(text.encode("utf-8")).attributes == ["\ufeffx", "y"]
 
 
 def test_ingest_rejects_duplicate_header_names():
@@ -153,7 +174,7 @@ def _outcome(parse):
     try:
         attributes, records = parse()
     except FuzzycpError as exc:
-        location = [getattr(exc, key, None) for key in ("line", "column", "row")]
+        location = [getattr(exc, key, None) for key in ("record", "attribute", "line", "column")]
         return type(exc), str(exc), location
     return attributes, records.shape, records.tobytes()
 
@@ -225,7 +246,7 @@ def test_ingest_matches_the_row_parser(text, has_header, delimiter, recwarn):
         ds = ingest_tabular(text, has_header=has_header, delimiter=delimiter)
         return ds.attributes, ds.records
 
-    plain = text.lstrip("\ufeff")
+    plain = text.removeprefix("\ufeff")
     expected = _outcome(lambda: reference_ingest(plain, has_header, delimiter))
     assert _outcome(fast) == expected
     assert not recwarn.list
@@ -262,7 +283,7 @@ def test_ingest_ends_a_row_at_a_lone_carriage_return():
         assert ds.records.tobytes() == lf.records.tobytes()
     with pytest.raises(ShapeError) as info:
         ingest_tabular("a,b\n1,2\n3\r4,5\n")
-    assert info.value.row == 1
+    assert info.value.record == 1
 
 
 def test_ingest_cell_over_the_csv_field_limit_is_a_parse_error():
@@ -334,6 +355,13 @@ def test_fcm_deterministic_for_fixed_seed():
 def test_fcm_too_few_distinct_values():
     with pytest.raises(DegenerateDataError):
         fuzzy_c_means([1.0, 1.0, 1.0], c=2)
+
+
+def test_fcm_refuses_clusters_that_collapse():
+    # two values one float step apart: both centroids round onto 1.0
+    values = [1.0] * 100 + [1.0000000000000002] * 2
+    with pytest.raises(DegenerateDataError, match="^clusters collapsed onto the same centroid$"):
+        fuzzy_c_means(values, c=2)
 
 
 def test_fcm_rejects_non_finite():
@@ -574,8 +602,10 @@ def test_build_rejects_a_negative_seed():
 def test_build_rejects_missing_values():
     # an empty cell survives ingestion as NaN but cannot be clustered
     ds = ingest_tabular("size,w\n0,1\n1,\n2,3\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         build_knowledge_base(ds, KBConfig(clusters=2))
+    assert str(err.value) == "attribute 'w', record 1: missing or non-finite value"
+    assert (err.value.record, err.value.attribute) == (1, "w")
 
 
 def test_build_is_byte_deterministic():
@@ -668,8 +698,9 @@ def test_membership_grid_names_a_value_too_far_from_every_centroid():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParseError, match=r"^attribute 'x', record 2: value 1e\+308 is too "
-                                             "far from every centroid$"):
+                                             "far from every centroid$") as err:
             kb.membership_grid("x", [float("nan"), -1e308, 1e308])
+    assert (err.value.record, err.value.attribute) == (2, "x")
 
 
 def test_membership_grid_ignores_an_overflow_that_leaves_a_finite_distance():

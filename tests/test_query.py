@@ -199,6 +199,19 @@ def test_a_term_outside_its_domain_is_a_config_error():
         WeightedQuery(ucp, {"x": "attr_x"}, [Term({"x": "zz"}, 1.0)])
 
 
+def test_a_term_that_misses_a_variable_is_a_config_error():
+    ucp = assign_utilities(chain_abc())
+    with pytest.raises(ConfigError, match="^term does not assign every query variable$"):
+        WeightedQuery(ucp, {}, [Term({"A": "a1", "B": "b1"}, 1.0)])
+
+
+def test_terms_out_of_importance_order_are_a_config_error():
+    ucp = assign_utilities(single_node())
+    terms = [Term({"x": "a"}, 0.5), Term({"x": "b"}, 1.0)]
+    with pytest.raises(ConfigError, match="^terms must be ordered by non-increasing importance$"):
+        WeightedQuery(ucp, {"x": "attr_x"}, terms)
+
+
 def test_relabeling_keeps_term_structure():
     rng = random.Random(78)
     for _ in range(20):

@@ -182,6 +182,7 @@ def test_hand_built_violation_is_reported():
     assert violations[0].node == "P"
     assert violations[0].minspan == 1
     assert violations[0].required == 2
+    assert str(violations[0]) == "P: minspan 1 is below the children's maxspan sum 2"
 
 
 # --- outcome utility ---------------------------------------------------------
@@ -213,6 +214,21 @@ def test_outcome_utility_rejects_foreign_value():
     ucp = assign_utilities(chain_abc())
     with pytest.raises(AssignmentError):
         outcome_utility(ucp, {"A": "a1", "B": "b1", "C": "nope"})
+
+
+def test_outcome_utility_checks_a_parent_listed_after_its_child():
+    # B's row is looked up by A's value: A must be checked before it is read
+    net = CPNet(
+        nodes=(PreferenceVariable("B", ("b1", "b2")), PreferenceVariable("A", ("a1", "a2"))),
+        edges=(("A", "B"),),
+        cpt={"A": {(): ("a1", "a2")}, "B": {("a1",): ("b1", "b2"), ("a2",): ("b2", "b1")}},
+    )
+    ucp = assign_utilities(net)
+    assert outcome_utility(ucp, {"B": "b1", "A": "a1"}) == 2  # both best
+    with pytest.raises(AssignmentError, match="^assignment misses variable 'A'$"):
+        outcome_utility(ucp, {"B": "b1"})
+    with pytest.raises(AssignmentError, match="^'zz' is not in the domain of 'A'$"):
+        outcome_utility(ucp, {"B": "b1", "A": "zz"})
 
 
 # --- term importance ---------------------------------------------------------
