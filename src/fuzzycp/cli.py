@@ -183,9 +183,10 @@ def cmd_kb_build(args) -> int:
         centroids = ", ".join(f"{c:.6f}" for c in model.centroids)
         count = kb.provenance["iterations"][name]
         print(f"{name}: centroids [{centroids}] after {count} iterations", file=sys.stderr)
-    for name in kb.unconverged:
-        print(f"fuzzycp: warning: {name}: fuzzy c-means did not converge within "
-              f"--max-iter {args.max_iter}", file=sys.stderr)
+    for name, converged in kb.provenance["converged"].items():
+        if not converged:
+            print(f"fuzzycp: warning: {name}: fuzzy c-means did not converge within "
+                  f"--max-iter {args.max_iter}", file=sys.stderr)
     return OK
 
 

@@ -363,9 +363,8 @@ def build_knowledge_base(
         raise ConfigError(f"config references unknown attributes: {sorted(unknown)}")
 
     models: dict[str, ClusterModel] = {}
-    clusters_used: dict[str, int] = {}
     iterations: dict[str, int] = {}
-    unconverged = []
+    converged: dict[str, bool] = {}
     for idx, attribute in enumerate(dataset.attributes):
         c, labels = config.resolve(one_line(attribute, "attribute"))
         column = dataset.column(attribute)
@@ -384,27 +383,24 @@ def build_knowledge_base(
                 max_iter=config.max_iter,
                 seed=np.random.SeedSequence(entropy=config.seed, spawn_key=(idx,)),
             )
-        except ParseError as exc:  # the column is finite, but its values overflow
-            raise ParseError(f"attribute {attribute!r}: {exc}") from None
+        except (ParseError, DegenerateDataError) as exc:  # values that overflow or vary too little
+            raise type(exc)(f"attribute {attribute!r}: {exc}", attribute=attribute) from None
         models[attribute] = ClusterModel(
             attribute=attribute,
             centroids=tuple(float(v) for v in result.centroids),
             labels=labels if labels is not None else default_labels(c),
             fuzzifier=config.fuzzifier,
         )
-        clusters_used[attribute] = c
         iterations[attribute] = result.iterations
-        if not result.converged:
-            unconverged.append(attribute)
+        converged[attribute] = result.converged
 
     provenance = {
         "source": source,
         "records": dataset.record_count,
-        "clusters": clusters_used,
-        "fuzzifier": config.fuzzifier,
         "tol": config.tol,
         "max_iter": config.max_iter,
         "seed": config.seed,
         "iterations": iterations,
+        "converged": converged,
     }
-    return KnowledgeBase(models, provenance, tuple(unconverged))
+    return KnowledgeBase(models, provenance)

@@ -97,15 +97,17 @@ class KBConfig(Record):
 
 
 class KnowledgeBase(Record):
-    """One ClusterModel per dataset attribute, plus how they were built.
+    """One ClusterModel per dataset attribute, keyed by its name, plus how
+    they were built, exactly as its document holds them.  A build's
+    ``provenance`` records, per attribute, the fuzzy c-means ``iterations``
+    and whether it ``converged`` before ``max_iter``; loading reads none of it."""
 
-    ``unconverged`` names the attributes FCM left at max_iter; it is not
-    in the document.
-    """
+    __slots__ = ("models", "provenance")  # a dict attribute -> ClusterModel, a dict
 
-    __slots__ = ("models", "provenance", "unconverged")
-    # a dict attribute -> ClusterModel, a dict, a tuple of str
-    _defaults = dict(unconverged=())
+    def _check(self):
+        for name, model in self.models.items():
+            if model.attribute != name:
+                raise ConfigError(f"attribute {name!r} holds the model of {model.attribute!r}")
 
     def model(self, attribute: str) -> ClusterModel:
         try:

@@ -10,7 +10,8 @@ best outcome always opens the list with importance 1.
 The compiled-query document stores the net and, for readers, everything
 derived from it.  Loading decodes only the net and derives the rest again,
 with as many terms as the document stores.  Version 2 holds no query text;
-the text that version 1 printed from the net is ignored.
+the text that version 1 printed from the net is ignored, as is the sum of
+the maxspans, ``max_total_utility``, that older documents repeat.
 """
 
 from __future__ import annotations
@@ -221,7 +222,6 @@ def query_to_document(query: WeightedQuery) -> dict:
             "cpt": cpt,
         },
         "utilities": utilities,
-        "max_total_utility": ucp.max_total_utility,
         "importance": node_importance(net),
         "terms": [
             {"assignment": dict(t.assignment), "importance": t.importance} for t in query.terms
@@ -249,7 +249,7 @@ def query_from_document(doc: dict) -> WeightedQuery:
     terms = [{"assignment": t.get("assignment"), "importance": t.get("importance")}
              for t in doc["terms"]]
     stored = {**doc, "terms": terms}
-    blocks = ("bindings", "cpnet", "utilities", "max_total_utility", "importance", "terms")
+    blocks = ("bindings", "cpnet", "utilities", "importance", "terms")
     stale = [key for key in blocks
              if canonical_json(stored.get(key)) != canonical_json(derived[key])]
     if stale:

@@ -128,8 +128,10 @@ def test_kb_build_warns_when_fuzzy_c_means_does_not_converge(tmp_path, capsys):
         f"fuzzycp: warning: {name}: fuzzy c-means did not converge within --max-iter 1"
         for name in ("price", "km")
     ]
-    # the warning is not part of the document, which keeps its layout
+    # the document records the same fact, and keeps its layout
     doc, stopped_doc = json.loads(out.read_text()), json.loads(stopped.read_text())
+    assert doc["provenance"]["converged"] == {"price": True, "km": True}
+    assert stopped_doc["provenance"]["converged"] == {"price": False, "km": False}
     assert stopped_doc["provenance"]["iterations"] == {"price": 1, "km": 1}
     assert list(stopped_doc) == list(doc)
     assert list(stopped_doc["provenance"]) == list(doc["provenance"])
@@ -770,7 +772,7 @@ def _query_outputs(query, capsys):
 def test_v2_query_is_the_v1_query_without_its_text(tmp_path):
     fresh = json.loads(_compile(CARS_KB, tmp_path / "q.json").read_text())
     v1 = json.loads(V1_QUERY.read_text())
-    del v1["query"]
+    del v1["query"], v1["max_total_utility"]  # the sum of the maxspans, no longer written
     assert fresh == {**v1, "format_version": 2}
 
 
@@ -1307,7 +1309,8 @@ BAD_INPUT_MESSAGES = {
     "query-node-without-cpt": "ValidationError: invalid preference net: cpt at stretch: no "
                               "preference table",
     "query-domain-value-repeated": "ConfigError: variable 'cost' repeats a domain value",
-    "kb-build-clusters-collapse": "DegenerateDataError: clusters collapsed onto the same centroid",
+    "kb-build-clusters-collapse": "DegenerateDataError: attribute 'a': clusters collapsed onto "
+                                  "the same centroid",
 }
 
 

@@ -531,8 +531,9 @@ def test_build_names_a_weighted_sum_that_overflows():
 
 def test_build_names_unconverged_attributes():
     ds = ingest_tabular("a,b\n" + "\n".join(f"{i % 7},{i * i % 11}" for i in range(40)))
-    assert build_knowledge_base(ds, KBConfig()).unconverged == ()
-    assert build_knowledge_base(ds, KBConfig(max_iter=1)).unconverged == ("a", "b")
+    assert build_knowledge_base(ds, KBConfig()).provenance["converged"] == {"a": True, "b": True}
+    stopped = build_knowledge_base(ds, KBConfig(max_iter=1))
+    assert stopped.provenance["converged"] == {"a": False, "b": False}
 
 
 # --- knowledge base ----------------------------------------------------------
@@ -580,9 +581,10 @@ def test_build_refuses_more_clusters_than_values_before_any_label():
     # the default labels c0..c{c-1} would cost memory growing with the count
     ds = ingest_tabular((DATA_DIR / "cars.csv").read_bytes())
     config = KBConfig(clusters=10**6)
-    message = "^need at least 1000000 distinct values, found 20$"
-    with pytest.raises(DegenerateDataError, match=message):
+    message = "^attribute 'price': need at least 1000000 distinct values, found 20$"
+    with pytest.raises(DegenerateDataError, match=message) as err:
         build_knowledge_base(ds, config)  # imports what numpy loads on first use
+    assert err.value.attribute == "price"
     tracemalloc.start()
     try:
         with pytest.raises(DegenerateDataError, match=message):
@@ -629,6 +631,52 @@ def test_document_with_an_attribute_listed_twice_is_a_config_error():
     doc["attributes"].append(dict(doc["attributes"][0], centroids=[1.0, 2.0]))
     with pytest.raises(ConfigError, match="attribute 'size' is listed twice"):
         KnowledgeBase.from_document(doc)
+
+
+def test_a_model_stored_under_another_attribute_is_refused():
+    model = ClusterModel("y", (1.0, 2.0), ("low", "high"), 2.0)
+    with pytest.raises(ConfigError, match="^attribute 'x' holds the model of 'y'$"):
+        KnowledgeBase({"x": model}, {})
+    assert KnowledgeBase({"y": model}, {}).to_document()["attributes"][0]["name"] == "y"
+
+
+def test_a_saved_build_loads_as_itself(tmp_path):
+    """Random tables and configs, some cut off at max_iter, some with
+    per-attribute overrides: the document holds every fact of the build."""
+    rng = np.random.default_rng(19)
+    seen = set()
+    for trial in range(40):
+        rows, width = int(rng.integers(12, 60)), int(rng.integers(1, 4))
+        records = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-3, 4, size=width)
+        records[: rows // 3] = records[rows // 3: 2 * (rows // 3)]  # repeated values
+        names = [f"a{j}" for j in range(width)]
+        overrides = {}
+        for name in names:
+            if rng.random() < 0.5:
+                c = int(rng.integers(2, 5))
+                overrides[name] = AttributeConfig(c, ("lo", "mid", "hi")[:c] if c < 4 else None)
+        config = KBConfig(
+            clusters=int(rng.integers(2, 5)),
+            fuzzifier=float(rng.uniform(1.2, 3.0)),
+            tol=float(rng.choice([1e-9, 1e-6, 1e-2])),
+            max_iter=int(rng.choice([1, 2, 5, 200])),
+            seed=int(rng.integers(0, 2**32)),
+            per_attribute=overrides,
+        )
+        kb = build_knowledge_base(Dataset(names, records), config, source=f"t{trial}.csv")
+        kb.save(tmp_path / "kb.json")
+        assert KnowledgeBase.load(tmp_path / "kb.json") == kb, trial
+        provenance = kb.provenance
+        assert list(provenance) == [
+            "source", "records", "tol", "max_iter", "seed", "iterations", "converged"
+        ]
+        assert list(provenance["converged"]) == list(provenance["iterations"]) == names
+        for name in names:
+            stopped = provenance["iterations"][name] == config.max_iter
+            assert provenance["converged"][name] or stopped
+            seen.add(provenance["converged"][name])
+    assert seen == {True, False}
+    assert KnowledgeBase._fields == ("models", "provenance")
 
 
 def test_load_refuses_a_repeated_key(tmp_path):

@@ -211,7 +211,6 @@ def test_left_out_fields_take_their_defaults():
     assert KBConfig().per_attribute is not KBConfig().per_attribute
     assert AttributeConfig()._public() == (None, None)
     assert AttributeConfig(labels=("a", "b")) == AttributeConfig(None, ("a", "b"))
-    assert KnowledgeBase({}, {}).unconverged == ()
     assert QuerySpec(NET, {"x": "attr_x"}).term_count is None
     # and a hook normalizes the fields it is given
     assert PreferenceVariable("x", ["a", "b"]).domain == ("a", "b")
