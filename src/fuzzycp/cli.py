@@ -220,6 +220,10 @@ def cmd_eval(args) -> int:
     with open(args.data, "rb") as f:
         dataset = ingest_tabular(f, has_header=not args.no_header, delimiter=args.delimiter)
     ranking = rank(kb, compiled, dataset, top_n=args.top)
+    attributes = dict.fromkeys(compiled.bindings.values())
+    if attributes.keys().isdisjoint(dataset.attributes):
+        print(f"fuzzycp: warning: the table has none of the query's attributes "
+              f"({', '.join(attributes)}): every value is missing", file=sys.stderr)
     if args.format == "tsv":
         write_stdout(*tsv_bytes(ranking))
     else:

@@ -169,16 +169,12 @@ class _Parser:
 
 def _analyze(raw_vars, term_count) -> QuerySpec:
     """Semantic pass; raw declarations still carry their tokens."""
-    declared: dict[str, re.Match] = {}
-    for name_tok, _attr, _parents, _rows in raw_vars:
-        if name_tok[0] in declared:
+    domains: dict[str, tuple[str, ...]] = {}  # a variable's values, from its first row
+    for name_tok, _attr, _parents, rows in raw_vars:
+        if name_tok[0] in domains:
             raise SemanticError(
                 f"duplicate variable {name_tok[0]!r}", *_where(name_tok)
             )
-        declared[name_tok[0]] = name_tok
-
-    domains: dict[str, tuple[str, ...]] = {}
-    for name_tok, _attr, _parents, rows in raw_vars:
         _start, _conds, order = rows[0]
         domains[name_tok[0]] = tuple(t[0] for t in order)
 
@@ -191,7 +187,7 @@ def _analyze(raw_vars, term_count) -> QuerySpec:
                 raise SemanticError(
                     f"variable {name!r} cannot depend on itself", *_where(ptok)
                 )
-            if ptok[0] not in declared:
+            if ptok[0] not in domains:
                 raise SemanticError(
                     f"unknown parent {ptok[0]!r}", *_where(ptok)
                 )

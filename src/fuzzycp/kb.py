@@ -62,17 +62,14 @@ from .kbdoc import (
 from .record import Record
 
 
-class Dataset(Record):
+class Dataset(Record, by_identity=True):
     """Rectangular numeric table: one row per record, one column per attribute.
 
     ``records`` has shape (record_count, len(attributes)).  Missing cells
-    are stored as NaN; everything else is a finite float.  Two datasets
-    are equal only if they are the same object.
+    are stored as NaN; everything else is a finite float.
     """
 
     __slots__ = ("attributes", "records")  # a list of str, a float array
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def _check(self):
         records = np.asarray(self.records, dtype=float)
@@ -214,17 +211,15 @@ def _as_text(source) -> str:
         raise ParseError(f"input is not UTF-8 text: {exc}") from None
 
 
-class FcmResult(Record):
+class FcmResult(Record, by_identity=True):
     """Fuzzy c-means run, with its per-iteration objective trace.
 
     ``converged`` is false when it stopped at max_iter, still moving by tol
-    or more.  Two results are equal only if they are the same object.
+    or more.
     """
 
     __slots__ = ("centroids", "objective_trace", "iterations", "converged")
     # an ascending numpy array, a tuple of one float per iteration, an int, a bool
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
 
 def fuzzy_c_means(

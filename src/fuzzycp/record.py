@@ -11,8 +11,8 @@ record refuses assignment and deletion, so nothing derived from its fields
 can go stale.  ``repr``, equality (between records of one class), the hash
 (none if a field is a dict) and copies all work from the public fields.  A
 record holding numpy arrays, whose ``==`` gives no single truth value,
-takes ``__eq__`` and ``__hash__`` from ``object``: it is equal only to
-itself.
+declares ``by_identity=True`` in its class statement and takes ``__eq__``
+and ``__hash__`` from ``object``: it is equal only to itself.
 """
 
 
@@ -20,8 +20,10 @@ class Record:
     __slots__ = ()
     _defaults = {}  # field -> the value a build that leaves it out gets
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, by_identity=False):
         cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        if by_identity:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def __init__(self, *values, **named):
         fields = self._fields

@@ -40,11 +40,8 @@ from .query import WeightedQuery, check_bindings
 from .record import Record
 
 
-class DataProjection(Record):
-    """Per-(term, variable) membership degrees of one record.
-
-    Two projections are equal only if they are the same object.
-    """
+class DataProjection(Record, by_identity=True):
+    """Per-(term, variable) membership degrees of one record."""
 
     __slots__ = (
         "record_index",
@@ -52,8 +49,6 @@ class DataProjection(Record):
         "entries",  # shape (term_count, len(variables)), values in [0, 1]
         "missing",  # variables whose record value was absent
     )
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
 
 class Evaluation(Record):
@@ -64,12 +59,11 @@ class Evaluation(Record):
     )
 
 
-class Ranking(Record):
+class Ranking(Record, by_identity=True):
     """The rows ``rank`` returns, best first, as columns.
 
     Row r is place r + 1 of the full ranking.  Column i of ``missing`` is
-    ``variables[i]``, true where the record has no value for it.  Two
-    rankings are equal only if they are the same object.
+    ``variables[i]``, true where the record has no value for it.
     """
 
     __slots__ = (
@@ -79,8 +73,6 @@ class Ranking(Record):
         "term_scores",  # (n, T), S_k
         "missing",  # (n, V) bool
     )
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def __len__(self) -> int:
         return len(self.record_index)
@@ -208,7 +200,7 @@ def rank(
     np.clip(term_scores, 0.0, 1.0, out=term_scores)
     scores = np.minimum(term_scores, [t.importance for t in query.terms]).max(axis=1)
 
-    order = np.lexsort((np.arange(n), -scores))[:top_n]
+    order = np.argsort(-scores, kind="stable")[:top_n]
     return Ranking(variables, order, scores[order], term_scores[order], missing[order])
 
 
@@ -223,7 +215,9 @@ def _label_table(kb: KnowledgeBase, query: WeightedQuery, variables) -> np.ndarr
 
 
 # row k holds the digits of "%03d" % k
-_DIGIT_GROUPS = np.array([list(b"%03d" % k) for k in range(1000)], dtype=np.uint8)
+_DIGIT_GROUPS = np.frombuffer(
+    b"".join(b"%03d" % k for k in range(1000)), np.uint8
+).reshape(1000, 3)
 
 
 def _placed(groups: np.ndarray, at: int) -> np.ndarray:

@@ -400,6 +400,51 @@ def test_eval_missing_value_is_flagged_not_fatal(tmp_path, built_kb, compiled_qu
     assert "missing:wear" in out
 
 
+def test_a_headerless_table_runs_the_pipeline_under_column_names(tmp_path, built_kb,
+                                                                 compiled_query, capsys):
+    # the same table without its header row, read as col0 (price) and col1 (km)
+    table = tmp_path / "headerless.csv"
+    table.write_text((DATA_DIR / "cars.csv").read_text().split("\n", 1)[1])
+    text = (DATA_DIR / "cars.pref").read_text()
+    query_text = tmp_path / "headerless.pref"
+    query_text.write_text(text.replace("attr price", "attr col0").replace("attr km", "attr col1"))
+    kb, query = tmp_path / "headerless_kb.json", tmp_path / "headerless_q.json"
+    assert main(["kb", "build", "--input", str(table), "--out", str(kb), "--no-header",
+                 "--seed", "7", "--attr", "col0:3:low,mid,high", "--attr", "col1:2:low,high"]) == 0
+    assert main(["query", "compile", "--kb", str(kb), "--query", str(query_text),
+                 "--out", str(query)]) == 0
+    assert [a["name"] for a in json.loads(kb.read_text())["attributes"]] == ["col0", "col1"]
+    capsys.readouterr()
+    assert main(["eval", "--kb", str(kb), "--query", str(query), "--data", str(table),
+                 "--no-header"]) == 0
+    headerless = capsys.readouterr()
+    assert main(["eval", "--kb", str(built_kb), "--query", str(compiled_query),
+                 "--data", str(DATA_DIR / "cars.csv")]) == 0
+    assert headerless.out == capsys.readouterr().out
+    assert headerless.err == ""
+
+
+def test_eval_warns_when_the_table_has_none_of_the_querys_attributes(tmp_path, built_kb,
+                                                                     compiled_query, capsys):
+    # a headerless table read with a header: its first row names the columns
+    table = tmp_path / "headerless.csv"
+    table.write_text("5,200\n7,180\n9,\n")
+    assert main(["eval", "--kb", str(built_kb), "--query", str(compiled_query),
+                 "--data", str(table)]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split("\t") for line in captured.out.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0", "1"]
+    assert {cell for row in rows for cell in row[1:-1]} == {"0.000000"}
+    assert {row[-1] for row in rows} == {"missing:cost;missing:wear;missing:stretch"}
+    assert captured.err == ("fuzzycp: warning: the table has none of the query's attributes "
+                            "(price, km): every value is missing\n")
+    # one bound attribute is enough for no warning
+    table.write_text("price\n5\n")
+    assert main(["eval", "--kb", str(built_kb), "--query", str(compiled_query),
+                 "--data", str(table), "--format", "json"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_eval_edited_term_label_is_stale_terms_error(tmp_path, built_kb, compiled_query,
                                                      capsys):
     # the terms follow from the cpnet block, so an edited term disagrees
@@ -684,6 +729,13 @@ def test_tsv_writer_needs_its_percent_cells(monkeypatch):
     ranking = _random_ranking(np.random.default_rng(0), 400, 5, TIES + EDGES)
     monkeypatch.setattr(scoring, "_printf_cells", lambda x, scaled: np.zeros(x.shape, bool))
     assert b"".join(scoring.tsv_bytes(ranking)) != percent_tsv(ranking).encode()
+
+
+def test_digit_groups_are_the_percent_03d_rows():
+    rows = np.array([list(b"%03d" % k) for k in range(1000)], dtype=np.uint8)
+    groups = scoring._DIGIT_GROUPS
+    assert groups.dtype == rows.dtype and groups.shape == rows.shape
+    assert np.array_equal(groups, rows)
 
 
 def test_kb_build_reads_carriage_return_line_ends(tmp_path):

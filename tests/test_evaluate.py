@@ -413,3 +413,37 @@ def test_rank_matches_project_and_evaluate():
         assert_same_ranking(rank(kb, query, dataset, top_n=top_n), full, rows=top_n)
         compared += len(full)
     assert compared > 2000
+
+
+def tied_dataset(rng, kb, n, all_equal):
+    """n records whose columns each take 2 or 3 distinct values (a centroid,
+    a value near the centroids, an empty cell), so that most records tie;
+    with ``all_equal``, every record is the same."""
+    columns = []
+    for model in kb.models.values():
+        lo, hi = model.centroids[0] - 1.0, model.centroids[-1] + 1.0
+        pool = [rng.choice(model.centroids), rng.uniform(lo, hi), math.nan]
+        values = rng.sample(pool, 1 if all_equal else rng.randint(2, 3))
+        columns.append([rng.choice(values) for _ in range(n)])
+    return Dataset(list(kb.models), np.array(columns, dtype=float).T.reshape(n, len(columns)))
+
+
+def test_rank_keeps_input_order_among_heavy_ties_at_every_cut():
+    rng = random.Random(1207)
+    ties = 0
+    for trial in range(80):
+        kb, query, _draw = random_weighted_query(rng, share_attributes=True)
+        n = 0 if trial % 20 == 0 else rng.randint(1, 30)
+        dataset = tied_dataset(rng, kb, n, all_equal=trial % 4 == 1)
+        full = rank(kb, query, dataset)
+        assert_same_ranking(full, oracle_ranking(kb, query, dataset)[1])
+        by_record = np.empty(n)
+        by_record[full.record_index] = full.score
+        assert np.array_equal(full.record_index, np.lexsort((np.arange(n), -by_record)))
+        tied = full.score[1:] == full.score[:-1]
+        assert (full.record_index[1:][tied] > full.record_index[:-1][tied]).all()
+        ties += int(tied.sum())
+        # a top_n between two tied rows cuts a run of equal scores
+        for top_n in range(1, n + 3):
+            assert_same_ranking(rank(kb, query, dataset, top_n=top_n), full, rows=top_n)
+    assert ties > 500

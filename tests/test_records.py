@@ -234,3 +234,18 @@ def _record_constructors(source_dir: Path) -> dict[str, ast.FunctionDef]:
 
 def test_no_record_states_its_fields_twice():
     assert _record_constructors(Path(fuzzycp.__file__).parent) == {}
+
+
+def test_records_by_identity_say_so_in_their_class_statement():
+    by_identity = {cls for cls in RECORDS
+                   if cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__}
+    assert by_identity == BY_IDENTITY
+    # from Record's by_identity keyword, not from a class body's own assignment
+    stored = [
+        f"{path.stem}: {node.id}"
+        for path in sorted(Path(fuzzycp.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        and node.id in ("__eq__", "__hash__")
+    ]
+    assert stored == []
