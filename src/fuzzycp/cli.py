@@ -268,11 +268,17 @@ def _inspect_kb(doc):
     prov = kb.provenance
     yield f"knowledge base (source: {prov.get('source')}, seed: {prov.get('seed')})"
     yield f"records: {prov.get('records', '?')}"
+    # fuzzy c-means as the build recorded it; a v1 or hand-written document may not
+    fits = [prov.get(key) if isinstance(prov.get(key), dict) else {}
+            for key in ("iterations", "converged")]
     for name, model in kb.models.items():
         yield f"attribute {name}"
         yield f"  labels:    {', '.join(model.labels)}"
         yield f"  centroids: {', '.join(f'{c:.6f}' for c in model.centroids)}"
         yield f"  fuzzifier: {model.fuzzifier}"
+        iterations, converged = (fit.get(name) for fit in fits)
+        yield (f"  iterations: {iterations if type(iterations) is int else 'unknown'}, "
+               f"converged: {('no', 'yes')[converged] if type(converged) is bool else 'unknown'}")
 
 
 def _inspect_query(doc):

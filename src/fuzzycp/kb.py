@@ -31,6 +31,13 @@ centroids by the membership formula, for training and unseen values alike.
 This module reads tables, runs fuzzy c-means and holds the membership
 kernel, all with numpy; the document classes and the build settings are
 ``kbdoc``'s, which needs no numpy.
+
+A table is read from its UTF-8 bytes: Python's ``csv`` reads the header,
+and numpy's C reader the rows, in one pass with ``nan`` written into every
+empty cell.  A table the C reader refuses or warns about (quotes,
+whitespace-only cells, ragged or no rows, bytes that are not UTF-8) is
+decoded whole and read by the ``csv`` row parser, which locates a bad cell
+for the error.
 """
 
 from __future__ import annotations
@@ -97,23 +104,21 @@ def ingest_tabular(source, has_header: bool = True, delimiter: str = ",") -> Dat
     ``col0..colN-1`` when ``has_header`` is false.  A row ends at ``\n``,
     ``\r\n`` or a lone ``\r``; empty lines are skipped.  Empty and
     whitespace-only cells become NaN (missing); any other cell that does
-    not parse as a number, like bytes that are not UTF-8, is a ParseError.
+    not parse as a number, like text that is not UTF-8, is a ParseError.
     ``delimiter`` is one character other than a newline.
-
-    The rows go to numpy's C reader, and if it refuses them, to it again
-    with ``nan`` written into every empty cell.  A table it still refuses
-    or warns about (quotes, whitespace-only cells, ragged or no rows) is
-    read again from the original text by the ``csv`` row parser, which
-    locates a bad cell for the error.
     """
     if len(delimiter) != 1 or delimiter in "\r\n":
         raise ConfigError(f"delimiter must be one character, not a newline: {delimiter!r}")
-    text = _as_text(source)
-    # closed before the C reader runs: a StringIO holds a copy of the whole
-    # text, 4 bytes a character, and the header needs only its line count
-    with io.StringIO(text, newline="") as stream:
-        reader = csv.reader(stream, delimiter=delimiter)
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    if isinstance(data, str):  # a lone surrogate encodes to bytes that are not UTF-8
+        data = data.encode("utf-8", "surrogatepass")
+    data = data.removeprefix(b"\xef\xbb\xbf")  # a byte-order mark, common in exported CSVs
+    reader = csv.reader(_lines(data), delimiter=delimiter)
+    try:
         first = next(_csv_rows(reader), None)
+    except UnicodeDecodeError:
+        _as_text(data)  # raises, placing the byte in the whole input
+        raise
     if first is None:
         raise EmptyDatasetError("input contains no rows")
 
@@ -125,14 +130,19 @@ def ingest_tabular(source, has_header: bool = True, delimiter: str = ",") -> Dat
     else:
         attributes = [f"col{i}" for i in range(len(first))]
     width, skip = len(attributes), reader.line_num if has_header else 0
-    parsed = _c_reader(text, delimiter, skip)
-    if parsed is None:
-        filled = _nan_for_empty_cells(text, delimiter)
-        parsed = _c_reader(filled, delimiter, skip) if filled != text else None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the header was read unfilled, where an empty name is no missing
+            # value; the fill adds no line, so the C reader skips its lines
+            parsed = np.loadtxt(_lines(_nan_for_empty_cells(data, delimiter)),
+                                delimiter=delimiter, comments=None, ndmin=2, skiprows=skip)
+    except (ValueError, Warning):  # a byte that is not UTF-8 is a ValueError too
+        parsed = None
     if parsed is not None and parsed.shape[1] == width:
         return Dataset(attributes, parsed)
 
-    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    reader = csv.reader(io.StringIO(_as_text(data), newline=""), delimiter=delimiter)
     data_rows = list(_csv_rows(reader))[int(has_header):]
     parsed = np.empty((len(data_rows), width), dtype=float)
     for i, row in enumerate(data_rows):
@@ -140,11 +150,8 @@ def ingest_tabular(source, has_header: bool = True, delimiter: str = ",") -> Dat
             raise ShapeError(f"record {i}: expected {width} cells, found {len(row)}", record=i)
         for j, cell in enumerate(row):
             cell = cell.strip()
-            if cell == "":
-                parsed[i, j] = math.nan
-                continue
             try:
-                parsed[i, j] = float(cell)
+                parsed[i, j] = float(cell) if cell else math.nan
             except ValueError:
                 raise ParseError(
                     f"attribute {attributes[j]!r}, record {i}: cannot parse {cell!r} as a number",
@@ -162,51 +169,38 @@ def _csv_rows(reader):
         raise ParseError(f"line {reader.line_num} of the table: {exc}") from None
 
 
-def _c_reader(text: str, delimiter: str, skip: int) -> np.ndarray | None:
-    """The rows of ``text`` after its first ``skip`` lines by numpy's C
-    reader, or None if it refuses or warns about them."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return np.loadtxt(
-                io.StringIO(text, newline=""), delimiter=delimiter, comments=None, ndmin=2,
-                skiprows=skip,
-            )
-    except (ValueError, Warning):
-        return None
+def _lines(data: bytes):
+    """``data`` as UTF-8 text, decoded as it is read; a lone CR ends a line."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
 
 
-def _nan_for_empty_cells(text: str, delimiter: str) -> str:
-    """``text`` with ``nan`` in every empty cell, for the C reader.
+def _nan_for_empty_cells(data: bytes, delimiter: str) -> bytes:
+    """``data`` with ``nan`` in every empty cell, for the C reader.
 
     An empty cell is a gap between two cell ends (a delimiter, a line end
-    or an end of ``text``) with a delimiter on at least one side; one
-    vectorised pass over the characters finds them all.  Empty lines stay
-    as they are: both readers skip them, and no line is added or removed,
-    so the header's line count still holds.  Cells in quotes may be
-    rewritten too, but the C reader refuses a quote, and the row parser
-    then reads the original text.
+    or an end of ``data``) with a delimiter on at least one side.  One byte
+    array marks them, 2 at a delimiter and 1 at a line end or end of text,
+    so a gap lies where two neighbours multiply to at least 2.  No line is
+    added or removed.  Cells in quotes may be rewritten too, but the C
+    reader refuses a quote, and the row parser then reads the original text.
     """
-    if delimiter == '"':  # csv reads two in a row as a quote, not as an empty cell
-        return text
-    chars = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    # padded by one end of text on each side: gap i lies between these i, i + 1
-    sep = np.zeros(len(chars) + 2, dtype=bool)
-    sep[1:-1] = chars == ord(delimiter)
-    ends = sep.copy()
-    ends[[0, -1]] = True
-    ends[1:-1] |= (chars == ord("\n")) | (chars == ord("\r"))
-    gaps = np.flatnonzero(ends[:-1] & ends[1:] & (sep[:-1] | sep[1:])).tolist()
-    return "nan".join(text[a:b] for a, b in zip([0, *gaps], [*gaps, len(text)]))
+    if delimiter == '"' or not delimiter.isascii():  # csv reads "" as a quote; § spans 2 bytes
+        return data
+    chars = np.frombuffer(data, dtype=np.uint8)
+    ends = np.ones(len(chars) + 2, dtype=np.uint8)  # padded by an end of text on each side
+    np.equal(chars, ord(delimiter), out=ends[1:-1])
+    ends[1:-1] *= 2
+    ends[1:-1] += chars == ord("\n")
+    ends[1:-1] += chars == ord("\r")
+    ends = ends[:-1] * ends[1:]  # gap i lies before byte i
+    gaps = np.flatnonzero(ends >= 2).tolist()
+    del ends  # freed before the pieces are copied
+    return b"nan".join(data[a:b] for a, b in zip([0, *gaps], [*gaps, len(data)]))
 
 
-def _as_text(source) -> str:
-    data = source if isinstance(source, (bytes, str)) else source.read()
-    if isinstance(data, str):
-        return data.removeprefix("\ufeff")
+def _as_text(data: bytes) -> str:
     try:
-        # utf-8-sig strips a byte-order mark, common in exported CSVs
-        return data.decode("utf-8-sig")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8 text: {exc}") from None
 

@@ -135,6 +135,10 @@ def test_kb_build_warns_when_fuzzy_c_means_does_not_converge(tmp_path, capsys):
     assert stopped_doc["provenance"]["iterations"] == {"price": 1, "km": 1}
     assert list(stopped_doc) == list(doc)
     assert list(stopped_doc["provenance"]) == list(doc["provenance"])
+    # and inspect prints it back
+    capsys.readouterr()
+    assert main(["inspect", str(stopped)]) == 0
+    assert capsys.readouterr().out.count("\n  iterations: 1, converged: no\n") == 2
 
 
 def test_kb_build_missing_input_flag_is_usage_error(tmp_path, capsys):
@@ -1723,6 +1727,26 @@ def test_inspect_kb(built_kb, capsys):
     assert "records: 20" in out
     assert "attribute price" in out
     assert "attribute km" in out
+    iterations = json.loads(built_kb.read_text())["provenance"]["iterations"]
+    assert [line for line in out.splitlines() if "converged" in line] == [
+        f"  iterations: {iterations[name]}, converged: yes" for name in ("price", "km")
+    ]
+
+
+def test_inspect_kb_prints_unknown_for_what_the_build_did_not_record(tmp_path, capsys):
+    def fits(path):
+        assert main(["inspect", str(path)]) == 0
+        return [line for line in capsys.readouterr().out.splitlines() if "converged" in line]
+
+    # a version 1 document records iterations, not convergence
+    assert fits(V1_KB) == ["  iterations: 82, converged: unknown",
+                           "  iterations: 25, converged: unknown"]
+    doc = json.loads(CARS_KB.read_text())
+    edited = tmp_path / "kb.json"
+    for provenance in ({}, {"iterations": [82, 25], "converged": {"price": 1, "km": [True]}},
+                       {"iterations": {"price": 8.0, "km": True}, "converged": "yes"}):
+        edited.write_text(json.dumps({**doc, "provenance": provenance}))
+        assert fits(edited) == ["  iterations: unknown, converged: unknown"] * 2
 
 
 def test_inspect_query_reports_dominance(compiled_query, capsys):

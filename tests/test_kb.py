@@ -98,10 +98,36 @@ def test_ingest_rejects_delimiter_not_one_character(delimiter):
         ingest_tabular("a,b\n1,2\n", delimiter=delimiter)
 
 
-@pytest.mark.parametrize("source", [b"a,b\n1,\xff\n", io.BytesIO(b"\xfe\n1\n")])
+# rows past the 8 KB that a text stream decodes ahead of the header
+PAST_READ_AHEAD = b"a,b\n" + b"1,2\n" * 2500
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        b"a,b\n1,\xff\n",
+        io.BytesIO(b"\xfe\n1\n"),
+        pytest.param(PAST_READ_AHEAD + b"3,\xff\n", id="past-read-ahead-bytes"),
+        pytest.param(io.BytesIO(PAST_READ_AHEAD + b"3,\xff\n"), id="past-read-ahead-file"),
+        pytest.param(PAST_READ_AHEAD + b"3,4\xe2\x82", id="at-the-end-bytes"),
+        pytest.param(io.BytesIO(PAST_READ_AHEAD + b"3,4\xe2\x82"), id="at-the-end-file"),
+    ],
+)
 def test_ingest_rejects_bytes_not_utf8(source):
-    with pytest.raises(ParseError, match="not UTF-8"):
+    data = source if isinstance(source, bytes) else source.getvalue()
+    with pytest.raises(UnicodeDecodeError) as decoding:
+        data.decode("utf-8")
+    with pytest.raises(ParseError) as err:
         ingest_tabular(source)
+    # the byte is placed in the whole input, wherever the reader met it
+    assert str(err.value) == f"input is not UTF-8 text: {decoding.value}"
+
+
+def test_ingest_refuses_text_with_a_lone_surrogate_as_not_utf8():
+    for text in ("a\n\ud800\n", "\ud800\n1\n"):
+        with pytest.raises(ParseError, match="^input is not UTF-8 text: 'utf-8' codec can't "
+                                             "decode byte 0xed in position "):
+            ingest_tabular(text)
 
 
 def test_ingest_accepts_bytes_and_files():
@@ -179,16 +205,23 @@ def _outcome(parse):
     return attributes, records.shape, records.tobytes()
 
 
-def test_ingest_matches_the_row_parser_on_random_tables(monkeypatch, recwarn):
-    taken = []
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """Every call of ``np.loadtxt``: its result, or None if it raised."""
+    calls = []
     loadtxt = np.loadtxt
 
     def counting_loadtxt(*args, **kwargs):
-        result = loadtxt(*args, **kwargs)
-        taken.append(result)
-        return result
+        calls.append(None)
+        calls[-1] = loadtxt(*args, **kwargs)
+        return calls[-1]
 
     monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    return calls
+
+
+def test_ingest_matches_the_row_parser_on_random_tables(loadtxt_calls, recwarn):
+    taken = loadtxt_calls
     rng = random.Random(12)
     taken_rows, read_holes = [], 0
     for _ in range(600):
@@ -202,8 +235,10 @@ def test_ingest_matches_the_row_parser_on_random_tables(monkeypatch, recwarn):
         expected = _outcome(lambda: reference_ingest(text, has_header, delimiter))
         taken.clear()
         assert _outcome(fast) == expected, (text, has_header, delimiter)
-        read_holes += holes and bool(taken) and bool(np.isnan(taken[-1]).any())
-        taken_rows.append(len(taken[-1]) if taken else 0)
+        assert len(taken) <= 1  # the C reader runs once at most
+        result = taken[0] if taken else None
+        read_holes += holes and result is not None and bool(np.isnan(result).any())
+        taken_rows.append(0 if result is None else len(result))
     # the C reader, not only the row parser, produced many of the datasets,
     # empty cells included
     assert sum(rows > 0 for rows in taken_rows) >= 150
@@ -239,6 +274,10 @@ def test_ingest_matches_the_row_parser_on_random_tables(monkeypatch, recwarn):
         ("a\tb\tc\n\t\t\n1\t\t3", True, "\t"),
         (",,,\n1,,,2\n", False, ","),
         ('a"b\n"1\n', True, '"'),
+        ("a§b\n1§\n§2\n", True, "§"),
+        ("a,,b\n1,,3\n", True, ","),
+        ('"x,,y",z\n1,\n', True, ","),
+        ('"x\n,",b\n1,\n', True, ","),
     ],
 )
 def test_ingest_matches_the_row_parser(text, has_header, delimiter, recwarn):
@@ -262,17 +301,33 @@ def test_ingest_matches_the_row_parser(text, has_header, delimiter, recwarn):
         ("a,b\r1,\r,2\r", ","),
         ("a;b\r\n;2\r\n1;\r\n", ";"),
         ("a\tb\n\t2\n", "\t"),
+        ("a,,b\n1,,3\n", ","),
     ],
 )
-def test_ingest_reads_empty_cells_in_the_c_reader(monkeypatch, text, delimiter):
-    taken = []
-    loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: taken.append(loadtxt(*a, **k)) or taken[-1])
+def test_ingest_reads_empty_cells_in_the_c_reader(loadtxt_calls, text, delimiter):
     has_header = text[0] == "a"
     ds = ingest_tabular(text, has_header=has_header, delimiter=delimiter)
     attributes, records = reference_ingest(text, has_header, delimiter)
     assert (ds.attributes, ds.records.tobytes()) == (attributes, records.tobytes())
-    assert len(taken) == 1 and np.isnan(taken[0]).any()
+    # one call, which took the empty cells: no pass fails first
+    assert len(loadtxt_calls) == 1 and np.isnan(loadtxt_calls[0]).any()
+
+
+@pytest.mark.parametrize("missing_share", [0.01, 0.0])
+def test_ingest_peaks_below_four_times_the_table(missing_share):
+    rng = np.random.default_rng(3)
+    values = np.round(np.abs(rng.normal(100.0, 30.0, size=(20_000, 4))), 6)
+    values[rng.random(values.shape) < missing_share] = np.nan
+    rows = [",".join("" if np.isnan(v) else repr(v) for v in row) for row in values.tolist()]
+    data = "\n".join(["a,b,c,d", *rows, ""]).encode()
+    tracemalloc.start()
+    try:
+        ds = ingest_tabular(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.records.tobytes() == values.tobytes()
+    assert peak < 4 * len(data)
 
 
 def test_ingest_ends_a_row_at_a_lone_carriage_return():
