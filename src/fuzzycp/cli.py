@@ -19,8 +19,6 @@ load numpy; ``query compile`` and ``inspect`` work on documents alone
 only it loads the parser (``dsl``).
 """
 
-from __future__ import annotations
-
 import argparse
 import gc
 import os
@@ -30,15 +28,6 @@ from . import kbdoc
 from .errors import ConfigError, FuzzycpError, MalformedDocumentError, ParseError
 
 OK, USAGE_ERROR, DATA_ERROR, IO_ERROR = 0, 1, 2, 3
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    """argparse terminates with status 2 on bad usage; we promise 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
 
 
 def _positive_int(text: str) -> int:
@@ -52,12 +41,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="fuzzycp", description=__doc__.splitlines()[0])
-    top = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="fuzzycp", description=__doc__.splitlines()[0])
+    top = parser.add_subparsers(dest="command", required=True)
 
     kb = top.add_parser("kb", help="knowledge-base stages")
-    kb_sub = kb.add_subparsers(dest="kb_command", required=True, parser_class=_ArgumentParser)
+    kb_sub = kb.add_subparsers(dest="kb_command", required=True)
     build = kb_sub.add_parser("build", help="cluster a dataset into a fuzzy knowledge base")
     build.add_argument("--input", required=True, help="delimiter-separated data file")
     build.add_argument("--out", required=True, help="where to write the knowledge base")
@@ -79,9 +68,7 @@ def _build_parser() -> _ArgumentParser:
     build.set_defaults(handler=cmd_kb_build)
 
     query = top.add_parser("query", help="query stages")
-    query_sub = query.add_subparsers(
-        dest="query_command", required=True, parser_class=_ArgumentParser
-    )
+    query_sub = query.add_subparsers(dest="query_command", required=True)
     compile_ = query_sub.add_parser("compile", help="compile a preference query")
     compile_.add_argument("--kb", required=True)
     compile_.add_argument("--query", required=True, help="query text file")
@@ -109,8 +96,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on bad usage
+        return USAGE_ERROR if exc.code else OK
     try:
         return args.handler(args)
     except MalformedDocumentError as exc:
@@ -263,12 +250,21 @@ def cmd_inspect(args) -> int:
     return OK
 
 
+def _build_fact(value, kind) -> str:
+    """``value`` as ``kb build`` writes a fact of type ``kind`` (a one-line
+    string, an int, a bool as yes/no), or ``unknown``: a v1, hand-written or
+    edited document may lack it or hold something else."""
+    if type(value) is not kind or kind is str and value.splitlines() != [value]:
+        return "unknown"
+    return ("no", "yes")[value] if kind is bool else str(value)
+
+
 def _inspect_kb(doc):
     kb = kbdoc.KnowledgeBase.from_document(doc)
     prov = kb.provenance
-    yield f"knowledge base (source: {prov.get('source')}, seed: {prov.get('seed')})"
-    yield f"records: {prov.get('records', '?')}"
-    # fuzzy c-means as the build recorded it; a v1 or hand-written document may not
+    yield (f"knowledge base (source: {_build_fact(prov.get('source'), str)}, "
+           f"seed: {_build_fact(prov.get('seed'), int)})")
+    yield f"records: {_build_fact(prov.get('records'), int)}"
     fits = [prov.get(key) if isinstance(prov.get(key), dict) else {}
             for key in ("iterations", "converged")]
     for name, model in kb.models.items():
@@ -277,8 +273,8 @@ def _inspect_kb(doc):
         yield f"  centroids: {', '.join(f'{c:.6f}' for c in model.centroids)}"
         yield f"  fuzzifier: {model.fuzzifier}"
         iterations, converged = (fit.get(name) for fit in fits)
-        yield (f"  iterations: {iterations if type(iterations) is int else 'unknown'}, "
-               f"converged: {('no', 'yes')[converged] if type(converged) is bool else 'unknown'}")
+        yield (f"  iterations: {_build_fact(iterations, int)}, "
+               f"converged: {_build_fact(converged, bool)}")
 
 
 def _inspect_query(doc):
@@ -305,7 +301,3 @@ def _inspect_query(doc):
     for k, term in enumerate(view["terms"], start=1):
         assignment = ", ".join(f"{n}={v}" for n, v in term["assignment"].items())
         yield f"  {k}. U={term['importance']:.6f}  {assignment}"
-
-
-if __name__ == "__main__":
-    entry_point()

@@ -12,8 +12,6 @@ refused with the first cycle reached from the first node in declaration
 order that the pass could not place, the same report on every run.
 """
 
-from __future__ import annotations
-
 import heapq
 import itertools
 import math

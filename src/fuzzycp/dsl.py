@@ -29,8 +29,6 @@ rows miss a parent context, fails as the CPNet is built, with a
 ValidationError, which has no position.
 """
 
-from __future__ import annotations
-
 import re
 
 from .cpnet import CPNet, PreferenceVariable

@@ -40,8 +40,6 @@ decoded whole and read by the ``csv`` row parser, which locates a bad cell
 for the error.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import math

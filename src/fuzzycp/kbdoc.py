@@ -7,8 +7,6 @@ load it; the numeric half (ingest, fuzzy c-means, the membership kernel)
 is ``kb``, which ``membership_grid`` imports when it is called.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from .errors import ConfigError, DegenerateDataError, MalformedDocumentError, ParseError

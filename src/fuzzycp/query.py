@@ -14,8 +14,6 @@ the text that version 1 printed from the net is ignored, as is the sum of
 the maxspans, ``max_total_utility``, that older documents repeat.
 """
 
-from __future__ import annotations
-
 import heapq
 
 from .cpnet import OUTCOME_CAP, CPNet, PreferenceVariable, node_importance, topological_order

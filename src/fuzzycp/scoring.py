@@ -25,8 +25,6 @@ and ``evaluate`` score one record with plain loops; they are the oracles
 two ``eval`` formats, UTF-8 like every document; ``cli`` writes them.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import compress
 

@@ -22,8 +22,6 @@ everything its children can contribute.  Steps stay integers, so the span
 arithmetic is exact.
 """
 
-from __future__ import annotations
-
 from .cpnet import CPNet, PreferenceVariable, topological_order
 from .errors import AssignmentError, DegenerateUtilityError
 from .record import Record

@@ -1734,19 +1734,38 @@ def test_inspect_kb(built_kb, capsys):
 
 
 def test_inspect_kb_prints_unknown_for_what_the_build_did_not_record(tmp_path, capsys):
-    def fits(path):
+    def inspect(path):
         assert main(["inspect", str(path)]) == 0
-        return [line for line in capsys.readouterr().out.splitlines() if "converged" in line]
+        return capsys.readouterr().out.splitlines()
 
-    # a version 1 document records iterations, not convergence
-    assert fits(V1_KB) == ["  iterations: 82, converged: unknown",
+    def fits(lines):
+        return [line for line in lines if "converged" in line]
+
+    # a version 1 document records iterations, not convergence or the record count
+    lines = inspect(V1_KB)
+    assert lines[:2] == ["knowledge base (source: demos/data/cars.csv, seed: 7)",
+                         "records: unknown"]
+    assert fits(lines) == ["  iterations: 82, converged: unknown",
                            "  iterations: 25, converged: unknown"]
     doc = json.loads(CARS_KB.read_text())
     edited = tmp_path / "kb.json"
     for provenance in ({}, {"iterations": [82, 25], "converged": {"price": 1, "km": [True]}},
                        {"iterations": {"price": 8.0, "km": True}, "converged": "yes"}):
         edited.write_text(json.dumps({**doc, "provenance": provenance}))
-        assert fits(edited) == ["  iterations: unknown, converged: unknown"] * 2
+        lines = inspect(edited)
+        assert lines[:2] == ["knowledge base (source: unknown, seed: unknown)",
+                             "records: unknown"]
+        assert fits(lines) == ["  iterations: unknown, converged: unknown"] * 2
+    # a source that would forge a line, and facts of another type
+    forged = {**doc["provenance"], "source": "cars.csv\nattribute fake",
+              "records": {"x": 1}, "seed": [7]}
+    edited.write_text(json.dumps({**doc, "provenance": forged}))
+    lines = inspect(edited)
+    assert lines[:2] == ["knowledge base (source: unknown, seed: unknown)", "records: unknown"]
+    assert not [line for line in lines if line.startswith("attribute fake")]
+    assert fits(lines) == ["  iterations: 82, converged: yes", "  iterations: 25, converged: yes"]
+    edited.write_text(json.dumps({**doc, "provenance": {**doc["provenance"], "source": None}}))
+    assert inspect(edited)[:2] == ["knowledge base (source: unknown, seed: 7)", "records: 20"]
 
 
 def test_inspect_query_reports_dominance(compiled_query, capsys):
@@ -1786,6 +1805,31 @@ def test_inspect_truncated_document(tmp_path, compiled_query, capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
+
+
+# argparse's own message ends each; the usage above it wraps by Python version
+USAGE_ERRORS = {
+    (): "fuzzycp: error: the following arguments are required: command",
+    ("frobnicate",): "fuzzycp: error: argument command: invalid choice: 'frobnicate' "
+                     "(choose from 'kb', 'query', 'eval', 'inspect')",
+    ("kb", "build", "--out", "kb.json"):
+        "fuzzycp kb build: error: the following arguments are required: --input",
+    ("eval", "--kb", "kb.json", "--query", "q.json", "--data", "d.csv", "--top", "0"):
+        "fuzzycp eval: error: argument --top: must be at least 1, got 0",
+    ("eval", "--kb", "kb.json", "--query", "q.json", "--data", "d.csv", "--format", "xml"):
+        "fuzzycp eval: error: argument --format: invalid choice: 'xml' "
+        "(choose from 'tsv', 'json')",
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS))
+def test_usage_error_prints_usage_and_argparse_message(argv, capsys):
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: fuzzycp")
+    assert lines[-1] == USAGE_ERRORS[argv]
 
 
 def test_documented_flag_set(tmp_path, capsys):

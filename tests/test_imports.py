@@ -1,11 +1,14 @@
 """The package and the document-only CLI stages load without numpy, only
 ``kb build`` loads numpy.random, only ``query compile`` loads the query
-parser, every public name resolves to the object its home module defines,
-only ``kbdoc`` spells out the document format or imports ``json``, and
-every module is Python 3.10, the oldest version ``pyproject.toml`` allows."""
+parser, each stage loads exactly the fuzzycp modules it runs and never
+``__future__``, every public name resolves to the object its home module
+defines, and so does every name the benchmark's checks import, only
+``kbdoc`` spells out the document format or imports ``json``, and every
+module is Python 3.10, the oldest version ``pyproject.toml`` allows."""
 
 import ast
 import contextlib
+import importlib
 import io
 import subprocess
 import sys
@@ -16,7 +19,7 @@ import pytest
 import fuzzycp
 from fuzzycp.cli import main
 from helpers import child_env
-from test_cli import DATA_DIR, KB_ARGS
+from test_cli import BENCH_TRACER, DATA_DIR, KB_ARGS
 
 # the names the package exported when it imported every module eagerly
 PUBLIC = {
@@ -34,13 +37,18 @@ PUBLIC = {
 }
 
 
-def _loads(code: str, module: str = "numpy") -> bool:
-    """Whether a fresh interpreter has ``module`` loaded after running ``code``."""
+def _modules(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after running ``code``."""
     proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys\nprint({module!r} in sys.modules)"],
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
         capture_output=True, text=True, env=child_env(), check=True,
     )
-    return proc.stdout.splitlines()[-1] == "True"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _loads(code: str, module: str = "numpy") -> bool:
+    """Whether a fresh interpreter has ``module`` loaded after running ``code``."""
+    return module in _modules(code)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +103,27 @@ def test_only_query_compile_loads_the_parser(tmp_path, documents, stage):
     assert loaded == (stage == "query compile")
 
 
+# the fuzzycp modules each stage runs, and no more
+STAGE_MODULES = {
+    "import": set(),
+    "kb build": {"cli", "errors", "kb", "kbdoc", "record"},
+    "query compile": {"cli", "cpnet", "dsl", "errors", "kbdoc", "query", "record", "ucp"},
+    "eval": {"cli", "cpnet", "errors", "kb", "kbdoc", "query", "record", "scoring", "ucp"},
+    "inspect kb": {"cli", "errors", "kbdoc", "record"},
+    "inspect query": {"cli", "cpnet", "errors", "kbdoc", "query", "record", "ucp"},
+}
+
+
+@pytest.mark.parametrize("stage", list(STAGE_MODULES))
+def test_each_stage_loads_exactly_the_modules_it_runs(tmp_path, documents, stage):
+    # every module a stage loads is start-up it pays for; __future__ would
+    # be one more, with nothing in the package reading annotations
+    loaded = _modules(_stage_code(stage, *documents, tmp_path))
+    ours = {name.removeprefix("fuzzycp.") for name in loaded if name.startswith("fuzzycp.")}
+    assert ours == STAGE_MODULES[stage]
+    assert "__future__" not in loaded
+
+
 def test_table_stages_load_numpy(tmp_path):
     argv = KB_ARGS + ["--out", str(tmp_path / "kb.json")]
     assert _loads(f"from fuzzycp.cli import main\nassert main({argv!r}) == 0")
@@ -130,6 +159,21 @@ def test_every_public_name_resolves_to_its_home_object():
     assert PUBLIC <= set(namespace)
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         fuzzycp.nonexistent
+
+
+def test_every_name_the_benchmark_checks_import_resolves():
+    # the benchmark's checks import fuzzycp functions as oracles; the tests
+    # do not run them, so a name that moves or goes would only show there
+    checks = BENCH_TRACER.parent / "checks.py"
+    imported = [(node.module, alias.name)
+                for node in ast.walk(ast.parse(checks.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "fuzzycp"
+                for alias in node.names]
+    assert {module for module, _ in imported} >= {
+        "fuzzycp.cpnet", "fuzzycp.kb", "fuzzycp.query", "fuzzycp.scoring"}
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
 def test_only_kbdoc_writes_indented_json():
