@@ -25,6 +25,12 @@ another order: the iteration counts are the same, and the centroids differ
 only by rounding (the tests allow 1e-12 times the column's largest
 magnitude).
 
+The loop starts at the column's quantiles, each moved by a little uniform
+noise that breaks ties between equal quantiles.  The noise comes from the
+standard library's ``random`` (MT19937), which draws the same numbers on
+every platform; ``numpy.random`` would cost a stage the import of
+``secrets``, ``hmac`` and ``_hashlib`` for a few draws.
+
 The knowledge base is the per-attribute cluster models (centroids, labels,
 fuzzifier).  Memberships are not stored: a value's degrees follow from the
 centroids by the membership formula, for training and unseen values alike.
@@ -43,6 +49,8 @@ for the error.
 import csv
 import io
 import math
+import numbers
+import random
 import warnings
 
 import numpy as np
@@ -225,11 +233,13 @@ def fuzzy_c_means(
     """Cluster 1-D values into ``c`` fuzzy regions.
 
     Centroids start at evenly spaced data quantiles perturbed by seeded
-    noise (reproducible for a fixed seed).  Iteration stops once the
-    largest centroid movement drops below ``tol`` or after ``max_iter``
-    rounds.  Returned centroids are sorted ascending.
+    noise (``_start``; reproducible for a fixed seed, a non-negative
+    integer or a string key).  Iteration stops once the largest centroid
+    movement drops below ``tol`` or after ``max_iter`` rounds.  Returned
+    centroids are sorted ascending.
 
-    The loop runs on the distinct values, each weighted by its count.
+    The loop runs on the distinct values, each weighted by its count, in
+    two clusters x distinct-values buffers allocated once.
     """
     x = np.asarray(values, dtype=float).ravel()
     if c < 2:
@@ -240,29 +250,34 @@ def fuzzy_c_means(
         raise ConfigError("tol must be positive and finite")
     if max_iter < 1:
         raise ConfigError("max_iter must be at least 1")
+    if not isinstance(seed, str):  # random.Random(-s) is random.Random(s)
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+        seed = int(seed)
     if x.size and not np.all(np.isfinite(x)):
         raise ParseError("values contain non-finite entries")
     points, counts = np.unique(x, return_counts=True)
     if len(points) < c:
         raise DegenerateDataError(f"need at least {c} distinct values, found {len(points)}")
 
-    rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        # near the float limits these may overflow: a spread that does is
-        # refused below, a centroid that does, at the start or later, in the loop
+        # near the float limits these may overflow: a spread or a start that
+        # does is refused below, a centroid that does later, in the loop
         spread = points[-1] - points[0]
-        centroids = _quantiles(points, counts, (np.arange(c) + 0.5) / c)
-        centroids = np.sort(centroids + rng.normal(0.0, 1e-3 * spread, size=c))
+        centroids = _start(points, counts, c, seed)
         weighted_points = counts * points
     if spread == math.inf:
         raise ParseError(f"values {points[0]:g} and {points[-1]:g} are too far apart")
+    if not np.isfinite(centroids).all():
+        raise ParseError("the values are too large: a centroid overflows")
 
     counts = counts.astype(float)
+    grid, spare = np.empty((c, len(points))), np.empty((c, len(points)))
     trace = []
     iterations, converged = 0, False
     while not converged and iterations < max_iter:
         iterations += 1
-        weights = _membership_grid(points, centroids, m)
+        weights = _membership_grid(points, centroids, m, out=grid)
         weights **= m
         mass = weights @ counts
         # a point's memberships sum to 1, so only underflow zeroes every power
@@ -276,7 +291,9 @@ def fuzzy_c_means(
             # whose squared distances do past 1e154, and nothing reads it
             moment = weights @ weighted_points
             new_centroids = np.where(mass > 0.0, moment / safe_mass, centroids)
-            weights *= (points - new_centroids[:, None]) ** 2
+            squares = np.subtract(points, new_centroids[:, None], out=spare)
+            squares *= squares
+            weights *= squares
             trace.append(float(np.sum(weights @ counts)))
         if not np.isfinite(new_centroids).all():
             raise ParseError("the values are too large: a centroid overflows")
@@ -287,6 +304,21 @@ def fuzzy_c_means(
     if np.any(np.diff(centroids) <= 0.0):
         raise DegenerateDataError("clusters collapsed onto the same centroid")
     return FcmResult(centroids, tuple(trace), iterations, converged)
+
+
+def _start(points: np.ndarray, counts: np.ndarray, c: int, seed) -> np.ndarray:
+    """Fuzzy c-means' sorted start for the column of ``counts[i]`` copies of
+    the ascending ``points[i]``: its quantiles at (j + 1/2) / c, each moved
+    by ``1e-3 * spread * (2 * r - 1)`` with r from ``random.Random(seed)``.
+
+    The draws are MT19937's, the same on every platform and Python version
+    (a string seed goes through sha512, so not through PYTHONHASHSEED);
+    ``2 * r - 1`` is exact, and no transcendental function is involved.
+    """
+    rng = random.Random(seed)
+    noise = np.array([2.0 * rng.random() - 1.0 for _ in range(c)])
+    spread = points[-1] - points[0]
+    return np.sort(_quantiles(points, counts, (np.arange(c) + 0.5) / c) + 1e-3 * spread * noise)
 
 
 def _quantiles(points: np.ndarray, counts: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -308,12 +340,14 @@ def _quantiles(points: np.ndarray, counts: np.ndarray, q: np.ndarray) -> np.ndar
     return np.where(fraction >= 0.5, upper - step * (1 - fraction), lower + step * fraction)
 
 
-def _membership_grid(x: np.ndarray, centroids: np.ndarray, m: float) -> np.ndarray:
+def _membership_grid(x: np.ndarray, centroids: np.ndarray, m: float, out=None) -> np.ndarray:
     """Membership of every value to every centroid, one row per centroid;
     columns sum to 1.  A value whose distance to every centroid overflows
-    has none: it is a ParseError whose ``record`` is its position in ``x``."""
+    has none: it is a ParseError whose ``record`` is its position in ``x``.
+    The grid is written into ``out`` (clusters x values) when one is given."""
     with np.errstate(over="ignore"):
-        u = np.abs(x - centroids[:, None])
+        u = np.subtract(x, centroids[:, None], out=out)
+    np.abs(u, out=u)
     dmin = u.min(axis=0)
     if dmin.max(initial=0.0) == math.inf:
         far = int(np.argmax(dmin))
@@ -339,8 +373,8 @@ def build_knowledge_base(
 ) -> KnowledgeBase:
     """Cluster every attribute of ``dataset`` and assemble the knowledge base.
 
-    Deterministic for a fixed config seed: each attribute derives its own
-    RNG stream from (seed, attribute position).
+    Deterministic for a fixed config seed: the attribute at position i
+    draws its start noise from its own stream, keyed ``f"{seed}:{i}"``.
     """
     config = config or KBConfig()
     if config.seed < 0:
@@ -368,7 +402,7 @@ def build_knowledge_base(
                 m=config.fuzzifier,
                 tol=config.tol,
                 max_iter=config.max_iter,
-                seed=np.random.SeedSequence(entropy=config.seed, spawn_key=(idx,)),
+                seed=f"{config.seed}:{idx}",
             )
         except (ParseError, DegenerateDataError) as exc:  # values that overflow or vary too little
             raise type(exc)(f"attribute {attribute!r}: {exc}", attribute=attribute) from None

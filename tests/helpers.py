@@ -112,10 +112,11 @@ def oracle_fcm(values, c, m=2.0, tol=1e-6, max_iter=200, seed=0):
     x = np.asarray(values, dtype=float).ravel()
     if len(np.unique(x)) < c:
         raise DegenerateDataError("too few distinct values")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     centroids = np.quantile(x, (np.arange(c) + 0.5) / c)
     spread = x.max() - x.min()
-    centroids = np.sort(centroids + rng.normal(0.0, 1e-3 * spread, size=c))
+    noise = np.array([2.0 * rng.random() - 1.0 for _ in range(c)])
+    centroids = np.sort(centroids + 1e-3 * spread * noise)
     trace = []
     iterations = 0
     for iterations in range(1, max_iter + 1):

@@ -117,6 +117,33 @@ def test_fresh_kb_build_matches_the_fixed_kb(built_kb):
     assert {**fresh["provenance"], "source": None} == {**fixed["provenance"], "source": None}
 
 
+def test_kb_build_does_not_follow_the_hash_seed(tmp_path):
+    # each attribute's start noise is keyed by a string, which random seeds
+    # through sha512 and not through the randomized str hash
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"kb-{hash_seed}.json"
+        subprocess.run([sys.executable, "-m", "fuzzycp", *KB_ARGS, "--out", str(out)],
+                       capture_output=True, env={**child_env(), "PYTHONHASHSEED": hash_seed},
+                       check=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_kb_build_refuses_an_overflowing_start_the_same_way_for_every_seed(tmp_path, capsys):
+    # every start at the largest float moves past it or stays finite with
+    # the seed's noise: either way the same refusal, not one from the kernel
+    table = tmp_path / "table.csv"
+    table.write_bytes(b"a\n" + b"1.7976931348623157e308\n" * 1000 + b"0\n1\n")
+    for seed in range(32):
+        argv = ["kb", "build", "--input", str(table), "--out", str(tmp_path / "kb.json"),
+                "--seed", str(seed)]
+        assert main(argv) == 2, seed
+        assert capsys.readouterr().err == (
+            "fuzzycp: ParseError: attribute 'a': the values are too large: "
+            "a centroid overflows\n"), seed
+
+
 def test_kb_build_warns_when_fuzzy_c_means_does_not_converge(tmp_path, capsys):
     out = tmp_path / "kb.json"
     assert main(KB_ARGS + ["--out", str(out)]) == 0
@@ -1212,7 +1239,7 @@ BAD_INPUTS = {
     "kb-build-labels-one-empty": _kb_build("--clusters", "4", "--labels", "a,b,,d"),
     # a float literal beyond every float, which Python's reader takes as inf
     "kb-centroid-float-beyond-float": _replaced(
-        "kb", CARS_KB.read_text().replace("8.589506693254277", "1e400", 1)
+        "kb", CARS_KB.read_text().replace("8.589506687498831", "1e400", 1)
     ),
     "kb-centroids-descending": _eval_edited(
         lambda doc: doc["attributes"][0]["centroids"].reverse(), document="kb"
@@ -1604,20 +1631,25 @@ def test_no_query_text_mutation_ends_in_a_traceback(documents, tmp_path_factory)
 # --- the cyclic collector ----------------------------------------------------
 
 # Runs the stage in argv[2:] through entry_point, as ``python -m fuzzycp``
-# and the ``fuzzycp`` script do, and writes to the file argv[1] how many
-# collections started once entry_point was entered.
+# and the ``fuzzycp`` script do, and, as entry_point ends the process with
+# os._exit, writes to the file argv[1] how many collections started once
+# entry_point was entered.  A stage that ends any other way writes no file.
 ENTRY_POINT_CHILD = """
-import gc, sys
+import gc, os, sys
 from fuzzycp.cli import entry_point
 
 starts = []
 gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info))
 count_path = sys.argv.pop(1)
-try:
-    entry_point()
-finally:
+exit_process = os._exit
+
+def counted_exit(code):
     with open(count_path, "w") as f:
         f.write(str(len(starts)))
+    exit_process(code)
+
+os._exit = counted_exit
+entry_point()
 """
 
 # stage -> its arguments, given the directory it writes to and the

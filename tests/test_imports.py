@@ -1,5 +1,6 @@
-"""The package and the document-only CLI stages load without numpy, only
-``kb build`` loads numpy.random, only ``query compile`` loads the query
+"""The package and the document-only CLI stages load without numpy, no
+stage loads numpy.random and no module names it, only ``cli.entry_point``
+ends the process with ``os._exit``, only ``query compile`` loads the query
 parser, each stage loads exactly the fuzzycp modules it runs and never
 ``__future__``, every public name resolves to the object its home module
 defines, and so does every name the benchmark's checks import, only
@@ -134,17 +135,46 @@ def test_kb_build_leaves_numpy_ma_unloaded(tmp_path):
     # that fuzzy c-means does not need
     argv = KB_ARGS + ["--out", str(tmp_path / "kb.json")]
     code = f"from fuzzycp.cli import main\nassert main({argv!r}) == 0"
-    assert _loads(code, "numpy.random")
-    assert not _loads(code, "numpy.ma")
+    loaded = _modules(code)
+    assert "numpy.linalg" in loaded  # a numpy subpackage the stage does load
+    assert "numpy.ma" not in loaded
 
 
 @pytest.mark.parametrize(
-    "stage", ["import", "query compile", "eval", "inspect kb", "inspect query"]
+    "stage", ["import", "kb build", "query compile", "eval", "inspect kb", "inspect query"]
 )
-def test_only_kb_build_loads_numpy_random(tmp_path, documents, stage):
-    # numpy.random imports secrets, hmac and _hashlib; only fuzzy c-means'
-    # start noise draws from it
-    assert not _loads(_stage_code(stage, *documents, tmp_path), "numpy.random")
+def test_no_stage_loads_numpy_random(tmp_path, documents, stage):
+    # numpy.random imports secrets, hmac and _hashlib; fuzzy c-means draws
+    # its start noise from the standard library's random instead
+    loaded = _modules(_stage_code(stage, *documents, tmp_path))
+    assert loaded.isdisjoint({"numpy.random", "secrets", "hmac", "_hashlib"})
+
+
+def test_no_module_names_numpy_random_and_only_entry_point_exits():
+    # a numpy.random call anywhere would bring its import back to some
+    # stage; os._exit skips the teardown, which only a stage's own entry,
+    # never a library function, may do
+    named, exits = [], []
+    for path in sorted(Path(fuzzycp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):  # outer functions first, so the innermost names last
+            if isinstance(function, ast.FunctionDef):
+                for node in ast.walk(function):
+                    node.function = function.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            else:
+                continue
+            where = f"{path.name}:{getattr(node, 'function', '<module>')}"
+            named += [where for name in names if name.startswith(("np.random", "numpy.random"))]
+            exits += [where for name in names if name.endswith("._exit")]
+    assert named == []
+    assert exits == ["cli.py:entry_point"]
 
 
 def test_every_public_name_resolves_to_its_home_object():

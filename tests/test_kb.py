@@ -26,7 +26,7 @@ from fuzzycp import (
     ingest_tabular,
 )
 from fuzzycp.errors import MalformedDocumentError
-from fuzzycp.kb import _membership_grid, _quantiles
+from fuzzycp.kb import _membership_grid, _quantiles, _start
 from fuzzycp.kbdoc import document_text
 from helpers import (
     fcm_memberships,
@@ -402,7 +402,7 @@ def test_fcm_objective_non_increasing():
 def test_fcm_deterministic_for_fixed_seed():
     values = list(range(30))
     a = fuzzy_c_means(values, c=3, seed=9)
-    b = fuzzy_c_means(values, c=3, seed=9)
+    b = fuzzy_c_means(values, c=3, seed=np.int64(9))
     assert np.array_equal(a.centroids, b.centroids)
     assert np.array_equal(fcm_memberships(a, values), fcm_memberships(b, values))
 
@@ -513,6 +513,31 @@ def test_fcm_starts_at_the_quantiles_of_the_column_bit_for_bit():
         points, counts = np.unique(values, return_counts=True)
         start = _quantiles(points, counts, q)
         assert start.tobytes() == np.quantile(values, q).tobytes(), (case, c, n)
+        # then each moves by 1e-3 * spread * (2r - 1), r drawn from the seed's stream
+        seed = case if case % 2 else f"{case}:{c}"
+        draws = random.Random(seed)
+        noise = np.array([2.0 * draws.random() - 1.0 for _ in range(c)])
+        noisy = np.sort(np.quantile(values, q) + 1e-3 * (values.max() - values.min()) * noise)
+        assert _start(points, counts, c, seed).tobytes() == noisy.tobytes(), (case, c, n)
+
+
+def test_fcm_start_is_the_same_on_every_platform():
+    # MT19937 and its sha512 seeding from a string are fixed by the
+    # language: a generator that followed the platform, the Python version
+    # or PYTHONHASHSEED would move these bits
+    points, counts = np.unique([1.0, 2.0, 2.0, 3.0, 5.0, 8.0, 13.0], return_counts=True)
+    assert _start(points, counts, 3, 7).tolist() == [
+        1.995771986355996, 2.991620380174188, 8.003622427352957]
+    assert _start(points, counts, 3, "7:0").tolist() == [
+        2.0048336388567387, 2.988821542366159, 8.011516111867788]
+
+
+@pytest.mark.parametrize("seed", [-1, None, 1.5])
+def test_fcm_rejects_a_seed_other_than_a_non_negative_integer(seed):
+    # random.Random(-1) would silently draw seed 1's stream, and
+    # random.Random(None) a stream from the system's entropy
+    with pytest.raises(ConfigError, match=f"^seed must be a non-negative integer, got {seed}$"):
+        fuzzy_c_means([1.0, 2, 3, 4, 5], 2, seed=seed)
 
 
 def test_membership_grid_is_bit_exact_against_the_row_layout_oracle():
@@ -654,6 +679,17 @@ def test_build_rejects_a_negative_seed():
     ds = ingest_tabular("size\n0\n1\n2\n")
     with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
         build_knowledge_base(ds, KBConfig(clusters=2, seed=-1))
+
+
+def test_attributes_with_equal_values_draw_different_start_noise():
+    # one stream per attribute position, keyed "seed:position"
+    values = [0.5, 1.0, 2.0, 3.5, 5.0, 8.0, 9.0, 9.5]
+    ds = ingest_tabular("a,b\n" + "".join(f"{v},{v}\n" for v in values))
+    kb = build_knowledge_base(ds, KBConfig(clusters=3, seed=4, max_iter=1))
+    assert kb.models["a"].centroids != kb.models["b"].centroids
+    for position, name in enumerate("ab"):
+        alone = fuzzy_c_means(values, 3, max_iter=1, seed=f"4:{position}")
+        assert kb.models[name].centroids == tuple(alone.centroids.tolist())
 
 
 def test_build_rejects_missing_values():
